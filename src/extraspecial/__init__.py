@@ -6,9 +6,9 @@ from .artin_schreier import (ASConstantSpec, ASReport, validate_reduced_AS, witt
 from .detval import (FrobMatrix, PhidetReport, TiValuations, moore_det, phidet_check,
                      ring_det, ti_valuations, tval_valuation)
 from .localfield import (ConstructionError, GaloisMap, PlanRejection, Tower,
-                         TowerAlgebra, TowerElement, build_tower, compose,
-                         elt_valuation, elt_valuation_top, enumerate_group,
-                         galois_generators, group_structure)
+                         TowerAlgebra, TowerElement, build_tower, elt_valuation,
+                         elt_valuation_top, enumerate_group, galois_generators,
+                         group_structure)
 from .oracle import (FiltrationReport, OracleMismatch, OracleReport, construct_generator,
                      ramification_filtration, scaffold_row_check, verify_elementary_layers,
                      verify_family, verify_tower)

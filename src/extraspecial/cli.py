@@ -14,10 +14,10 @@ import sys
 
 from .localfield import PlanRejection
 from .oracle import OracleMismatch, verify_family
-from .planner import TowerParams, example_family, gms_verdict, plan
+from .planner import TowerParams, _is_odd_prime, example_family, gms_verdict, plan
 from .ramification import (RamSequence, build_shift_tables, check_ram_inequalities,
                            lower_to_upper, upper_to_lower)
-from .valuation import ExtRational, PrecisionError, residue_field
+from .valuation import ExtRational, PrecisionError, field_degree, residue_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,7 +37,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _validate_p_n(p: int, n: int | None = None) -> None:
-    if p < 3 or p % 2 == 0 or any(p % f == 0 for f in range(3, int(p**0.5) + 1, 2)):
+    if not _is_odd_prime(p):
         raise CliError(f"p = {p} is not an odd prime")
     if n is not None and n < 1:
         raise CliError(f"n = {n} must be >= 1")
@@ -112,12 +112,10 @@ def _render_verdict(d: dict) -> None:
 
 def _cmd_plan(args) -> int:
     _validate_p_n(args.p, args.n)
-    field = residue_field(args.p, _degree_for(args.p, args.q, args.n))
     try:
+        field = residue_field(args.p, 2 * args.n if args.q is None
+                              else field_degree(args.p, args.q))
         leads = tuple(field.parse_element(x) for x in args.leads.split(","))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
         params = TowerParams(
             p=args.p, n=args.n, variant=args.variant,
             e0=ExtRational.parse(args.e0), r=args.r,
@@ -206,17 +204,6 @@ def _cmd_oracle_verify(args) -> int:
         raise CliError(str(exc)) from exc
     emit(report.to_dict(), args.output, _render_oracle)
     return EXIT_OK if report.passed else EXIT_HYPOTHESES
-
-
-def _degree_for(p: int, q: int | None, n: int) -> int:
-    if q is None:
-        return 2 * n
-    d = 1
-    while p**d < q:
-        d += 1
-    if p**d != q:
-        raise CliError(f"q = {q} is not a power of p = {p}")
-    return d
 
 
 # -- parser --------------------------------------------------------------------

@@ -316,18 +316,22 @@ class GaloisMap:
     def is_identity(self) -> bool:
         return all(self.images[i] == self.algebra.gen(i) for i in range(self.algebra.nvars))
 
-    def order(self) -> int:
-        acc = self
+    def _order_walk(self) -> tuple[int, "GaloisMap"]:
+        """The order k and self^(k-1), the last power before the identity."""
+        prev, acc = self, self
         k = 1
         while not acc.is_identity():
-            acc = self.compose(acc)
+            prev, acc = acc, self.compose(acc)
             k += 1
             if k > self.algebra.p ** self.algebra.nvars:
                 raise RuntimeError("runaway order computation")
-        return k
+        return k, prev
+
+    def order(self) -> int:
+        return self._order_walk()[0]
 
     def inverse(self) -> "GaloisMap":
-        return self.power(self.order() - 1)
+        return self._order_walk()[1]
 
     def power(self, e: int) -> "GaloisMap":
         out = GaloisMap.identity(self.algebra)
@@ -340,11 +344,6 @@ class GaloisMap:
 
     def __hash__(self):
         return hash(self.key())
-
-
-def compose(a: GaloisMap, b: GaloisMap, tower: "Tower | None" = None) -> GaloisMap:
-    """(a o b), images reduced."""
-    return a.compose(b)
 
 
 @dataclass

@@ -19,7 +19,8 @@ from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra
                          galois_generators, group_structure)
 from .planner import PlanReport
 from .ramification import lower_to_upper, upper_to_lower
-from .valuation import INF, ExtRational, LaurentSeries, PrecisionError, residue_field
+from .valuation import (INF, ExtRational, LaurentSeries, PrecisionError, field_degree,
+                        residue_field)
 
 
 class OracleMismatch(RuntimeError):
@@ -479,6 +480,8 @@ def verify_tower(params: TowerParams, prec: int | None = None) -> OracleReport:
     On a precision failure the tower precision is doubled and the run
     retried, up to three attempts.
     """
+    if prec is not None and prec < 1:
+        raise ValueError(f"precision window prec = {prec} must be positive")
     cur = prec if prec is not None else default_tower_precision(params)
     last: PrecisionError | None = None
     for _ in range(3):
@@ -512,15 +515,7 @@ def verify_family(variant: str, p: int, n: int, u: int, t: int,
     from .planner import default_leads
     from .valuation import ExtRational as ER
 
-    d = 2 * n
-    if q is not None:
-        dd = 1
-        while p**dd < q:
-            dd += 1
-        if p**dd != q:
-            raise ValueError(f"q = {q} is not a power of p = {p}")
-        d = dd
-    field = residue_field(p, d)
+    field = residue_field(p, 2 * n if q is None else field_degree(p, q))
     params = TowerParams(
         p=p, n=n, variant=variant, e0=ER(None), r=u,
         m=(0,) * (2 * n) + (t,), leads=default_leads(field, n), field=field,

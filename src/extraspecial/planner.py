@@ -82,12 +82,6 @@ class TowerParams:
         pw = self.p ** (2 * self.n)
         return tuple(self.r + pw * mi for mi in self.m)
 
-    def constant_leads(self) -> tuple[FFElem, ...]:
-        """Leading residue coefficients of a_i = c omega_i^(p^(2n)), with the
-        leading coefficient of c normalized to 1."""
-        pw = self.p ** (2 * self.n)
-        return tuple(lead**pw for lead in self.leads)
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
@@ -191,9 +185,10 @@ def plan(params: TowerParams, mode: str = "full") -> PlanReport:
     btop = b[top - 1]
     e0 = params.e0
 
+    # a_i leads are omega_i leads under Frobenius^(2n), an F_p-linear bijection: same rank
     as_spec = ASConstantSpec(
         params.field, e0,
-        tuple((-u[i], lead) for i, lead in enumerate(params.constant_leads()[:2 * n])),
+        tuple((-u[i], lead) for i, lead in enumerate(params.leads[:2 * n])),
     )
     as_report = validate_reduced_AS(as_spec)
 

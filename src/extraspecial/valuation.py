@@ -16,7 +16,6 @@ from functools import lru_cache
 DEFAULT_WINDOW = 512
 
 _SUPPORTED_P = (3, 5, 7)
-_TABLE_LIMIT = 81  # build full q x q multiplication tables up to this q
 
 
 class PrecisionError(ArithmeticError):
@@ -60,7 +59,10 @@ class ExtRational:
         text = text.strip()
         if text in ("inf", "+inf", "infinity"):
             return cls(None)
-        return cls(Fraction(text))
+        try:
+            return cls(Fraction(text))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
 
     @property
     def is_infinite(self) -> bool:
@@ -228,13 +230,13 @@ def _poly_is_irreducible(m, p) -> bool:
     for deg in range(1, d // 2 + 1):
         for idx in range(p**deg):
             divisor = _idx_to_poly(idx, deg, p) + (1,)
-            if _poly_divides(divisor, m, p):
+            if _poly_mod(m, divisor, p) == ():
                 return False
     return True
 
 
-def _poly_divides(divisor, m, p) -> bool:
-    return _poly_mod(m, divisor, p) == ()
+def _poly_to_idx(coeffs, p: int) -> int:
+    return sum((c % p) * p**j for j, c in enumerate(coeffs))
 
 
 def _idx_to_poly(idx: int, length: int, p: int) -> tuple[int, ...]:
@@ -247,27 +249,11 @@ def _idx_to_poly(idx: int, length: int, p: int) -> tuple[int, ...]:
 
 def _find_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over F_p."""
-    if d == 1:
-        return (0, 1)
     for idx in range(p**d):
         m = _idx_to_poly(idx, d, p) + (1,)
         if _poly_is_irreducible(m, p):
             return m
     raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{p}")
-
-
-def _factor(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class FFElem:
@@ -370,6 +356,12 @@ class ResidueField:
     Elements are indices 0..q-1 encoding coordinate vectors base p with
     respect to the power basis of a monic irreducible modulus.  The modulus
     is verified irreducible at construction by brute-force factor search.
+
+    Arithmetic runs on tables built once, by polynomial arithmetic modulo
+    the modulus, for the generator g (the least index of multiplicative
+    order q-1): ``exp[j] = g^j``, ``log[g^j] = j`` and the Zech logarithms
+    ``zech[j] = log(1 + g^j)``, None where 1 + g^j = 0.  Products and powers
+    add or scale logarithms; sums use g^i + g^j = g^i (1 + g^(j-i)).
     """
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
@@ -389,89 +381,63 @@ class ResidueField:
             raise ValueError(f"modulus {modulus} is not irreducible over F_{p}")
         self.modulus = modulus
         self.key = (p, d, modulus)
-        self._mul_table: list[int] | None = None
-        self._mul_memo: dict[tuple[int, int], int] = {}
-        self._dlog: dict[int, int] | None = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_mul_table()
-        self._gen_idx = self._find_generator()
+        exp, self._gen_idx = self._generator_powers()
+        log: list[int | None] = [None] * self.q
+        for j, x in enumerate(exp):
+            log[x] = j
+        self._log = log
+        # two periods, so exp[i + j] needs no reduction for 0 <= i, j < q-1
+        self._exp = exp + exp
+        self._half = (self.q - 1) // 2  # -1 = g^((q-1)/2)
+        # adding 1 changes only the constant coordinate; log[0] is None
+        self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
+
+    def _generator_powers(self) -> tuple[list[int], int]:
+        """g^0, ..., g^(q-2) and g, for the least index g of order q-1."""
+        p, m = self.p, self.modulus
+        seen: set[int] = set()  # members of the proper subgroups walked so far
+        for cand in range(1, self.q):
+            if cand in seen:
+                continue
+            c = _idx_to_poly(cand, self.d, p)
+            powers = [1]
+            acc = _poly_mod(c, m, p)
+            while acc != (1,):
+                powers.append(_poly_to_idx(acc, p))
+                acc = _poly_mod(_poly_mul(acc, c, p), m, p)
+            if len(powers) == self.q - 1:
+                return powers, cand
+            seen.update(powers)
+        raise RuntimeError("no multiplicative generator found")
 
     # -- index arithmetic ---------------------------------------------------
 
     def _add_idx(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mul
-            mul *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self._log[a]
+        # a negative difference indexes from the end: that is the reduction mod q-1
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def _neg_idx(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * mul
-            mul *= p
-        return out
-
-    def _mul_idx_generic(self, a: int, b: int) -> int:
-        pa = _idx_to_poly(a, self.d, self.p)
-        pb = _idx_to_poly(b, self.d, self.p)
-        prod = _poly_mod(_poly_mul(pa, pb, self.p), self.modulus, self.p)
-        out = 0
-        for j, c in enumerate(prod):
-            out += c * self.p**j
-        return out
-
-    def _build_mul_table(self):
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_idx_generic(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] + self._half]
 
     def _mul_idx(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        key = (a, b) if a <= b else (b, a)
-        v = self._mul_memo.get(key)
-        if v is None:
-            v = self._mul_idx_generic(a, b)
-            self._mul_memo[key] = v
-        return v
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def _pow_idx(self, a: int, e: int) -> int:
         if e == 0:
             return 1
         if a == 0:
             return 0
-        e %= self.q - 1
-        if e == 0:
-            return 1
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul_idx(out, base)
-            base = self._mul_idx(base, base)
-            e >>= 1
-        return out
-
-    def _find_generator(self) -> int:
-        order = self.q - 1
-        primes = _factor(order)
-        for idx in range(1, self.q):
-            if all(self._pow_idx(idx, order // f) != 1 for f in primes):
-                return idx
-        raise RuntimeError("no multiplicative generator found")
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     # -- public API -----------------------------------------------------------
 
@@ -485,10 +451,7 @@ class ResidueField:
         if isinstance(value, (tuple, list)):
             if len(value) > self.d:
                 raise ValueError("too many coordinates")
-            idx = 0
-            for j, c in enumerate(value):
-                idx += (c % self.p) * self.p**j
-            return FFElem(self, idx)
+            return FFElem(self, _poly_to_idx(value, self.p))
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def zero(self) -> FFElem:
@@ -505,17 +468,10 @@ class ResidueField:
         return (FFElem(self, i) for i in range(self.q))
 
     def discrete_log(self, x: FFElem) -> int:
-        """Exponent j with x = g^j; brute force over the q-1 powers."""
+        """Exponent j with x = g^j, 0 <= j < q-1."""
         if x.idx == 0:
             raise ValueError("discrete log of zero")
-        if self._dlog is None:
-            table = {}
-            acc = 1
-            for j in range(self.q - 1):
-                table[acc] = j
-                acc = self._mul_idx(acc, self._gen_idx)
-            self._dlog = table
-        return self._dlog[x.idx]
+        return self._log[x.idx]
 
     def format_element(self, x: FFElem) -> str:
         if x.idx == 0:
@@ -547,8 +503,18 @@ class ResidueField:
 
 @lru_cache(maxsize=None)
 def residue_field(p: int, d: int = 1, modulus: tuple[int, ...] | None = None) -> ResidueField:
-    """Cached field factory; reuses multiplication tables across calls."""
+    """Cached field factory; reuses the exp/log/Zech tables across calls."""
     return ResidueField(p, d, modulus)
+
+
+def field_degree(p: int, q: int) -> int:
+    """The d with q = p^d; ValueError when q is not a positive power of p."""
+    d = 1
+    while p**d < q:
+        d += 1
+    if p**d != q:
+        raise ValueError(f"q = {q} is not a power of p = {p}")
+    return d
 
 
 # ---------------------------------------------------------------------------

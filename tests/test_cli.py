@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extraspecial.cli import main
 
@@ -72,6 +76,28 @@ class TestPlan:
         assert code == 1
         assert "p divides u_1" in err
 
+    def test_dependent_leads_fail_independence(self, capsys):
+        # 1 and 2 lie in F_p, so the equal-valuation run u_1 = u_2 is F_p-dependent
+        code, out, _ = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
+                           "--e0", "inf", "--r", "1", "--m", "0,0,1",
+                           "--leads", "1,2,1", "--output", "json")
+        assert code == 2
+        assert json.loads(out)["as_conditions"]["iii_independent"] is False
+
+    @pytest.mark.parametrize("flags", [
+        ("--e0", "1/0"),
+        ("--p", "11"),
+        ("--n", "3", "--m", "0,0,0,0,0,0,1", "--leads", "1,g,1,1,1,1,1"),
+        ("--q", "10"),
+    ])
+    def test_bad_input_is_usage_error(self, capsys, flags):
+        argv = {"--variant": "H", "--p": "3", "--n": "1", "--e0": "inf", "--r": "1",
+                "--m": "0,0,1", "--leads": "1,g,1", **dict(zip(flags[::2], flags[1::2]))}
+        code, _, err = run(capsys, "plan", *(x for kv in argv.items() for x in kv))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
                          "--e0", "inf", "--r", "1", "--m", "0,0,1",
@@ -138,6 +164,13 @@ class TestOracle:
         assert code == 2
         assert "reject" in err
 
+    @pytest.mark.parametrize("prec", ["0", "-5"])
+    def test_nonpositive_window_is_usage_error(self, capsys, prec):
+        code, _, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
+                           "--n", "1", "--u", "1", "--t", "1", "--prec", prec)
+        assert code == 1
+        assert err.startswith("error:") and "prec" in err
+
     def test_composite_p_rejected(self, capsys):
         code, _, err = run(capsys, "ram", "convert", "--p", "4", "--lower", "1,2")
         assert code == 1
@@ -170,3 +203,51 @@ class TestJsonRoundtrip:
         _, out, _ = run(capsys, "example", "--p", "3", "--n", "1", "--u", "1",
                         "--t", "1", "--variant", "H", "--output", "json")
         assert json.loads(out)["schema"] == 1
+
+
+# -- argv fuzz: every input ends in an exit code, never in an exception ----------
+
+_P = st.sampled_from(["3", "5", "7"]) | st.integers(-2, 12).map(str)
+_N = st.integers(-1, 4).map(str)
+_INT = st.integers(-3, 40).map(str)
+_INT_LIST = st.lists(st.integers(-3, 120), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+_LEADS = st.lists(st.sampled_from(["0", "1", "2", "-1", "g", "g^2", "g^7", "g^-1", "x", ""]),
+                  min_size=1, max_size=5).map(",".join)
+_E0 = st.sampled_from(["inf", "0", "-3", "1/0", "5/2", "100", "abc", "1e3"])
+_OUTPUT = st.sampled_from(["text", "json"])
+_VARIANT = st.sampled_from(["H", "M", "X"])
+
+
+def _command(words: list[str], **flags) -> st.SearchStrategy:
+    """argv for ``words`` with one drawn value per flag; None leaves it out."""
+    return st.fixed_dictionaries(flags).map(lambda kw: words + [
+        x for k, v in kw.items() if v is not None for x in (f"--{k}", v)])
+
+
+_PLAN = _command(["plan"], variant=_VARIANT, p=_P, n=_N, e0=_E0, r=_INT, m=_INT_LIST,
+                 leads=_LEADS, q=st.none() | st.sampled_from(["1", "9", "10", "27", "625"]),
+                 mode=st.sampled_from(["full", "simple"]), output=_OUTPUT)
+_EXAMPLE = _command(["example"], p=_P, n=_N, u=_INT, t=_INT, variant=_VARIANT, output=_OUTPUT)
+_VERDICT = _command(["verdict"], p=_P, n=_N, c=_INT, u1=_INT, output=_OUTPUT)
+_CONVERT = _command(["ram", "convert"], p=_P, lower=st.none() | _INT_LIST,
+                    upper=st.none() | _INT_LIST, output=_OUTPUT)
+_TABLES = _command(["ram", "tables"], p=_P, n=_N, b=_INT_LIST, output=_OUTPUT)
+# oracle verify: the H(3,1) command with one flag spoiled, so that it is
+# rejected before any tower is built
+_ORACLE_H31 = {"variant": "H", "p": "3", "n": "1", "u": "1", "t": "1"}
+_ORACLE = st.sampled_from([
+    ("prec", "0"), ("prec", "-5"), ("p", "1"), ("p", "4"), ("p", "11"), ("n", "0"),
+    ("n", "3"), ("q", "10"), ("q", "1"), ("u", "3"), ("u", "0"), ("t", "-1"),
+]).flatmap(lambda kv: _command(["oracle", "verify"],
+                               **{k: st.just(v) for k, v in {**_ORACLE_H31, kv[0]: kv[1]}.items()}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_PLAN, _EXAMPLE, _VERDICT, _CONVERT, _TABLES, _ORACLE))
+def test_every_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if argv[0] == "oracle":
+        assert code == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from extraspecial import (DEFAULT_WINDOW, INF, ExtRational, LaurentSeries,
                           PrecisionError, residue_field)
+from extraspecial.valuation import _idx_to_poly, _poly_mod, _poly_mul
 from conftest import random_series
 
 
@@ -39,6 +40,10 @@ class TestExtRational:
         assert ExtRational.parse("82") == 82
         assert ExtRational.parse("7/3") == Fraction(7, 3)
 
+    def test_parse_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError):
+            ExtRational.parse("1/0")
+
 
 class TestResidueField:
     def test_reducible_modulus_rejected(self):
@@ -65,6 +70,79 @@ class TestResidueField:
     def test_format_parse_roundtrip(self, f9):
         for x in f9.elements():
             assert f9.parse_element(f9.format_element(x)) == x
+
+
+SUPPORTED_FIELDS = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3, 4)]
+
+
+def poly_mul_idx(field, a: int, b: int) -> int:
+    """Reference product: polynomial multiplication modulo the modulus."""
+    p, d = field.p, field.d
+    prod = _poly_mul(_idx_to_poly(a, d, p), _idx_to_poly(b, d, p), p)
+    return field(_poly_mod(prod, field.modulus, p)).idx
+
+
+def poly_pow_idx(field, a: int, e: int) -> int:
+    out = 1
+    for bit in bin(e)[2:]:
+        out = poly_mul_idx(field, out, out)
+        if bit == "1":
+            out = poly_mul_idx(field, out, a)
+    return out
+
+
+def poly_order(field, a: int) -> int:
+    k, acc = 1, a
+    while acc != 1:
+        acc = poly_mul_idx(field, acc, a)
+        k += 1
+    return k
+
+
+def check_field_ops(field, a: int, b: int) -> None:
+    """The table arithmetic against coordinate-wise add and polynomial mul."""
+    ca, cb = _idx_to_poly(a, field.d, field.p), _idx_to_poly(b, field.d, field.p)
+    assert field._add_idx(a, b) == field(tuple(x + y for x, y in zip(ca, cb))).idx
+    assert field._neg_idx(a) == field(tuple(-x for x in ca)).idx
+    assert field._mul_idx(a, b) == poly_mul_idx(field, a, b)
+
+
+class TestFieldTablesAgainstPolynomials:
+    @pytest.mark.parametrize("p,d", [(p, d) for p, d in SUPPORTED_FIELDS if p**d <= 81])
+    def test_all_pairs(self, p, d):
+        field = residue_field(p, d)
+        q = field.q
+        for a in range(q):
+            for b in range(q):
+                check_field_ops(field, a, b)
+            for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 1):
+                assert field._pow_idx(a, e) == poly_pow_idx(field, a, e)
+            if a:
+                x = field(_idx_to_poly(a, d, p))
+                assert poly_mul_idx(field, a, x.inverse().idx) == 1
+                assert field.gen() ** field.discrete_log(x) == x
+
+    @pytest.mark.parametrize("p,d", [(5, 4), (7, 4)])
+    def test_seeded_sample(self, p, d):
+        field = residue_field(p, d)
+        rng = random.Random(p * 10 + d)
+        for _ in range(3000):
+            a, b = rng.randrange(field.q), rng.randrange(field.q)
+            check_field_ops(field, a, b)
+            e = rng.randrange(3 * field.q)
+            assert field._pow_idx(a, e) == poly_pow_idx(field, a, e)
+            if a:
+                x = field(_idx_to_poly(a, d, p))
+                assert poly_mul_idx(field, a, x.inverse().idx) == 1
+                assert field.gen() ** field.discrete_log(x) == x
+
+    @pytest.mark.parametrize("p,d", SUPPORTED_FIELDS)
+    def test_generator_is_least_index_of_full_order(self, p, d):
+        # every "g^j" in the CLI's JSON depends on this choice of g
+        field = residue_field(p, d)
+        g = field.gen().idx
+        assert poly_order(field, g) == field.q - 1
+        assert all(poly_order(field, c) < field.q - 1 for c in range(1, g))
 
 
 class TestSeriesExamples:
