@@ -38,6 +38,18 @@ def _plog(ratio: int, p: int) -> int:
     return out
 
 
+def _jump_multiset(jumps: list, sizes: list[int], p: int, what: str) -> list:
+    """Each jump repeated log_p(sizes[i] / sizes[i+1]) times: ``sizes[i]`` is
+    the order of the subgroup at ``jumps[i]``, trivial past the last jump."""
+    sizes = sizes + [1]
+    out: list = []
+    for jump, at, after in zip(jumps, sizes, sizes[1:]):
+        if at % after:
+            raise OracleMismatch(f"{what} sizes {at}/{after} not nested")
+        out.extend([jump] * _plog(at // after, p))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The generator determinant
 # ---------------------------------------------------------------------------
@@ -192,14 +204,8 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
         ivals[word] = i_sigma
 
     breaks = sorted({v - 1 for v in ivals.values()})
-    multiset: list[int] = []
-    for idx, b in enumerate(breaks):
-        size_at = 1 + sum(1 for v in ivals.values() if v - 1 >= b)
-        after = breaks[idx + 1] if idx + 1 < len(breaks) else None
-        size_after = 1 if after is None else 1 + sum(1 for v in ivals.values() if v - 1 >= after)
-        if size_at % size_after:
-            raise OracleMismatch(f"filtration sizes {size_at}/{size_after} not nested")
-        multiset.extend([b] * _plog(size_at // size_after, p))
+    sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
+    multiset = _jump_multiset(breaks, sizes, p, "filtration")
     if len(multiset) != k:
         raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
 
@@ -411,25 +417,18 @@ def verify_elementary_layers(tower: Tower, table: GroupTable,
     if len(fixing) != p:
         raise OracleMismatch(f"floor-fixing subgroup has order {len(fixing)}, expected {p}")
 
-    upper_l = lower_to_upper(p, filtration.lower_multiset)
-    distinct_upper = sorted(set(upper_l))
+    distinct_upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
     ivals = filtration.ivals
 
-    def coset_count(upper_value) -> int:
-        idx = distinct_upper.index(upper_value)
-        lower_value = sorted(set(filtration.lower_multiset))[idx]
+    def coset_count(lower_value) -> int:
         group = [table.map_of(w) for w, v in ivals.items() if v - 1 >= lower_value]
         group.append(GaloisMap.identity(tower.algebra))
         cosets = {frozenset((m.compose(h)).key() for h in fixing) for m in group}
         return len(cosets)
 
-    measured = []
-    for idx, uv in enumerate(distinct_upper):
-        size_at = coset_count(uv)
-        size_after = coset_count(distinct_upper[idx + 1]) if idx + 1 < len(distinct_upper) else 1
-        if size_at % size_after:
-            raise OracleMismatch("quotient filtration sizes not nested")
-        measured.extend([uv] * _plog(size_at // size_after, p))
+    # Herbrand's function is increasing: the i-th distinct lower and upper jumps match
+    sizes = [coset_count(b) for b in sorted(set(filtration.lower_multiset))]
+    measured = _jump_multiset(distinct_upper, sizes, p, "quotient filtration")
 
     expected = tuple(sorted(u[:2 * n]))
     measured_t = tuple(int(x) for x in measured)

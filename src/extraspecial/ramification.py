@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .valuation import ExtRational
+from .valuation import ExtRational, _idx_to_poly
 
 
 def _as_fractions(seq: Sequence, what: str) -> tuple[Fraction, ...]:
@@ -120,11 +120,7 @@ class ShiftTables:
 
     def digits(self, s: int) -> tuple[int, ...]:
         """Base-p digits (s_(0), ..., s_(n-1))."""
-        out = []
-        for _ in range(self.n):
-            s, r = divmod(s, self.p)
-            out.append(r)
-        return tuple(out)
+        return _idx_to_poly(s, self.n, self.p)
 
     def to_dict(self) -> dict:
         return {
@@ -156,11 +152,7 @@ def build_shift_tables(p: int, n: int, b: Sequence[int]) -> ShiftTables:
 
     shift = []
     for s in range(pn):
-        digits = []
-        t = s
-        for _ in range(n):
-            t, r = divmod(t, p)
-            digits.append(r)
+        digits = _idx_to_poly(s, n, p)
         # digit s_(n-i) carries weight p^(n-i) b_i
         shift.append(sum(digits[n - i] * p ** (n - i) * b[i - 1] for i in range(1, n + 1)))
 

@@ -1,6 +1,10 @@
 """Exact arithmetic substrate: extended rationals, small finite fields, and
 truncated Laurent series with valuation tracking.
 
+:class:`LaurentSeries` stores coefficients as plain field indices 0..q-1 and
+computes on them through the field's exp/log/Zech tables; :class:`FFElem`
+wraps an index only where an element enters or leaves a series.
+
 All values are immutable after construction and all operations are pure, so
 everything here is safe for unrestricted parallel use.
 """
@@ -525,42 +529,46 @@ def field_degree(p: int, q: int) -> int:
 class LaurentSeries:
     """A Laurent series over F_q with an absolute precision window.
 
-    ``coeffs`` maps exponents to nonzero coefficients; every exponent below
-    ``prec`` is determined, exponents >= ``prec`` are unknown.  ``prec`` is
-    ``math.inf`` for exact series.  An empty series with finite ``prec`` is
-    an *imprecise zero*: asking for its valuation raises
-    :class:`PrecisionError` rather than guessing.
+    ``coeffs`` maps exponents to nonzero coefficients, stored as field
+    indices (``FFElem.idx``); every exponent below ``prec`` is determined,
+    exponents >= ``prec`` are unknown.  ``prec`` is ``math.inf`` for exact
+    series.  An empty series with finite ``prec`` is an *imprecise zero*:
+    asking for its valuation raises :class:`PrecisionError` rather than
+    guessing.  :class:`FFElem` appears only at the edge: the constructor
+    (FFElem or int mod p), ``monomial``, ``parse`` and scalar operands take
+    elements in; ``leading``, ``coefficient`` and ``str`` hand them out.
     """
 
     __slots__ = ("field", "coeffs", "prec")
 
-    def __init__(self, field: ResidueField, coeffs: dict[int, FFElem] | None = None,
+    def __init__(self, field: ResidueField, coeffs: dict | None = None,
                  prec: float = math.inf):
         self.field = field
-        clean: dict[int, FFElem] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not isinstance(c, FFElem):
-                    c = field(c)
-                if c.idx != 0 and e < prec:
-                    clean[e] = c
-        self.coeffs = clean
+        idx = {e: field(c).idx for e, c in coeffs.items()} if coeffs else {}
+        self.coeffs = {e: c for e, c in idx.items() if c and e < prec}
         self.prec = prec
+
+    @classmethod
+    def _of(cls, field: ResidueField, coeffs: dict[int, int], prec: float) -> "LaurentSeries":
+        """Internal results: ``coeffs`` already holds nonzero indices below ``prec``."""
+        s = object.__new__(cls)
+        s.field, s.coeffs, s.prec = field, coeffs, prec
+        return s
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, field: ResidueField) -> "LaurentSeries":
-        return cls(field, {}, math.inf)
+        return cls._of(field, {}, math.inf)
 
     @classmethod
     def one(cls, field: ResidueField) -> "LaurentSeries":
-        return cls(field, {0: field.one()})
+        return cls._of(field, {0: 1}, math.inf)
 
     @classmethod
     def monomial(cls, field: ResidueField, coeff, exp: int = 0,
                  prec: float = math.inf) -> "LaurentSeries":
-        return cls(field, {exp: field(coeff)}, prec)
+        return cls(field, {exp: coeff}, prec)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -589,12 +597,12 @@ class LaurentSeries:
         raise PrecisionError("insufficient precision: valuation of imprecise zero")
 
     def leading(self) -> FFElem:
-        return self.coeffs[self.valuation()]
+        return FFElem(self.field, self.coeffs[self.valuation()])
 
     def coefficient(self, e: int) -> FFElem:
         if e >= self.prec:
             raise PrecisionError(f"coefficient of pi^{e} beyond precision O(pi^{self.prec})")
-        return self.coeffs.get(e, self.field.zero())
+        return FFElem(self.field, self.coeffs.get(e, 0))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -604,7 +612,7 @@ class LaurentSeries:
                 raise ValueError("series over different residue fields")
             return other
         if isinstance(other, (int, FFElem)):
-            return LaurentSeries(self.field, {0: self.field(other)})
+            return LaurentSeries(self.field, {0: other})
         return NotImplemented
 
     def __add__(self, other):
@@ -612,20 +620,22 @@ class LaurentSeries:
         if o is NotImplemented:
             return o
         prec = min(self.prec, o.prec)
-        out = dict(self.coeffs)
-        zero = self.field.zero()
+        add = self.field._add_idx
+        out = {e: c for e, c in self.coeffs.items() if e < prec}
         for e, c in o.coeffs.items():
-            s = out.get(e, zero) + c
-            if s.idx == 0:
-                out.pop(e, None)
-            else:
+            if e >= prec:
+                continue
+            if s := add(out.get(e, 0), c):
                 out[e] = s
-        return LaurentSeries(self.field, out, prec)
+            else:
+                del out[e]
+        return self._of(self.field, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        neg = self.field._neg_idx
+        return self._of(self.field, {e: neg(c) for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -637,37 +647,36 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        f = self.field
+        log, exp = f._log, f._exp
         if isinstance(other, (int, FFElem)):
-            c = self.field(other)
-            if c.idx == 0:
-                return LaurentSeries(self.field, {}, math.inf)
-            return LaurentSeries(self.field, {e: x * c for e, x in self.coeffs.items()}, self.prec)
+            c = f(other).idx
+            if c == 0:
+                return self._of(f, {}, math.inf)
+            lc = log[c]
+            return self._of(f, {e: exp[log[x] + lc] for e, x in self.coeffs.items()}, self.prec)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         # prec = min(val(a) + prec(b), val(b) + prec(a)); exact zero absorbs.
-        if not self.coeffs or not o.coeffs:
-            va = self.valuation()
-            vb = o.valuation()
-            prec = min(va + o.prec, vb + self.prec)
-            return LaurentSeries(self.field, {}, prec)
-        va = self.valuation()
-        vb = o.valuation()
-        prec = min(va + o.prec, vb + self.prec)
-        out: dict[int, FFElem] = {}
+        prec = min(self.valuation() + o.prec, o.valuation() + self.prec)
+        add = f._add_idx
+        out: dict[int, int] = {}
         for ea, ca in self.coeffs.items():
+            la = log[ca]
             for eb, cb in o.coeffs.items():
                 e = ea + eb
                 if e >= prec:
                     continue
-                prod = ca * cb
+                prod = exp[la + log[cb]]
                 cur = out.get(e)
-                s = prod if cur is None else cur + prod
-                if s.idx == 0:
-                    out.pop(e, None)
-                else:
+                if cur is None:
+                    out[e] = prod
+                elif s := add(cur, prod):
                     out[e] = s
-        return LaurentSeries(self.field, out, prec)
+                else:
+                    del out[e]
+        return self._of(f, out, prec)
 
     __rmul__ = __mul__
 
@@ -691,8 +700,7 @@ class LaurentSeries:
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by pi^k."""
-        return LaurentSeries(self.field, {e + k: c for e, c in self.coeffs.items()},
-                             self.prec + k)
+        return self._of(self.field, {e + k: c for e, c in self.coeffs.items()}, self.prec + k)
 
     def inverse(self, window: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse on a window of ``window`` coefficients.
@@ -708,23 +716,20 @@ class LaurentSeries:
             w = window if window is not None else DEFAULT_WINDOW
         else:
             w = int(self.prec - v) if window is None else min(window, int(self.prec - v))
-        lead = self.coeffs[v]
-        lead_inv = lead.inverse()
+        f = self.field
+        log, exp, add = f._log, f._exp, f._add_idx
+        lead_inv = -log[self.coeffs[v]] % (f.q - 1)  # log of lead^-1
         # normalized unit u = self * lead^-1 * pi^-v has constant term 1
-        unit = {e - v: c * lead_inv for e, c in self.coeffs.items()}
-        inv = [self.field.one()]
-        zero = self.field.zero()
+        unit = {e - v: exp[log[c] + lead_inv] for e, c in self.coeffs.items() if e > v}
+        inv = [1]
         for k in range(1, w):
-            acc = zero
+            acc = 0
             for e, c in unit.items():
-                if 0 < e <= k:
-                    acc = acc + c * inv[k - e]
-            inv.append(-acc)
-        out = {}
-        for k, c in enumerate(inv):
-            if c.idx:
-                out[k - v] = c * lead_inv
-        return LaurentSeries(self.field, out, -v + w)
+                if e <= k and (x := inv[k - e]):
+                    acc = add(acc, exp[log[c] + log[x]])
+            inv.append(f._neg_idx(acc))
+        out = {k - v: exp[log[c] + lead_inv] for k, c in enumerate(inv[:w]) if c}
+        return self._of(f, out, -v + w)
 
     def frobenius(self) -> "LaurentSeries":
         """Coefficientwise p-th power with exponents multiplied by p.
@@ -732,13 +737,14 @@ class LaurentSeries:
         A ring homomorphism in characteristic p, so the unknown tail maps
         into exponents >= p*prec and the precision window scales by p.
         """
-        p = self.field.p
-        return LaurentSeries(self.field,
-                             {p * e: c**p for e, c in self.coeffs.items()},
-                             p * self.prec)
+        f = self.field
+        p = f.p
+        return self._of(f, {p * e: f._pow_idx(c, p) for e, c in self.coeffs.items()},
+                        p * self.prec)
 
     def truncate(self, prec: float) -> "LaurentSeries":
-        return LaurentSeries(self.field, self.coeffs, min(self.prec, prec))
+        prec = min(self.prec, prec)
+        return self._of(self.field, {e: c for e, c in self.coeffs.items() if e < prec}, prec)
 
     # -- comparisons and formatting -----------------------------------------------
 
@@ -755,12 +761,11 @@ class LaurentSeries:
         o = self._coerce(other)
         prec = min(self.prec, o.prec)
         exps = {e for e in self.coeffs if e < prec} | {e for e in o.coeffs if e < prec}
-        zero = self.field.zero()
-        return all(self.coeffs.get(e, zero) == o.coeffs.get(e, zero) for e in exps)
+        return all(self.coeffs.get(e, 0) == o.coeffs.get(e, 0) for e in exps)
 
     def key(self):
         """Hashable canonical form (used for map-table comparisons)."""
-        return (tuple(sorted((e, c.idx) for e, c in self.coeffs.items())), self.prec)
+        return (tuple(sorted(self.coeffs.items())), self.prec)
 
     def __str__(self):
         if not self.coeffs:
@@ -768,8 +773,7 @@ class LaurentSeries:
         else:
             terms = []
             for e in sorted(self.coeffs):
-                c = self.coeffs[e]
-                cs = self.field.format_element(c)
+                cs = self.field.format_element(FFElem(self.field, self.coeffs[e]))
                 if e == 0:
                     terms.append(cs)
                 elif cs == "1":

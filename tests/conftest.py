@@ -3,6 +3,7 @@ import random
 import pytest
 
 from extraspecial import LaurentSeries, residue_field
+from extraspecial.valuation import _idx_to_poly
 
 
 @pytest.fixture(scope="session")
@@ -27,11 +28,7 @@ def f27():
 
 def elem_from_index(field, idx: int):
     """Field element from its basis index (covers all of F_q, not just F_p)."""
-    coords = []
-    for _ in range(field.d):
-        idx, r = divmod(idx, field.p)
-        coords.append(r)
-    return field(tuple(coords))
+    return field(_idx_to_poly(idx, field.d, field.p))
 
 
 def random_elem(field, rng: random.Random, nonzero=False):

@@ -288,7 +288,6 @@ class TestPrecisionRetry:
             oracle_mod.verify_family("H", 3, 1, 1, 1, prec=64)
 
 
-@pytest.mark.slow
 class TestP5:
     def test_h_p5(self):
         rep = verify_family("H", 5, 1, 1, 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from extraspecial import (DEFAULT_WINDOW, INF, ExtRational, LaurentSeries,
                           PrecisionError, residue_field)
 from extraspecial.valuation import _idx_to_poly, _poly_mod, _poly_mul
-from conftest import random_series
+from conftest import elem_from_index, random_series
 
 
 class TestExtRational:
@@ -313,3 +313,146 @@ class TestTextualForm:
     def test_truncated_roundtrip(self, f9):
         s = LaurentSeries(f9, {-2: f9.gen(), 0: f9(2)}, prec=9)
         assert LaurentSeries.parse(f9, str(s)) == s
+
+
+class RefSeries:
+    """Reference series arithmetic, one coefficient at a time on FFElem.
+
+    ``coeffs`` maps exponents below ``prec`` to nonzero field elements; the
+    rules are those :class:`LaurentSeries` documents."""
+
+    def __init__(self, field, coeffs, prec=math.inf):
+        self.field = field
+        self.coeffs = {e: c for e, c in coeffs.items() if c and e < prec}
+        self.prec = prec
+
+    @classmethod
+    def of(cls, s: LaurentSeries) -> "RefSeries":
+        return cls(s.field, {e: s.coefficient(e) for e in s.coeffs}, s.prec)
+
+    def valuation(self):
+        if self.coeffs:
+            return min(self.coeffs)
+        if self.prec == math.inf:
+            return math.inf
+        raise PrecisionError("imprecise zero")
+
+    def __add__(self, other):
+        prec = min(self.prec, other.prec)
+        zero = self.field.zero()
+        out = {e: self.coeffs.get(e, zero) + other.coeffs.get(e, zero)
+               for e in set(self.coeffs) | set(other.coeffs)}
+        return RefSeries(self.field, out, prec)
+
+    def __neg__(self):
+        return RefSeries(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+
+    def __mul__(self, other):
+        prec = min(self.valuation() + other.prec, other.valuation() + self.prec)
+        out = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                out[ea + eb] = out.get(ea + eb, self.field.zero()) + ca * cb
+        return RefSeries(self.field, out, prec)
+
+    def scale(self, c):
+        c = self.field(c)
+        if not c:
+            return RefSeries(self.field, {}, math.inf)
+        return RefSeries(self.field, {e: x * c for e, x in self.coeffs.items()}, self.prec)
+
+    def inverse(self, window=None):
+        v = self.valuation()
+        if v == math.inf:
+            raise ZeroDivisionError("inverse of the zero series")
+        if self.prec == math.inf:
+            w = DEFAULT_WINDOW if window is None else window
+        else:
+            w = int(self.prec - v) if window is None else min(window, int(self.prec - v))
+        lead_inv = self.coeffs[v].inverse()
+        unit = {e - v: c * lead_inv for e, c in self.coeffs.items()}
+        zero = self.field.zero()
+        inv = [self.field.one()]
+        for k in range(1, w):
+            acc = zero
+            for j, u in unit.items():
+                if 0 < j <= k:
+                    acc = acc + u * inv[k - j]
+            inv.append(-acc)
+        return RefSeries(self.field, {k - v: c * lead_inv for k, c in enumerate(inv)}, -v + w)
+
+    def frobenius(self):
+        p = self.field.p
+        return RefSeries(self.field, {p * e: c**p for e, c in self.coeffs.items()}, p * self.prec)
+
+
+def outcome(fn):
+    """A series as (exponent -> FFElem, prec), or the type of the exception raised."""
+    try:
+        s = fn()
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return type(exc)
+    if isinstance(s, LaurentSeries):
+        s = RefSeries.of(s)
+    return s.coeffs, s.prec
+
+
+def operand(field, rng: random.Random) -> LaurentSeries:
+    """Exact, truncated, imprecise-zero or top-heavy (large discrete log) series."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        # coefficients g^j with 2j >= q-1, so products wrap past one log period
+        g = field.gen()
+        coeffs = {rng.randint(-4, 4): g ** rng.randrange((field.q - 1) // 2, field.q - 1)
+                  for _ in range(rng.randint(1, 4))}
+        return LaurentSeries(field, coeffs)
+    s = random_series(field, rng, min_exp=-4, max_exp=4)
+    if kind == 0:
+        return s
+    prec = rng.randint(-3, 8) if kind == 1 else rng.randint(-6, 6)
+    return LaurentSeries(field, {} if kind == 2 else {e: s.coefficient(e) for e in s.coeffs},
+                         prec)
+
+
+class TestSeriesAgainstReference:
+    @pytest.mark.parametrize("p,d", SUPPORTED_FIELDS)
+    def test_seeded_operations(self, p, d):
+        field = residue_field(p, d)
+        rng = random.Random(1000 * p + d)
+        for _ in range(60):
+            a, b = operand(field, rng), operand(field, rng)
+            ra, rb = RefSeries.of(a), RefSeries.of(b)
+            c = elem_from_index(field, rng.randrange(field.q))
+            w = rng.choice([None, 0, 1, rng.randint(2, 24)])
+            assert outcome(lambda: a + b) == outcome(lambda: ra + rb)
+            assert outcome(lambda: -a) == outcome(lambda: -ra)
+            assert outcome(lambda: a * b) == outcome(lambda: ra * rb)
+            assert outcome(lambda: a * c) == outcome(lambda: ra.scale(c))
+            assert outcome(lambda: a.inverse(w)) == outcome(lambda: ra.inverse(w))
+            assert outcome(lambda: a.frobenius()) == outcome(lambda: ra.frobenius())
+
+    @pytest.mark.parametrize("p,d", SUPPORTED_FIELDS)
+    def test_product_of_top_logs(self, p, d):
+        # log a + log b = 2(q-2) >= q-1: the sum of logs wraps past one period
+        field = residue_field(p, d)
+        top = field.gen() ** (field.q - 2)
+        a = LaurentSeries(field, {0: top, 1: top, 3: field.one()}, prec=7)
+        b = LaurentSeries(field, {-1: top, 2: top})
+        for x, y in ((a, b), (a, a), (b, b)):
+            assert outcome(lambda: x * y) == outcome(lambda: RefSeries.of(x) * RefSeries.of(y))
+        assert outcome(lambda: a.inverse()) == outcome(lambda: RefSeries.of(a).inverse())
+        assert outcome(lambda: b.inverse(9)) == outcome(lambda: RefSeries.of(b).inverse(9))
+
+
+class TestCoefficientEdge:
+    def test_int_and_element_coefficients_agree(self, f9):
+        assert LaurentSeries(f9, {0: 2, 1: 4}) == LaurentSeries(f9, {0: f9(2), 1: f9(1)})
+        assert LaurentSeries(f9, {0: 3}).is_zero()
+
+    def test_coefficient_from_another_field_is_value_error(self, f9, f27):
+        with pytest.raises(ValueError):
+            LaurentSeries(f9, {0: f27.gen()})
+        with pytest.raises(ValueError):
+            LaurentSeries.monomial(f9, f27.gen(), 2)
+        with pytest.raises(ValueError):
+            LaurentSeries.one(f9) * f27.gen()
