@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 from typing import Sequence
 
@@ -57,7 +58,7 @@ class ASConstantSpec:
         for v, lead in self.constants:
             if not isinstance(v, int):
                 raise ValueError("constant valuations must be integers")
-            if lead.field is not self.field:
+            if lead.field != self.field:
                 raise ValueError("leading coefficient from a different residue field")
             if lead.idx == 0:
                 raise ValueError("leading coefficients must be nonzero")
@@ -103,6 +104,20 @@ def fp_rank(field: ResidueField, elems: Sequence[FFElem]) -> int:
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def first_dependent_run(field: ResidueField, vals: Sequence,
+                        leads: Sequence[FFElem]) -> tuple[int, int] | None:
+    """First and last 0-based row of the first run of equal consecutive
+    ``vals`` whose ``leads`` are F_p-dependent; None when every run is
+    F_p-independent."""
+    start = 0
+    for _, run in groupby(vals):
+        end = start + len(list(run))
+        if fp_rank(field, leads[start:end]) != end - start:
+            return start, end - 1
+        start = end
+    return None
 
 
 @dataclass(frozen=True)
@@ -161,16 +176,8 @@ def validate_reduced_AS(spec: ASConstantSpec) -> ASReport:
 
     coprime_ok = all(v % p != 0 for v in vals)
 
-    independent_ok = True
-    i = 0
-    while i < k:
-        j = i
-        while j + 1 < k and vals[j + 1] == vals[i]:
-            j += 1
-        run = [lead for v, lead in spec.constants[i:j + 1]]
-        if fp_rank(spec.field, run) != len(run):
-            independent_ok = False
-        i = j + 1
+    leads = [lead for _, lead in spec.constants]
+    independent_ok = first_dependent_run(spec.field, vals, leads) is None
 
     tail_vacuous = k < 2 or spec.e0.is_infinite
     if tail_vacuous:

@@ -112,38 +112,29 @@ def _render_verdict(d: dict) -> None:
 
 def _cmd_plan(args) -> int:
     _validate_p_n(args.p, args.n)
-    try:
-        field = residue_field(args.p, 2 * args.n if args.q is None
-                              else field_degree(args.p, args.q))
-        leads = tuple(field.parse_element(x) for x in args.leads.split(","))
-        params = TowerParams(
-            p=args.p, n=args.n, variant=args.variant,
-            e0=ExtRational.parse(args.e0), r=args.r,
-            m=tuple(_int_list(args.m)), leads=leads, field=field,
-        )
-        report = plan(params, mode=args.mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    field = residue_field(args.p, 2 * args.n if args.q is None
+                          else field_degree(args.p, args.q))
+    leads = tuple(field.parse_element(x) for x in args.leads.split(","))
+    params = TowerParams(
+        p=args.p, n=args.n, variant=args.variant,
+        e0=ExtRational.parse(args.e0), r=args.r,
+        m=tuple(_int_list(args.m)), leads=leads, field=field,
+    )
+    report = plan(params, mode=args.mode)
     emit(report.to_dict(), args.output, _render_plan)
     return EXIT_OK if report.certified else EXIT_HYPOTHESES
 
 
 def _cmd_example(args) -> int:
     _validate_p_n(args.p, args.n)
-    try:
-        report = example_family(args.p, args.n, args.u, args.t, args.variant)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = example_family(args.p, args.n, args.u, args.t, args.variant)
     emit(report.to_dict(), args.output, _render_plan)
     return EXIT_OK if report.certified else EXIT_HYPOTHESES
 
 
 def _cmd_verdict(args) -> int:
     _validate_p_n(args.p, args.n)
-    try:
-        verdict = gms_verdict(args.p, args.n, args.c, args.u1)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    verdict = gms_verdict(args.p, args.n, args.c, args.u1)
     d = {
         "schema": 1,
         "p": args.p,
@@ -161,18 +152,15 @@ def _cmd_ram_convert(args) -> int:
     _validate_p_n(args.p)
     if (args.lower is None) == (args.upper is None):
         raise CliError("exactly one of --lower/--upper is required")
-    try:
-        if args.lower is not None:
-            lower = _int_list(args.lower)
-            upper = lower_to_upper(args.p, lower)
-            seq = RamSequence.from_lower(args.p, lower)
-        else:
-            upper = _int_list(args.upper)
-            lower = upper_to_lower(args.p, upper)
-            seq = RamSequence.from_upper(args.p, upper)
-        ineq = check_ram_inequalities(args.p, seq.lower, seq.upper)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.lower is not None:
+        lower = _int_list(args.lower)
+        upper = lower_to_upper(args.p, lower)
+        seq = RamSequence.from_lower(args.p, lower)
+    else:
+        upper = _int_list(args.upper)
+        lower = upper_to_lower(args.p, upper)
+        seq = RamSequence.from_upper(args.p, upper)
+    ineq = check_ram_inequalities(args.p, seq.lower, seq.upper)
     d = {"schema": 1}
     d.update(seq.to_dict())
     d["inequalities"] = ineq.to_dict()
@@ -182,10 +170,7 @@ def _cmd_ram_convert(args) -> int:
 
 def _cmd_ram_tables(args) -> int:
     _validate_p_n(args.p, args.n)
-    try:
-        tables = build_shift_tables(args.p, args.n, _int_list(args.b))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    tables = build_shift_tables(args.p, args.n, _int_list(args.b))
     d = {"schema": 1}
     d.update(tables.to_dict())
     emit(d, args.output, _render_tables)
@@ -194,14 +179,8 @@ def _cmd_ram_tables(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     _validate_p_n(args.p, args.n)
-    try:
-        report = verify_family(args.variant, args.p, args.n, args.u, args.t,
-                               q=args.q, prec=args.prec)
-    except PlanRejection as exc:
-        print(f"hypotheses fail: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESES
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = verify_family(args.variant, args.p, args.n, args.u, args.t,
+                           q=args.q, prec=args.prec)
     emit(report.to_dict(), args.output, _render_oracle)
     return EXIT_OK if report.passed else EXIT_HYPOTHESES
 
@@ -289,9 +268,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to 1
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # the one place exceptions become exit codes; PlanRejection is a
+    # ValueError, so it is caught first
     try:
         return args.fn(args)
-    except CliError as exc:
+    except PlanRejection as exc:
+        print(f"hypotheses fail: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESES
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PrecisionError as exc:

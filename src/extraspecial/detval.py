@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .artin_schreier import fp_rank
+from .artin_schreier import first_dependent_run
 from .valuation import ExtRational, FFElem, LaurentSeries
 
 
@@ -34,8 +34,9 @@ def ring_det(rows):
     return total
 
 
-def frobenius_matrix(betas: "list[LaurentSeries]") -> "list[list[LaurentSeries]]":
-    """The k x k matrix with entry (i, j) = phi^(j-1)(beta_i)."""
+def frobenius_matrix(betas: list) -> list[list]:
+    """The k x k matrix with entry (i, j) = phi^(j-1)(beta_i), for series or
+    residue field elements beta_i."""
     out = []
     for b in betas:
         row = [b]
@@ -58,18 +59,12 @@ class FrobMatrix:
         rs = self.r_values
         if any(rs[i] > rs[i + 1] for i in range(len(rs) - 1)):
             raise TwistHypothesisError("row valuations -val(beta_i) must be nondecreasing")
-        field = self.betas[0].field
-        i = 0
-        while i < len(rs):
-            j = i
-            while j + 1 < len(rs) and rs[j + 1] == rs[i]:
-                j += 1
-            run = [b.leading() for b in self.betas[i:j + 1]]
-            if fp_rank(field, run) != len(run):
-                raise TwistHypothesisError(
-                    f"rows {i + 1}..{j + 1} share valuation -{rs[i]} but their leading "
-                    "coefficients are F_p-dependent")
-            i = j + 1
+        run = first_dependent_run(self.betas[0].field, rs, [b.leading() for b in self.betas])
+        if run is not None:
+            i, j = run
+            raise TwistHypothesisError(
+                f"rows {i + 1}..{j + 1} share valuation -{rs[i]} but their leading "
+                "coefficients are F_p-dependent")
 
     @property
     def k(self) -> int:
@@ -83,6 +78,12 @@ class FrobMatrix:
         return frobenius_matrix(list(self.betas))
 
 
+def _twist_valuation(p: int, rs) -> int:
+    """-(r_1 + p r_2 + ... + p^(k-1) r_k): the valuation of the twist
+    determinant on rows of valuation -r_1, ..., -r_k."""
+    return -sum(r * p**j for j, r in enumerate(rs))
+
+
 def tval_valuation(fm: FrobMatrix, cross_check: bool = False) -> ExtRational:
     """Valuation of det(phi^(j-1)(beta_i)) without computing the determinant:
     -(r_1 + p r_2 + ... + p^(k-1) r_k).
@@ -90,9 +91,7 @@ def tval_valuation(fm: FrobMatrix, cross_check: bool = False) -> ExtRational:
     With ``cross_check`` the determinant is also expanded over the series
     ring and its valuation compared; a mismatch raises RuntimeError.
     """
-    p = fm.betas[0].field.p
-    rs = fm.r_values
-    val = -sum(r * p**j for j, r in enumerate(rs))
+    val = _twist_valuation(fm.betas[0].field.p, fm.r_values)
     if cross_check:
         det = ring_det(fm.matrix())
         brute = det.valuation()
@@ -107,15 +106,8 @@ def moore_det(mus: "list[FFElem]") -> FFElem:
     linearly independent over F_p."""
     if not mus:
         raise ValueError("empty Moore matrix")
-    field = mus[0].field
-    rows = []
-    for m in mus:
-        row = [m]
-        for _ in range(len(mus) - 1):
-            row.append(row[-1].frobenius())
-        rows.append(row)
-    det = ring_det(rows)
-    return det if isinstance(det, FFElem) else field(det)
+    det = ring_det(frobenius_matrix(mus))
+    return det if isinstance(det, FFElem) else mus[0].field(det)
 
 
 @dataclass(frozen=True)
@@ -161,11 +153,8 @@ def ti_valuations(p: int, n: int, m) -> TiValuations:
         raise ValueError("exponents must be nonnegative")
     if any(m[i] > m[i + 1] for i in range(len(m) - 1)):
         raise ValueError("exponents must be nondecreasing")
-    v0 = []
-    for i in range(1, 2 * n + 2):
-        others = [m[j] for j in range(2 * n + 1) if j != i - 1]
-        v0.append(-sum(r * p**j for j, r in enumerate(others)))
-    return TiValuations(p, n, m, tuple(v0))
+    v0 = tuple(_twist_valuation(p, m[:i] + m[i + 1:]) for i in range(2 * n + 1))
+    return TiValuations(p, n, m, v0)
 
 
 @dataclass(frozen=True)

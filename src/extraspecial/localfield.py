@@ -316,28 +316,20 @@ class GaloisMap:
     def is_identity(self) -> bool:
         return all(self.images[i] == self.algebra.gen(i) for i in range(self.algebra.nvars))
 
-    def _order_walk(self) -> tuple[int, "GaloisMap"]:
-        """The order k and self^(k-1), the last power before the identity."""
-        prev, acc = self, self
-        k = 1
+    def powers(self) -> list["GaloisMap"]:
+        """self^0, self^1, ..., self^(ord-1): the one walk round the cyclic
+        group self generates, so its length is the order of self."""
+        out = [GaloisMap.identity(self.algebra)]
+        acc = self
         while not acc.is_identity():
-            prev, acc = acc, self.compose(acc)
-            k += 1
-            if k > self.algebra.p ** self.algebra.nvars:
+            out.append(acc)
+            if len(out) > self.algebra.p ** self.algebra.nvars:
                 raise RuntimeError("runaway order computation")
-        return k, prev
-
-    def order(self) -> int:
-        return self._order_walk()[0]
+            acc = self.compose(acc)
+        return out
 
     def inverse(self) -> "GaloisMap":
-        return self._order_walk()[1]
-
-    def power(self, e: int) -> "GaloisMap":
-        out = GaloisMap.identity(self.algebra)
-        for _ in range(e):
-            out = out.compose(self)
-        return out
+        return self.powers()[-1]
 
     def __eq__(self, other):
         return isinstance(other, GaloisMap) and self.key() == other.key()
@@ -473,8 +465,9 @@ def _level_norm(x: TowerElement, i: int) -> TowerElement:
     return ring_det(rows)
 
 
-def elt_valuation(x: TowerElement, tower: Tower) -> ExtRational:
-    """v_0(x) in (1/p^(2n+1)) * Z, through iterated norm determinants.
+def elt_valuation(x: TowerElement) -> ExtRational:
+    """v_0(x) in (1/p^k) * Z, k the generator count of the algebra of x,
+    through iterated norm determinants.
 
     Exact zero maps to +infinity; an imprecise zero or a norm whose leading
     coefficient escapes the tracked window raises PrecisionError.
@@ -491,15 +484,16 @@ def elt_valuation(x: TowerElement, tower: Tower) -> ExtRational:
     v = series.valuation()
     if v == math.inf:
         raise RuntimeError("nonzero element has exactly zero norm; algebra is not a domain")
-    return ExtRational(Fraction(v, tower.p**level))
+    return ExtRational(Fraction(v, x.algebra.p**level))
 
 
-def elt_valuation_top(x: TowerElement, tower: Tower) -> int:
-    """v_(2n+1)(x) = p^(2n+1) v_0(x) as an integer."""
-    v = elt_valuation(x, tower)
+def elt_valuation_top(x: TowerElement) -> int:
+    """v_top(x) = p^k v_0(x) as an integer, k the generator count of the
+    algebra of x (2n+1 for a tower)."""
+    v = elt_valuation(x)
     if v.is_infinite:
         raise ValueError("valuation of zero requested in top normalization")
-    scaled = v.fraction * tower.p**tower.nvars
+    scaled = v.fraction * x.algebra.p**x.algebra.nvars
     if scaled.denominator != 1:
         raise RuntimeError(f"top valuation {scaled} is not an integer")
     return int(scaled)
@@ -568,10 +562,8 @@ def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
     k = tower.nvars
     gen_powers = []
     for g in gens:
-        pows = [GaloisMap.identity(algebra)]
-        for _ in range(p - 1):
-            pows.append(pows[-1].compose(g))
-        gen_powers.append(pows)
+        pows = g.powers()
+        gen_powers.append([pows[e % len(pows)] for e in range(p)])
 
     elements: dict[tuple[int, ...], GaloisMap] = {(): GaloisMap.identity(algebra)}
     for i in range(k):
@@ -626,17 +618,16 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
     n = tower.n
     k = tower.nvars
     variant = tower.params.variant
-    gen_orders = tuple(g.order() for g in gens)
+    powers = [g.powers() for g in gens]
+    gen_orders = tuple(len(pw) for pw in powers)
 
     commutators = {}
     for i in range(k):
         for j in range(i + 1, k):
-            gi, gj = gens[i], gens[j]
-            comm = gi.compose(gj).compose(gi.inverse()).compose(gj.inverse())
+            comm = gens[i].compose(gens[j]).compose(powers[i][-1]).compose(powers[j][-1])
             commutators[(i + 1, j + 1)] = table.word_of(comm)
 
-    sigma1_p = gens[0].power(p)
-    sigma1_p_word = table.word_of(sigma1_p)
+    sigma1_p_word = table.word_of(powers[0][p % gen_orders[0]])
 
     def central_word(w):
         return all(e == 0 for e in w[:-1])

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detval import ring_det, ti_valuations
+from .detval import frobenius_matrix, ring_det, ti_valuations
 from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra,
-                         TowerElement, TowerParams, _level_norm, build_tower,
-                         default_tower_precision, elt_valuation_top, enumerate_group,
-                         galois_generators, group_structure)
-from .planner import PlanReport
+                         TowerElement, TowerParams, build_tower, default_tower_precision,
+                         elt_valuation_top, enumerate_group, galois_generators,
+                         group_structure)
+from .planner import PlanReport, default_leads
 from .ramification import lower_to_upper, upper_to_lower
 from .valuation import (INF, ExtRational, LaurentSeries, PrecisionError, field_degree,
                         residue_field)
@@ -84,13 +84,12 @@ def construct_generator(tower: Tower) -> GeneratorData:
     """
     k = tower.nvars
     p = tower.p
-    cols = [list(tower.omegas)]
-    for _ in range(k - 2):
-        cols.append([s.frobenius() for s in cols[-1]])
+    # the first k-1 Frobenius columns of the omega rows
+    twist = [row[:k - 1] for row in frobenius_matrix(list(tower.omegas))]
     # cofactor t_i = (-1)^(i+1) * det(omega twist matrix with row i removed)
     cofactors = []
     for i in range(k):
-        minor = [[cols[j][r] for j in range(k - 1)] for r in range(k) if r != i]
+        minor = [row for r, row in enumerate(twist) if r != i]
         det = ring_det(minor)
         cofactors.append(det if i % 2 == 0 else -det)
     formula = ti_valuations(p, tower.n, tower.params.m)
@@ -105,7 +104,7 @@ def construct_generator(tower: Tower) -> GeneratorData:
     y = tower.algebra.zero()
     for i in range(k):
         y = y + tower.alpha(i + 1) * cofactors[i]
-    vtop = elt_valuation_top(y, tower)
+    vtop = elt_valuation_top(y)
     b1 = tower.plan_report.b[0]
     predicted = -b1 + p**k * v0[0]
     if vtop != predicted:
@@ -128,31 +127,28 @@ def _uniformizer_exponents(vtop: int, pk: int) -> tuple[int, int]:
     return x, y
 
 
-def _shift_valuation(sigma: GaloisMap, y_elem, x: int, y: int,
-                     vtop: int, tower: Tower) -> int:
-    """v_top((sigma - 1) pi_L) for pi_L = Y^x pi^y.
+def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, x: int, y: int,
+                     vtop: int) -> int:
+    """v_top((sigma - 1) pi_L) for pi_L = Y^x pi^y, where vtop = v_top(Y)
+    and p^k is the degree of the algebra of Y.
 
     sigma(Y)^x - Y^x factors as delta * sum(sigma(Y)^j Y^(x-1-j)) with
     delta = sigma(Y) - Y.  When v(delta) > v(Y) the sum's x Y^(x-1) term
-    dominates strictly (p never divides x, which is invertible mod p^(2n+1)),
-    so v((sigma-1) pi_L) = y p^(2n+1) + v(delta) + (x-1) v(Y) for either
-    sign of x.  The dominance precondition is checked; if it ever failed the
-    slow explicit-power route would be used instead.
+    dominates strictly (p never divides x, which is invertible mod p^k),
+    so v((sigma-1) pi_L) = y p^k + v(delta) + (x-1) v(Y) for either sign
+    of x.  The dominance always holds in a totally ramified p-extension:
+    every sigma != 1 lies in G_1, so sigma(Y)/Y is a principal unit.  A
+    measurement without it is an OracleMismatch, not a fallback.
     """
-    pk = tower.p**tower.nvars
-    sy = sigma.apply(y_elem)
-    delta = sy - y_elem
+    algebra = y_elem.algebra
+    delta = sigma.apply(y_elem) - y_elem
     if delta.is_zero():
         raise OracleMismatch("a nontrivial automorphism fixes the generator")
-    v_delta = elt_valuation_top(delta, tower)
-    if v_delta > vtop:
-        return y * pk + v_delta + (x - 1) * vtop
-    m = abs(x)
-    sy_pow = sy**m
-    y_pow = y_elem**m
-    if x > 0:
-        return y * pk + elt_valuation_top(sy_pow - y_pow, tower)
-    return y * pk + elt_valuation_top(y_pow - sy_pow, tower) - 2 * m * vtop
+    v_delta = elt_valuation_top(delta)
+    if v_delta <= vtop:
+        raise OracleMismatch(
+            f"v_top(sigma(Y) - Y) = {v_delta} <= v_top(Y) = {vtop}: sigma is not in G_1")
+    return y * algebra.p**algebra.nvars + v_delta + (x - 1) * vtop
 
 
 @dataclass
@@ -197,7 +193,7 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     for word, sigma in table.elements.items():
         if all(e == 0 for e in word):
             continue
-        i_sigma = _shift_valuation(sigma, y_elem, x, y, gen_data.vtop, tower)
+        i_sigma = _shift_valuation(sigma, y_elem, x, y, gen_data.vtop)
         if i_sigma < 2:
             raise OracleMismatch(
                 f"i(sigma) = {i_sigma} < 2 for {word}; extension is not totally wild")
@@ -285,7 +281,7 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
 
     # X itself, through the tracked-precision inverse
     x_elem = gen_data.element * t_top.inverse(window=tower.prec)
-    x_vtop = elt_valuation_top(x_elem, tower)
+    x_vtop = elt_valuation_top(x_elem)
     if x_vtop != -btop:
         raise OracleMismatch(f"v_top(X) = {x_vtop}, expected {-btop}")
 
@@ -301,7 +297,7 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
         if w.is_zero():
             gap = INF
         else:
-            gap = ExtRational(elt_valuation_top(w, tower) - p**k * t[i - 1].valuation())
+            gap = ExtRational(elt_valuation_top(w) - p**k * t[i - 1].valuation())
 
         if n < i <= 2 * n:
             bound = ExtRational(btop - b[i - 1] - pn2 * u[i - n - 1])
@@ -361,35 +357,13 @@ class LayersReport:
 def _cp_break(tower: Tower, i: int) -> int:
     """Measured ramification break of the degree-p algebra on alpha_i alone,
     from first definitions in a one-generator quotient algebra."""
-    p = tower.p
-    u_i = tower.plan_report.u[i - 1]
     mini = TowerAlgebra(tower.field, 1)
     mini.set_relation(0, mini.from_series(tower.a[i - 1]))
     alpha = mini.gen(0)
+    vtop = elt_valuation_top(alpha)
+    x, y = _uniformizer_exponents(vtop, tower.p)
     sigma = GaloisMap(mini, [alpha + mini.one()])
-    x, y = _uniformizer_exponents(-u_i, p)
-    alpha_pow = alpha ** abs(x)
-
-    def v_top_mini(elem: TowerElement) -> int:
-        level = elem.support_level()
-        cur = _level_norm(elem, 0) if level else elem
-        v = cur.constant_series().valuation()
-        # the norm already carries the degree-p scaling
-        return v * (p if level == 0 else 1)
-
-    breaks = set()
-    acc = sigma
-    for _ in range(p - 1):
-        s_alpha = acc.apply(alpha)
-        s_pow = s_alpha ** abs(x)
-        if x > 0:
-            diff = s_pow - alpha_pow
-            i_sigma = y * p + v_top_mini(diff)
-        else:
-            diff = alpha_pow - s_pow
-            i_sigma = y * p + v_top_mini(diff) - 2 * abs(x) * (-u_i)
-        breaks.add(i_sigma - 1)
-        acc = acc.compose(sigma)
+    breaks = {_shift_valuation(s, alpha, x, y, vtop) - 1 for s in sigma.powers()[1:]}
     if len(breaks) != 1:
         raise OracleMismatch(f"degree-p layer {i} has inconsistent breaks {breaks}")
     return breaks.pop()
@@ -511,12 +485,9 @@ def _verify_once(params: TowerParams, prec: int | None) -> OracleReport:
 def verify_family(variant: str, p: int, n: int, u: int, t: int,
                   q: int | None = None, prec: int | None = None) -> OracleReport:
     """Verify the standard family r = u, m = (0,...,0,t) over F_q((pi))."""
-    from .planner import default_leads
-    from .valuation import ExtRational as ER
-
     field = residue_field(p, 2 * n if q is None else field_degree(p, q))
     params = TowerParams(
-        p=p, n=n, variant=variant, e0=ER(None), r=u,
+        p=p, n=n, variant=variant, e0=ExtRational(None), r=u,
         m=(0,) * (2 * n) + (t,), leads=default_leads(field, n), field=field,
     )
     return verify_tower(params, prec)

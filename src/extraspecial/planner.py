@@ -65,7 +65,7 @@ class TowerParams:
             raise ValueError(f"need {k} leading coefficients, got {len(self.leads)}")
         if any(not x for x in self.leads):
             raise ValueError("leading coefficients must be nonzero")
-        if any(x.field is not self.field for x in self.leads):
+        if any(x.field != self.field for x in self.leads):
             raise ValueError("leading coefficients from a different residue field")
         if self.field.q < self.p ** (2 * self.n):
             raise ValueError(

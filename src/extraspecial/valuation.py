@@ -273,7 +273,7 @@ class FFElem:
         if isinstance(other, int):
             return self.field(other)
         if isinstance(other, FFElem):
-            if other.field is not self.field:
+            if other.field != self.field:
                 raise ValueError("elements of different residue fields")
             return other
         return NotImplemented
@@ -447,7 +447,7 @@ class ResidueField:
 
     def __call__(self, value) -> FFElem:
         if isinstance(value, FFElem):
-            if value.field is not self:
+            if value.field is not self and value.field != self:
                 raise ValueError("element of a different residue field")
             return value
         if isinstance(value, int):
@@ -496,6 +496,7 @@ class ResidueField:
         raise ValueError(f"cannot parse residue field element {text!r}")
 
     def __eq__(self, other):
+        # the one rule for field identity: equal keys give equal tables
         return isinstance(other, ResidueField) and self.key == other.key
 
     def __hash__(self):
@@ -608,7 +609,7 @@ class LaurentSeries:
 
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
-            if other.field is not self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("series over different residue fields")
             return other
         if isinstance(other, (int, FFElem)):

@@ -98,22 +98,22 @@ class TestBuildTower:
 class TestValuation:
     def test_uniformizer(self, h_tower):
         pi = h_tower.algebra.from_series(LaurentSeries.monomial(h_tower.field, 1, 1))
-        assert elt_valuation(pi, h_tower) == 1
+        assert elt_valuation(pi) == 1
 
     def test_alpha1(self, h_tower):
-        assert elt_valuation(h_tower.alpha(1), h_tower) == Fraction(-1, 3)
+        assert elt_valuation(h_tower.alpha(1)) == Fraction(-1, 3)
 
     def test_alpha_top(self, h_tower):
-        assert elt_valuation(h_tower.alpha(3), h_tower) == Fraction(-10, 3)
+        assert elt_valuation(h_tower.alpha(3)) == Fraction(-10, 3)
 
     def test_alpha_valuations_match_prediction(self, m_tower):
         # v_0(alpha_i) = -u_i / p on every level
         u = m_tower.plan_report.u
         for i in range(1, 4):
-            assert elt_valuation(m_tower.alpha(i), m_tower) == Fraction(-u[i - 1], 3)
+            assert elt_valuation(m_tower.alpha(i)) == Fraction(-u[i - 1], 3)
 
     def test_zero(self, h_tower):
-        assert elt_valuation(h_tower.algebra.zero(), h_tower).is_infinite
+        assert elt_valuation(h_tower.algebra.zero()).is_infinite
 
     def test_multiplicative(self, h_tower):
         rng = random.Random(5)
@@ -122,8 +122,8 @@ class TestValuation:
             y = random_element(h_tower, rng)
             if x.is_zero() or y.is_zero():
                 continue
-            assert elt_valuation(x * y, h_tower) == \
-                elt_valuation(x, h_tower) + elt_valuation(y, h_tower)
+            assert elt_valuation(x * y) == \
+                elt_valuation(x) + elt_valuation(y)
 
     def test_ultrametric(self, h_tower):
         rng = random.Random(8)
@@ -133,8 +133,8 @@ class TestValuation:
             s = x + y
             if x.is_zero() or y.is_zero() or s.is_zero():
                 continue
-            vx, vy = elt_valuation(x, h_tower), elt_valuation(y, h_tower)
-            vs = elt_valuation(s, h_tower)
+            vx, vy = elt_valuation(x), elt_valuation(y)
+            vs = elt_valuation(s)
             assert vs >= min(vx, vy)
             if vx != vy:
                 assert vs == min(vx, vy)
@@ -145,7 +145,7 @@ class TestValuation:
             x = random_element(h_tower, rng)
             if x.is_zero():
                 continue
-            assert isinstance(elt_valuation_top(x, h_tower), int)
+            assert isinstance(elt_valuation_top(x), int)
 
 
 class TestGaloisGenerators:
@@ -186,9 +186,9 @@ class TestGaloisGenerators:
             x = random_element(h_tower, rng)
             if x.is_zero():
                 continue
-            v = elt_valuation(x, h_tower)
+            v = elt_valuation(x)
             for s in gens:
-                assert elt_valuation(s.apply(x), h_tower) == v
+                assert elt_valuation(s.apply(x)) == v
 
 
 class TestComposition:
@@ -209,6 +209,26 @@ class TestComposition:
         s3 = gens[2]
         for s in gens:
             assert s.compose(s3) == s3.compose(s)
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_powers_match_repeated_compose(self, variant, h_tower, m_tower):
+        tower = h_tower if variant == "H" else m_tower
+        ident = GaloisMap.identity(tower.algebra)
+        for i, g in enumerate(galois_generators(tower)):
+            pows = g.powers()
+            assert len(pows) == (9 if variant == "M" and i == 0 else 3)
+            acc = ident
+            for e, pw in enumerate(pows):
+                assert pw == acc and (e == 0 or not pw.is_identity())
+                acc = acc.compose(g)
+            assert acc.is_identity()
+            assert pows[-1].compose(g).is_identity()
+            assert g.inverse() == pows[-1]
+            if i == 0:
+                # sigma_1^p: trivial in H(n), central of order p in M(n)
+                cubed = g.compose(g).compose(g)
+                assert pows[3 % len(pows)] == cubed
+                assert cubed.is_identity() == (variant == "H")
 
 
 class TestGroupStructure:

@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
-from extraspecial import (FrobMatrix, construct_generator, enumerate_group,
-                          galois_generators, ramification_filtration,
+from extraspecial import (FrobMatrix, GaloisMap, LaurentSeries, OracleMismatch, TowerAlgebra,
+                          construct_generator, elt_valuation_top, enumerate_group,
+                          galois_generators, ramification_filtration, residue_field,
                           scaffold_row_check, tval_valuation, verify_elementary_layers,
                           verify_family)
-from extraspecial.oracle import _uniformizer_exponents
+from extraspecial.oracle import _cp_break, _shift_valuation, _uniformizer_exponents
 from test_localfield import make_tower
 
 
@@ -102,7 +105,6 @@ class TestFiltration:
     def test_shift_shortcut_matches_explicit_powers(self, h_setup):
         # the dominance shortcut must agree with literally expanding
         # sigma(Y)^x - Y^x; x = -1 here so the expansion is cheap
-        from extraspecial import elt_valuation_top
         tower, _, table, gen_data, filtration = h_setup
         pk = 27
         x, y = _uniformizer_exponents(gen_data.vtop, pk)
@@ -111,7 +113,7 @@ class TestFiltration:
             if all(e == 0 for e in word):
                 continue
             sy = sigma.apply(gen_data.element)
-            direct = y * pk + elt_valuation_top(gen_data.element - sy, tower) \
+            direct = y * pk + elt_valuation_top(gen_data.element - sy) \
                 - 2 * gen_data.vtop
             assert filtration.ivals[word] == direct
 
@@ -164,6 +166,27 @@ class TestElementaryLayers:
         tower, _, table, _, filtration = m_setup
         rep = verify_elementary_layers(tower, table, filtration)
         assert rep.ok
+
+    def test_layer_break_is_read_from_the_algebra(self, h_setup):
+        # alpha^3 - alpha = pi^-2 has break 2, whatever the plan says
+        tower = h_setup[0]
+        assert tower.plan_report.u[0] == 1
+        steeper = LaurentSeries.monomial(tower.field, 1, -2)
+        changed = dataclasses.replace(tower, a=(steeper,) + tower.a[1:])
+        assert _cp_break(tower, 1) == 1
+        assert _cp_break(changed, 1) == 2
+
+    def test_shift_valuation_refuses_sigma_outside_g1(self):
+        # alpha^3 - alpha = 1 is unramified over F_9((pi)): sigma(alpha) - alpha
+        # = 1 has the valuation of alpha, so no break can be measured
+        field = residue_field(3, 2)
+        algebra = TowerAlgebra(field, 1)
+        algebra.set_relation(0, algebra.one())
+        alpha = algebra.gen(0)
+        sigma = GaloisMap(algebra, [alpha + algebra.one()])
+        assert elt_valuation_top(alpha) == 0
+        with pytest.raises(OracleMismatch, match="not in G_1"):
+            _shift_valuation(sigma, alpha, 1, 0, 0)
 
 
 class TestVerifyFamily:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extraspecial import (DEFAULT_WINDOW, INF, ExtRational, LaurentSeries,
-                          PrecisionError, residue_field)
+                          PrecisionError, ResidueField, residue_field)
 from extraspecial.valuation import _idx_to_poly, _poly_mod, _poly_mul
 from conftest import elem_from_index, random_series
 
@@ -456,3 +456,13 @@ class TestCoefficientEdge:
             LaurentSeries.monomial(f9, f27.gen(), 2)
         with pytest.raises(ValueError):
             LaurentSeries.one(f9) * f27.gen()
+
+    def test_equal_fields_are_one_field(self):
+        # same key, same field: a separately built copy of F_9 mixes freely
+        a, b = ResidueField(3, 2), residue_field(3, 2)
+        assert a is not b and a == b
+        s = LaurentSeries(a, {0: b.gen()})
+        assert s == LaurentSeries(b, {0: b.gen()})
+        assert s + LaurentSeries(b, {1: 1}) == LaurentSeries(b, {0: b.gen(), 1: 1})
+        assert a(b.gen()) == b.gen()
+        assert a.gen() * b.gen() == b.gen() ** 2
