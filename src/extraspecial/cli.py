@@ -12,11 +12,10 @@ import argparse
 import json
 import sys
 
-from .localfield import PlanRejection
+from .localfield import ConstructionError, PlanRejection
 from .oracle import OracleMismatch, verify_family
 from .planner import TowerParams, _is_odd_prime, example_family, gms_verdict, plan
-from .ramification import (RamSequence, build_shift_tables, check_ram_inequalities,
-                           lower_to_upper, upper_to_lower)
+from .ramification import RamSequence, build_shift_tables, check_ram_inequalities
 from .valuation import ExtRational, PrecisionError, field_degree, residue_field
 
 EXIT_OK = 0
@@ -153,13 +152,9 @@ def _cmd_ram_convert(args) -> int:
     if (args.lower is None) == (args.upper is None):
         raise CliError("exactly one of --lower/--upper is required")
     if args.lower is not None:
-        lower = _int_list(args.lower)
-        upper = lower_to_upper(args.p, lower)
-        seq = RamSequence.from_lower(args.p, lower)
+        seq = RamSequence.from_lower(args.p, _int_list(args.lower))
     else:
-        upper = _int_list(args.upper)
-        lower = upper_to_lower(args.p, upper)
-        seq = RamSequence.from_upper(args.p, upper)
+        seq = RamSequence.from_upper(args.p, _int_list(args.upper))
     ineq = check_ram_inequalities(args.p, seq.lower, seq.upper)
     d = {"schema": 1}
     d.update(seq.to_dict())
@@ -281,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except OracleMismatch as exc:
+    except (OracleMismatch, ConstructionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
 

@@ -324,7 +324,7 @@ class GaloisMap:
         while not acc.is_identity():
             out.append(acc)
             if len(out) > self.algebra.p ** self.algebra.nvars:
-                raise RuntimeError("runaway order computation")
+                raise ConstructionError("runaway order computation")
             acc = self.compose(acc)
         return out
 
@@ -345,7 +345,6 @@ class Tower:
 
     params: TowerParams
     algebra: TowerAlgebra
-    c: LaurentSeries
     omegas: tuple[LaurentSeries, ...]
     a: tuple[LaurentSeries, ...]
     cross_term: TowerElement          # a_1 alpha_(n+1) + ... + a_n alpha_(2n)
@@ -428,7 +427,6 @@ def build_tower(params: TowerParams, prec: int | None = None) -> Tower:
     tower = Tower(
         params=params,
         algebra=algebra,
-        c=c,
         omegas=omegas,
         a=a,
         cross_term=cross,
@@ -479,11 +477,11 @@ def elt_valuation(x: TowerElement) -> ExtRational:
     for i in range(level - 1, -1, -1):
         cur = _level_norm(cur, i)
         if cur.support_level() > i:
-            raise RuntimeError("norm escaped its subalgebra")
+            raise ConstructionError("norm escaped its subalgebra")
     series = cur.constant_series()
     v = series.valuation()
     if v == math.inf:
-        raise RuntimeError("nonzero element has exactly zero norm; algebra is not a domain")
+        raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
     return ExtRational(Fraction(v, x.algebra.p**level))
 
 
@@ -495,7 +493,7 @@ def elt_valuation_top(x: TowerElement) -> int:
         raise ValueError("valuation of zero requested in top normalization")
     scaled = v.fraction * x.algebra.p**x.algebra.nvars
     if scaled.denominator != 1:
-        raise RuntimeError(f"top valuation {scaled} is not an integer")
+        raise ConstructionError(f"top valuation {scaled} is not an integer")
     return int(scaled)
 
 
@@ -542,6 +540,7 @@ class GroupTable:
     nvars: int
     elements: dict[tuple[int, ...], GaloisMap]
     word_by_key: dict
+    powers: list[list[GaloisMap]]     # gens[i].powers(), walked once
 
     @property
     def order(self) -> int:
@@ -550,27 +549,20 @@ class GroupTable:
     def word_of(self, m: GaloisMap) -> tuple[int, ...]:
         return self.word_by_key[m.key()]
 
-    def map_of(self, word: tuple[int, ...]) -> GaloisMap:
-        return self.elements[word]
-
 
 def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
     """Build every product sigma_1^e1 ... sigma_k^ek, check that they are
     pairwise distinct and closed under composition by the generators."""
-    algebra = tower.algebra
     p = tower.p
-    k = tower.nvars
-    gen_powers = []
-    for g in gens:
-        pows = g.powers()
-        gen_powers.append([pows[e % len(pows)] for e in range(p)])
+    powers = [g.powers() for g in gens]
 
-    elements: dict[tuple[int, ...], GaloisMap] = {(): GaloisMap.identity(algebra)}
-    for i in range(k):
+    elements: dict[tuple[int, ...], GaloisMap] = {(): GaloisMap.identity(tower.algebra)}
+    for pows in powers:
         new = {}
         for word, m in elements.items():
-            for e in range(p):
-                new[word + (e,)] = m.compose(gen_powers[i][e])
+            new[word + (0,)] = m  # the e = 0 factor is the identity
+            for e in range(1, p):
+                new[word + (e,)] = m.compose(pows[e % len(pows)])
         elements = new
 
     word_by_key = {}
@@ -584,7 +576,7 @@ def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
         for m in elements.values():
             if g.compose(m).key() not in word_by_key:
                 raise ConstructionError("group is not closed under composition")
-    return GroupTable(p, k, elements, word_by_key)
+    return GroupTable(p, tower.nvars, elements, word_by_key, powers)
 
 
 @dataclass
@@ -618,7 +610,7 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
     n = tower.n
     k = tower.nvars
     variant = tower.params.variant
-    powers = [g.powers() for g in gens]
+    powers = table.powers
     gen_orders = tuple(len(pw) for pw in powers)
 
     commutators = {}

@@ -75,7 +75,7 @@ class GeneratorData:
 
 
 def construct_generator(tower: Tower) -> GeneratorData:
-    """Cofactor-expand the twist determinant and certify its valuation.
+    """Build Y as the twist determinant and certify its valuation.
 
     Asserts the cofactor valuations against the closed formula, and the
     total valuation against -b_1 + v_top(t_1); failure of either raises
@@ -84,14 +84,12 @@ def construct_generator(tower: Tower) -> GeneratorData:
     """
     k = tower.nvars
     p = tower.p
-    # the first k-1 Frobenius columns of the omega rows
-    twist = [row[:k - 1] for row in frobenius_matrix(list(tower.omegas))]
-    # cofactor t_i = (-1)^(i+1) * det(omega twist matrix with row i removed)
-    cofactors = []
-    for i in range(k):
-        minor = [row for r, row in enumerate(twist) if r != i]
-        det = ring_det(minor)
-        cofactors.append(det if i % 2 == 0 else -det)
+    # Y = det(alpha_i | phi^(j-1)(omega_i), j < k): expanding along the alpha
+    # column makes t_i, the alpha_i coefficient, the signed omega-twist minor
+    twist = frobenius_matrix(list(tower.omegas))
+    y = ring_det([[tower.alpha(i + 1)] + row[:k - 1] for i, row in enumerate(twist)])
+    zero = tower.algebra.zero()
+    cofactors = [y.split_by_var(i).get(1, zero).constant_series() for i in range(k)]
     formula = ti_valuations(p, tower.n, tower.params.m)
     v0 = []
     for i, t in enumerate(cofactors):
@@ -101,9 +99,6 @@ def construct_generator(tower: Tower) -> GeneratorData:
                 f"cofactor {i + 1} has valuation {v}, formula gives {formula.v0[i]}")
         v0.append(v)
 
-    y = tower.algebra.zero()
-    for i in range(k):
-        y = y + tower.alpha(i + 1) * cofactors[i]
     vtop = elt_valuation_top(y)
     b1 = tower.plan_report.b[0]
     predicted = -b1 + p**k * v0[0]
@@ -383,24 +378,20 @@ def verify_elementary_layers(tower: Tower, table: GroupTable,
     u = tower.plan_report.u
     layers = tuple(LayerCheck(i, u[i - 1], _cp_break(tower, i)) for i in range(1, 2 * n + 1))
 
-    # subgroup fixing alpha_1..alpha_2n
-    fixing = []
-    for word, m in table.elements.items():
-        if all(m.images[j] == m.algebra.gen(j) for j in range(k - 1)):
-            fixing.append(m)
-    if len(fixing) != p:
-        raise OracleMismatch(f"floor-fixing subgroup has order {len(fixing)}, expected {p}")
+    # the maps fixing alpha_1..alpha_2n must be exactly sigma_top^e, e < p
+    fixing = {w for w, m in table.elements.items()
+              if all(m.images[j] == m.algebra.gen(j) for j in range(k - 1))}
+    if fixing != {(0,) * (k - 1) + (e,) for e in range(p)}:
+        raise OracleMismatch(f"floor-fixing subgroup is {sorted(fixing)}, expected the "
+                             f"{p} powers of sigma_top")
 
-    distinct_upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
-    ivals = filtration.ivals
-
+    # m sigma_top^e moves only m's last exponent: m Fix is the words sharing m's prefix
     def coset_count(lower_value) -> int:
-        group = [table.map_of(w) for w, v in ivals.items() if v - 1 >= lower_value]
-        group.append(GaloisMap.identity(tower.algebra))
-        cosets = {frozenset((m.compose(h)).key() for h in fixing) for m in group}
-        return len(cosets)
+        return len({w[:-1] for w, v in filtration.ivals.items() if v - 1 >= lower_value}
+                   | {(0,) * (k - 1)})
 
     # Herbrand's function is increasing: the i-th distinct lower and upper jumps match
+    distinct_upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
     sizes = [coset_count(b) for b in sorted(set(filtration.lower_multiset))]
     measured = _jump_multiset(distinct_upper, sizes, p, "quotient filtration")
 

@@ -195,38 +195,26 @@ def plan(params: TowerParams, mode: str = "full") -> PlanReport:
     checks: list[Check] = []
     notes: list[str] = []
     qp = Fraction(1, p)
-    if params.variant == "H":
-        if mode == "full":
-            checks.append(_check("H1", "u_n + (1-1/p) u_2n < e0",
-                                 un + (1 - qp) * u2n, e0))
-            checks.append(_check("H2", "u_n/p + u_2n/p^2 + (1-1/p) u_top < e0",
-                                 qp * un + qp**2 * u2n + (1 - qp) * utop, e0))
-            checks.append(_check("H3", "u_2n < e0", u2n, e0))
-            checks.append(_check("H5", "u_top - b_top/p^(2n+1) < e0",
-                                 utop - Fraction(btop, pn2t), e0))
-        else:
-            checks.append(_check("Hsimple", "u_top <= e0", utop, e0, strict=False))
-            notes.append("simple mode retains the b_top inequality H4; "
-                         "its role is load-bearing in the full system")
-        checks.append(_check("H4", "p^(2n) u_n + p^(2n) u_2n < b_top",
-                             pn2 * un + pn2 * u2n, btop))
-    else:
-        if mode == "full":
-            checks.append(_check("M1", "u_n + (1-1/p) u_2n < e0",
-                                 un + (1 - qp) * u2n, e0))
-            checks.append(_check("M2", "u_n/p + u_2n/p^2 + (1-1/p) u_top < e0",
-                                 qp * un + qp**2 * u2n + (1 - qp) * utop, e0))
+    v = params.variant
+    if mode == "full":
+        checks.append(_check(f"{v}1", "u_n + (1-1/p) u_2n < e0", un + (1 - qp) * u2n, e0))
+        checks.append(_check(f"{v}2", "u_n/p + u_2n/p^2 + (1-1/p) u_top < e0",
+                             qp * un + qp**2 * u2n + (1 - qp) * utop, e0))
+        if v == "M":
             checks.append(_check("M6", "(1-1/p+1/p^2) u_1 + (1-1/p) u_top < e0",
                                  (1 - qp + qp**2) * u1 + (1 - qp) * utop, e0))
-            checks.append(_check("M3", "u_2n < e0", u2n, e0))
-            checks.append(_check("M5", "u_top - b_top/p^(2n+1) < e0",
-                                 utop - Fraction(btop, pn2t), e0))
-        else:
-            checks.append(_check("Msimple", "u_top <= e0", utop, e0, strict=False))
-            notes.append("simple mode retains the b_top inequalities M4 and M7; "
-                         "their role is load-bearing in the full system")
-        checks.append(_check("M4", "p^(2n) u_n + p^(2n) u_2n < b_top",
-                             pn2 * un + pn2 * u2n, btop))
+        checks.append(_check(f"{v}3", "u_2n < e0", u2n, e0))
+        checks.append(_check(f"{v}5", "u_top - b_top/p^(2n+1) < e0",
+                             utop - Fraction(btop, pn2t), e0))
+    else:
+        checks.append(_check(f"{v}simple", "u_top <= e0", utop, e0, strict=False))
+        retained = ("inequalities M4 and M7; their role is" if v == "M"
+                    else "inequality H4; its role is")
+        notes.append(f"simple mode retains the b_top {retained} "
+                     "load-bearing in the full system")
+    checks.append(_check(f"{v}4", "p^(2n) u_n + p^(2n) u_2n < b_top",
+                         pn2 * un + pn2 * u2n, btop))
+    if v == "M":
         checks.append(_check("M7", "p^(2n+1) u_1 < b_top", pn2t * u1, btop))
 
     all_hold = all(c.holds for c in checks) and as_report.ok

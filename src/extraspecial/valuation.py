@@ -82,11 +82,6 @@ class ExtRational:
     def is_integral(self) -> bool:
         return self._v is not None and self._v.denominator == 1
 
-    def as_int(self) -> int:
-        if not self.is_integral:
-            raise ValueError(f"{self} is not an integer")
-        return int(self._v)
-
     def _coerce(self, other) -> "ExtRational":
         if isinstance(other, ExtRational):
             return other
@@ -324,10 +319,6 @@ class FFElem:
 
     def frobenius(self) -> "FFElem":
         return self ** self.field.p
-
-    def pth_root(self) -> "FFElem":
-        # Frobenius is an automorphism of order d, so x^(p^(d-1)) inverts it.
-        return self ** (self.field.p ** (self.field.d - 1))
 
     def __bool__(self):
         return self.idx != 0

@@ -171,6 +171,20 @@ class TestOracle:
         assert code == 1
         assert err.startswith("error:") and "prec" in err
 
+    def test_construction_error_is_verification_failure(self, capsys, monkeypatch):
+        import extraspecial.cli as cli
+        from extraspecial import ConstructionError
+
+        def broken(*args, **kwargs):
+            raise ConstructionError("group is not closed under composition")
+
+        monkeypatch.setattr(cli, "verify_family", broken)
+        code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
+                             "--n", "1", "--u", "1", "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "verification failure: group is not closed under composition\n"
+
     def test_composite_p_rejected(self, capsys):
         code, _, err = run(capsys, "ram", "convert", "--p", "4", "--lower", "1,2")
         assert code == 1

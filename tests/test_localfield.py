@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial import (ExtRational, INF, LaurentSeries, TowerParams, build_tower,
-                          elt_valuation, elt_valuation_top, enumerate_group,
+from extraspecial import (ExtRational, INF, LaurentSeries, TowerAlgebra, TowerParams,
+                          build_tower, elt_valuation, elt_valuation_top, enumerate_group,
                           galois_generators, group_structure, residue_field, wp_eval)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
@@ -105,6 +105,13 @@ class TestValuation:
 
     def test_alpha_top(self, h_tower):
         assert elt_valuation(h_tower.alpha(3)) == Fraction(-10, 3)
+
+    def test_split_algebra_is_construction_error(self):
+        # alpha^3 - alpha = 0 splits, so alpha has exactly zero norm
+        algebra = TowerAlgebra(residue_field(3, 2), 1)
+        algebra.set_relation(0, algebra.zero())
+        with pytest.raises(ConstructionError, match="not a domain"):
+            elt_valuation(algebra.gen(0))
 
     def test_alpha_valuations_match_prediction(self, m_tower):
         # v_0(alpha_i) = -u_i / p on every level
@@ -242,6 +249,21 @@ class TestGroupStructure:
         assert rep.commutator_words[(1, 2)] == (0, 0, 1)
         assert rep.commutator_words[(1, 3)] == (0, 0, 0)
         assert rep.commutator_words[(2, 3)] == (0, 0, 0)
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_table_keeps_each_power_walk(self, variant, h_tower, m_tower):
+        tower = h_tower if variant == "H" else m_tower
+        gens = galois_generators(tower)
+        table = enumerate_group(tower, gens)
+        assert len(table.powers) == len(gens)
+        for pows, g in zip(table.powers, gens):
+            assert pows == g.powers()
+        # every word is the product of its generator powers, e = 0 factors included
+        for word, m in table.elements.items():
+            expected = GaloisMap.identity(tower.algebra)
+            for pows, e in zip(table.powers, word):
+                expected = expected.compose(pows[e])
+            assert m == expected
 
     def test_m_group(self, m_tower):
         gens = galois_generators(m_tower)

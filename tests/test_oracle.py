@@ -2,12 +2,16 @@ import dataclasses
 
 import pytest
 
-from extraspecial import (FrobMatrix, GaloisMap, LaurentSeries, OracleMismatch, TowerAlgebra,
-                          construct_generator, elt_valuation_top, enumerate_group,
-                          galois_generators, ramification_filtration, residue_field,
+from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMismatch,
+                          TowerAlgebra, TowerParams, build_tower, construct_generator,
+                          default_leads, elt_valuation_top, enumerate_group,
+                          galois_generators, group_structure, lower_to_upper,
+                          ramification_filtration, residue_field, ring_det,
                           scaffold_row_check, tval_valuation, verify_elementary_layers,
                           verify_family)
-from extraspecial.oracle import _cp_break, _shift_valuation, _uniformizer_exponents
+from extraspecial.detval import frobenius_matrix
+from extraspecial.oracle import (_cp_break, _jump_multiset, _shift_valuation,
+                                 _uniformizer_exponents)
 from test_localfield import make_tower
 
 
@@ -56,6 +60,21 @@ class TestGenerator:
     def test_m_variant_same_valuation(self, m_setup):
         _, _, _, gen_data, _ = m_setup
         assert gen_data.vtop == -82
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_cofactors_are_signed_twist_minors(self, variant, h_setup, m_setup):
+        # reference: one ring_det per minor of the omega twist matrix with
+        # row i removed, signed (-1)^i, and Y summed as alpha_i t_i
+        tower, _, _, gen_data, _ = h_setup if variant == "H" else m_setup
+        k = tower.nvars
+        twist = [row[:k - 1] for row in frobenius_matrix(list(tower.omegas))]
+        y = tower.algebra.zero()
+        for i in range(k):
+            det = ring_det([row for r, row in enumerate(twist) if r != i])
+            t = det if i % 2 == 0 else -det
+            assert gen_data.cofactors[i] == t
+            y = y + tower.alpha(i + 1) * t
+        assert gen_data.element == y
 
 
 class TestFiltration:
@@ -166,6 +185,73 @@ class TestElementaryLayers:
         tower, _, table, _, filtration = m_setup
         rep = verify_elementary_layers(tower, table, filtration)
         assert rep.ok
+
+    def test_coset_counts_match_composition(self):
+        # reference: count the cosets m Fix of each G_b by composing every
+        # m with the floor-fixing subgroup Fix, as the maps themselves
+        for variant, p, m in [("H", 3, (0, 0, 1)), ("M", 3, (0, 0, 1)),
+                              ("H", 5, (0, 0, 1)), ("H", 3, (0, 1, 2))]:
+            field = residue_field(p, 2)
+            params = TowerParams(p=p, n=1, variant=variant, e0=INF, r=1, m=m,
+                                 leads=default_leads(field, 1), field=field)
+            tower = build_tower(params)
+            table = enumerate_group(tower, galois_generators(tower))
+            filtration = ramification_filtration(tower, construct_generator(tower), table)
+            fixing = [g for g in table.elements.values()
+                      if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
+            sizes = []
+            for b in sorted(set(filtration.lower_multiset)):
+                group = [table.elements[w] for w, v in filtration.ivals.items() if v - 1 >= b]
+                group.append(GaloisMap.identity(tower.algebra))
+                sizes.append(len({frozenset(g.compose(h).key() for h in fixing)
+                                  for g in group}))
+            upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
+            composed = tuple(int(x) for x in _jump_multiset(upper, sizes, p, "reference"))
+            rep = verify_elementary_layers(tower, table, filtration)
+            assert rep.sub_upper_measured == composed == tuple(sorted(tower.plan_report.u[:2]))
+
+    def test_layer_stages_reuse_the_table(self, m_setup, monkeypatch):
+        # group_structure reads the power walks enumerate_group kept, and the
+        # coset counts compose no map of the tower (only _cp_break walks its
+        # own one-generator algebra)
+        tower, gens, table, _, filtration = m_setup
+        calls = {"compose": 0, "powers": 0}
+        compose, powers = GaloisMap.compose, GaloisMap.powers
+
+        def counting_compose(self, other):
+            calls["compose"] += self.algebra is tower.algebra
+            return compose(self, other)
+
+        def counting_powers(self):
+            calls["powers"] += 1
+            return powers(self)
+
+        monkeypatch.setattr(GaloisMap, "compose", counting_compose)
+        monkeypatch.setattr(GaloisMap, "powers", counting_powers)
+        assert verify_elementary_layers(tower, table, filtration).ok
+        assert calls["compose"] == 0
+        calls["powers"] = 0
+        assert group_structure(tower, gens, table).matches_expected
+        assert calls["powers"] == 0
+        # enumerate_group: one walk per generator, no compose for an e = 0
+        # factor, and the closure check's k p^k
+        calls["compose"] = 0
+        rebuilt = enumerate_group(tower, gens)
+        p, k = tower.p, tower.nvars
+        walks = sum(len(pw) - 1 for pw in rebuilt.powers)
+        products = sum((p - 1) * p**i for i in range(k))
+        assert calls["compose"] == walks + products + k * p**k
+
+    def test_floor_fixing_maps_must_be_top_powers(self, h_setup):
+        # a table whose top words are swapped with sigma_1's no longer has
+        # Fix = {(0, 0, e)}
+        tower, _, table, _, filtration = h_setup
+        elements = dict(table.elements)
+        for e in range(1, 3):
+            elements[(0, 0, e)], elements[(e, 0, 0)] = elements[(e, 0, 0)], elements[(0, 0, e)]
+        swapped = dataclasses.replace(table, elements=elements)
+        with pytest.raises(OracleMismatch, match="floor-fixing"):
+            verify_elementary_layers(tower, swapped, filtration)
 
     def test_layer_break_is_read_from_the_algebra(self, h_setup):
         # alpha^3 - alpha = pi^-2 has break 2, whatever the plan says

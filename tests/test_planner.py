@@ -39,6 +39,16 @@ class TestPlanExamples:
         rep = plan(family_params(3, 1, 1, 1, "M", ExtRational(100)), mode="full")
         assert [c.id for c in rep.checks] == ["M1", "M2", "M6", "M3", "M5", "M4", "M7"]
 
+    def test_simple_mode_check_ids_and_notes(self):
+        rep = plan(family_params(3, 1, 1, 1, "H", INF), mode="simple")
+        assert [c.id for c in rep.checks] == ["Hsimple", "H4"]
+        assert rep.notes == ("simple mode retains the b_top inequality H4; "
+                             "its role is load-bearing in the full system",)
+        rep = plan(family_params(3, 1, 1, 1, "M", INF), mode="simple")
+        assert [c.id for c in rep.checks] == ["Msimple", "M4", "M7"]
+        assert rep.notes == ("simple mode retains the b_top inequalities M4 and M7; "
+                             "their role is load-bearing in the full system",)
+
     def test_failing_family(self):
         # u = 5, t = 1: b_top = 86 but p^2(u_n + u_2n) = 90, H4 fails
         rep = plan(family_params(3, 1, 5, 1, "H", INF), mode="full")
