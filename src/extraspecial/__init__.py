@@ -10,8 +10,8 @@ from .localfield import (ConstructionError, GaloisMap, PlanRejection, Tower,
                          elt_valuation_top, enumerate_group, galois_generators,
                          group_structure)
 from .oracle import (FiltrationReport, OracleMismatch, OracleReport, construct_generator,
-                     ramification_filtration, scaffold_row_check, verify_elementary_layers,
-                     verify_family, verify_tower)
+                     default_window, ramification_filtration, scaffold_row_check,
+                     verify_elementary_layers, verify_family, verify_tower)
 from .planner import (PlanReport, TowerParams, default_leads, example_family,
                       gms_verdict, plan)
 from .ramification import (RamSequence, ShiftTables, build_shift_tables,

@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--prec", type=int, default=None)
+    sp.add_argument("--prec", type=int, default=None,
+                    help="initial series window for t_top^(-1) in the scaffold stage "
+                         "(default max(64, 4*max(u_top, b_top)))")
     add_output(sp)
     sp.set_defaults(fn=_cmd_oracle_verify)
 

@@ -7,6 +7,11 @@ term.  Elements are kept reduced (no exponent reaches p); the relations are
 triangular, so reduction only ever introduces lower generators and
 terminates.  Valuations are computed through iterated norms: determinants
 of multiplication matrices on each p-dimensional level.
+
+The tower is exact: its constants, relations and Galois images have exact
+series coefficients (prec = inf).  Only an element built from a truncated
+inverse carries a window, and its valuation raises PrecisionError when that
+window cannot certify it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from fractions import Fraction
 from .artin_schreier import witt_carry
 from .detval import ring_det
 from .planner import PlanReport, TowerParams, plan
-from .ramification import upper_to_lower
 from .valuation import INF, ExtRational, FFElem, LaurentSeries, ResidueField
 
 
@@ -349,7 +353,6 @@ class Tower:
     a: tuple[LaurentSeries, ...]
     cross_term: TowerElement          # a_1 alpha_(n+1) + ... + a_n alpha_(2n)
     carry_term: TowerElement | None   # D(alpha_1, a_1) for the M variant
-    prec: int
     plan_report: PlanReport
 
     @property
@@ -377,15 +380,7 @@ class Tower:
         return self.p ** self.nvars
 
 
-def default_tower_precision(params: TowerParams) -> int:
-    """Series window for inversions inside a tower: proportional to the
-    largest ramification number in play."""
-    u = params.u
-    b_top = int(upper_to_lower(params.p, u)[-1])
-    return max(64, 4 * max(u[-1], b_top))
-
-
-def build_tower(params: TowerParams, prec: int | None = None) -> Tower:
+def build_tower(params: TowerParams) -> Tower:
     """Construct the tower algebra for certified characteristic-p parameters.
 
     The constants are the monomials c = pi^(-r) and
@@ -431,7 +426,6 @@ def build_tower(params: TowerParams, prec: int | None = None) -> Tower:
         a=a,
         cross_term=cross,
         carry_term=carry,
-        prec=prec if prec is not None else default_tower_precision(params),
         plan_report=report,
     )
     # definitional sanity: the top relation holds in the algebra

@@ -5,7 +5,8 @@ and the elementary-layer breaks, all compared against planner predictions.
 Everything is computed by brute force in exact arithmetic over F_q((pi)):
 the filtration from first definitions (valuations of sigma(pi_L) - pi_L
 over every group element), the valuations through iterated norm
-determinants.
+determinants.  The one truncated step is the scaffold stage's t_top^(-1),
+taken in a series window that owns the precision retry.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from dataclasses import dataclass
 
 from .detval import frobenius_matrix, ring_det, ti_valuations
 from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra,
-                         TowerElement, TowerParams, build_tower, default_tower_precision,
-                         elt_valuation_top, enumerate_group, galois_generators,
-                         group_structure)
-from .planner import PlanReport, default_leads
+                         TowerElement, TowerParams, build_tower, elt_valuation_top,
+                         enumerate_group, galois_generators, group_structure)
+from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
-from .valuation import (INF, ExtRational, LaurentSeries, PrecisionError, field_degree,
-                        residue_field)
+from .valuation import INF, ExtRational, LaurentSeries, PrecisionError
 
 
 class OracleMismatch(RuntimeError):
@@ -250,9 +249,18 @@ class ScaffoldReport:
         }
 
 
+def default_window(params: TowerParams) -> int:
+    """The scaffold stage's first series window for t_top^(-1): proportional
+    to the largest ramification number in play."""
+    u = params.u
+    b_top = int(upper_to_lower(params.p, u)[-1])
+    return max(64, 4 * max(u[-1], b_top))
+
+
 def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
-                       gens: list[GaloisMap]) -> ScaffoldReport:
-    """Check the top-row scaffold bounds on X = t_top^(-1) Y.
+                       gens: list[GaloisMap], window: int) -> ScaffoldReport:
+    """Check the top-row scaffold bounds on X = t_top^(-1) Y, with t_top^(-1)
+    taken to the series window ``window``.
 
     For each generator, (sigma_i - 1)X = mu_i + eps_i with
     mu_i = t_top^(-1) t_i; the gap v(eps) - v(mu) equals
@@ -271,11 +279,10 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
     pn2 = p ** (2 * n)
 
     t = gen_data.cofactors
-    t_top = t[-1]
-    v_t_top = p**k * t_top.valuation()
+    v0 = gen_data.v0_cofactors
 
     # X itself, through the tracked-precision inverse
-    x_elem = gen_data.element * t_top.inverse(window=tower.prec)
+    x_elem = gen_data.element * t[-1].inverse(window=window)
     x_vtop = elt_valuation_top(x_elem)
     if x_vtop != -btop:
         raise OracleMismatch(f"v_top(X) = {x_vtop}, expected {-btop}")
@@ -284,7 +291,7 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
     contributions = []
     for i in range(1, k + 1):
         sigma = gens[i - 1]
-        mu_vtop = p**k * t[i - 1].valuation() - v_t_top
+        mu_vtop = p**k * (v0[i - 1] - v0[-1])
         if mu_vtop != b[i - 1] - btop:
             raise OracleMismatch(
                 f"v_top(mu_{i}) = {mu_vtop} != b_{i} - b_top = {b[i - 1] - btop}")
@@ -292,7 +299,7 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
         if w.is_zero():
             gap = INF
         else:
-            gap = ExtRational(elt_valuation_top(w) - p**k * t[i - 1].valuation())
+            gap = ExtRational(elt_valuation_top(w) - p**k * v0[i - 1])
 
         if n < i <= 2 * n:
             bound = ExtRational(btop - b[i - 1] - pn2 * u[i - n - 1])
@@ -441,44 +448,37 @@ class OracleReport:
 def verify_tower(params: TowerParams, prec: int | None = None) -> OracleReport:
     """Build the tower and run the whole verification battery.
 
-    On a precision failure the tower precision is doubled and the run
-    retried, up to three attempts.
+    The exact stages run once.  On a precision failure the scaffold stage's
+    window (``prec``, default :func:`default_window`) is doubled and that
+    stage retried, up to three attempts; the window that certified X is the
+    report's ``prec``.
     """
     if prec is not None and prec < 1:
         raise ValueError(f"precision window prec = {prec} must be positive")
-    cur = prec if prec is not None else default_tower_precision(params)
-    last: PrecisionError | None = None
-    for _ in range(3):
-        try:
-            return _verify_once(params, cur)
-        except PrecisionError as exc:
-            last = exc
-            cur *= 2
-    raise last  # type: ignore[misc]
-
-
-def _verify_once(params: TowerParams, prec: int | None) -> OracleReport:
-    tower = build_tower(params, prec)
+    window = prec if prec is not None else default_window(params)
+    tower = build_tower(params)
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
     group = group_structure(tower, gens, table)
     gen_data = construct_generator(tower)
     filtration = ramification_filtration(tower, gen_data, table)
-    scaffold = scaffold_row_check(tower, gen_data, gens)
+    for attempt in range(3):
+        try:
+            scaffold = scaffold_row_check(tower, gen_data, gens, window)
+            break
+        except PrecisionError:
+            if attempt == 2:
+                raise
+            window *= 2
     layers = verify_elementary_layers(tower, table, filtration)
     b_match = tuple(filtration.lower_multiset) == tuple(tower.plan_report.b)
     passed = (group.matches_expected and b_match and filtration.consistent
               and scaffold.ok and layers.ok)
-    return OracleReport(params, tower.prec, tower.plan_report, group, gen_data,
+    return OracleReport(params, window, tower.plan_report, group, gen_data,
                         filtration, scaffold, layers, b_match, passed)
 
 
 def verify_family(variant: str, p: int, n: int, u: int, t: int,
                   q: int | None = None, prec: int | None = None) -> OracleReport:
     """Verify the standard family r = u, m = (0,...,0,t) over F_q((pi))."""
-    field = residue_field(p, 2 * n if q is None else field_degree(p, q))
-    params = TowerParams(
-        p=p, n=n, variant=variant, e0=ExtRational(None), r=u,
-        m=(0,) * (2 * n) + (t,), leads=default_leads(field, n), field=field,
-    )
-    return verify_tower(params, prec)
+    return verify_tower(family_params(variant, p, n, u, t, INF, q), prec)

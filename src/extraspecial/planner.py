@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .artin_schreier import ASConstantSpec, ASReport, validate_reduced_AS
 from .ramification import upper_to_lower
-from .valuation import ExtRational, FFElem, ResidueField, residue_field
+from .valuation import ExtRational, FFElem, ResidueField, field_degree, residue_field
 
 _VARIANTS = ("H", "M")
 
@@ -267,8 +267,16 @@ def default_leads(field: ResidueField, n: int) -> tuple[FFElem, ...]:
     return tuple(g**i for i in range(2 * n)) + (field.one(),)
 
 
-def example_family(p: int, n: int, u: int, t: int, variant: str,
-                   field: ResidueField | None = None) -> PlanReport:
+def family_params(variant: str, p: int, n: int, u: int, t: int, e0: ExtRational,
+                  q: int | None) -> TowerParams:
+    """The standard family r = u, m = (0, ..., 0, t) with the default leads
+    over F_q, q = p^(2n) when None; validated by TowerParams alone."""
+    field = residue_field(p, 2 * n if q is None else field_degree(p, q))
+    return TowerParams(p=p, n=n, variant=variant, e0=e0, r=u, m=(0,) * (2 * n) + (t,),
+                       leads=default_leads(field, n), field=field)
+
+
+def example_family(p: int, n: int, u: int, t: int, variant: str) -> PlanReport:
     """The one-parameter-pair families r = u, m = (0, ..., 0, t).
 
     Then u_i = b_i = u for i <= 2n, u_top = t p^(2n) + u and
@@ -281,16 +289,7 @@ def example_family(p: int, n: int, u: int, t: int, variant: str,
         raise ValueError("u and t must be positive integers")
     if u % p == 0:
         raise ValueError(f"p divides u = {u}")
-    if field is None:
-        field = residue_field(p, 2 * n)
-    params = TowerParams(
-        p=p, n=n, variant=variant,
-        e0=ExtRational(u + t * p ** (2 * n)),
-        r=u,
-        m=(0,) * (2 * n) + (t,),
-        leads=default_leads(field, n),
-        field=field,
-    )
+    params = family_params(variant, p, n, u, t, ExtRational(u + t * p ** (2 * n)), None)
     report = plan(params, mode="simple")
     if report.certified:
         if variant == "H":

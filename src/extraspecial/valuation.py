@@ -78,10 +78,6 @@ class ExtRational:
             raise ValueError("infinite valuation has no fraction value")
         return self._v
 
-    @property
-    def is_integral(self) -> bool:
-        return self._v is not None and self._v.denominator == 1
-
     def _coerce(self, other) -> "ExtRational":
         if isinstance(other, ExtRational):
             return other

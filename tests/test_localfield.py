@@ -11,12 +11,12 @@ from extraspecial.planner import default_leads
 from conftest import random_elem
 
 
-def make_tower(variant="H", p=3, n=1, u=1, t=1, prec=None):
+def make_tower(variant="H", p=3, n=1, u=1, t=1):
     field = residue_field(p, 2 * n)
     params = TowerParams(p=p, n=n, variant=variant, e0=INF, r=u,
                          m=(0,) * (2 * n) + (t,), leads=default_leads(field, n),
                          field=field)
-    return build_tower(params, prec)
+    return build_tower(params)
 
 
 @pytest.fixture(scope="module")

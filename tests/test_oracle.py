@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import pytest
 
 from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMismatch,
                           TowerAlgebra, TowerParams, build_tower, construct_generator,
-                          default_leads, elt_valuation_top, enumerate_group,
+                          default_leads, default_window, elt_valuation_top, enumerate_group,
                           galois_generators, group_structure, lower_to_upper,
                           ramification_filtration, residue_field, ring_det,
                           scaffold_row_check, tval_valuation, verify_elementary_layers,
@@ -140,7 +141,7 @@ class TestFiltration:
 class TestScaffold:
     def test_h_rows(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
-        rep = scaffold_row_check(tower, gen_data, gens)
+        rep = scaffold_row_check(tower, gen_data, gens, default_window(tower.params))
         assert rep.x_vtop == -82
         assert rep.ok
         by_index = {r.index: r for r in rep.rows}
@@ -155,7 +156,7 @@ class TestScaffold:
 
     def test_m_rows(self, m_setup):
         tower, gens, _, gen_data, _ = m_setup
-        rep = scaffold_row_check(tower, gen_data, gens)
+        rep = scaffold_row_check(tower, gen_data, gens, default_window(tower.params))
         assert rep.ok
         by_index = {r.index: r for r in rep.rows}
         # sigma_1 row: gap = b3 - b1 - (p-1) p^2 u_1 = 82 - 1 - 18 = 63
@@ -166,7 +167,7 @@ class TestScaffold:
 
     def test_mu_valuations_are_break_differences(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
-        rep = scaffold_row_check(tower, gen_data, gens)
+        rep = scaffold_row_check(tower, gen_data, gens, default_window(tower.params))
         b = tower.plan_report.b
         for row in rep.rows:
             assert row.mu_vtop == b[row.index - 1] - b[-1]
@@ -368,33 +369,96 @@ class TestGeneralParameters:
 
 
 class TestPrecisionRetry:
+    """Only the scaffold stage takes a window: a precision failure retries
+    that stage with a doubled window and never rebuilds the exact stages."""
+
+    @staticmethod
+    def _count_stages(monkeypatch, oracle_mod):
+        runs = {}
+        for name in ("build_tower", "enumerate_group", "construct_generator"):
+            real = getattr(oracle_mod, name)
+
+            def counted(*args, _real=real, _name=name):
+                runs[_name] = runs.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle_mod, name, counted)
+        return runs
+
     def test_verify_tower_doubles_on_precision_failure(self, monkeypatch):
         import extraspecial.oracle as oracle_mod
         from extraspecial import PrecisionError
-        calls = []
-        real = oracle_mod._verify_once
+        runs = self._count_stages(monkeypatch, oracle_mod)
+        windows = []
+        real = oracle_mod.scaffold_row_check
 
-        def flaky(params, prec):
-            calls.append(prec)
-            if len(calls) < 3:
+        def flaky(tower, gen_data, gens, window):
+            windows.append(window)
+            if len(windows) < 3:
                 raise PrecisionError("forced")
-            return real(params, prec)
+            return real(tower, gen_data, gens, window)
 
-        monkeypatch.setattr(oracle_mod, "_verify_once", flaky)
+        monkeypatch.setattr(oracle_mod, "scaffold_row_check", flaky)
         rep = oracle_mod.verify_family("H", 3, 1, 1, 1, prec=100)
         assert rep.passed
-        assert calls == [100, 200, 400]
+        assert windows == [100, 200, 400]
+        assert rep.prec == 400
+        assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
 
     def test_verify_tower_gives_up_after_three(self, monkeypatch):
         import extraspecial.oracle as oracle_mod
         from extraspecial import PrecisionError
+        runs = self._count_stages(monkeypatch, oracle_mod)
+        errors = []
 
-        def always_fail(params, prec):
+        def always_fail(tower, gen_data, gens, window):
+            errors.append(PrecisionError(f"forced at {window}"))
+            raise errors[-1]
+
+        monkeypatch.setattr(oracle_mod, "scaffold_row_check", always_fail)
+        with pytest.raises(PrecisionError) as info:
+            oracle_mod.verify_family("H", 3, 1, 1, 1, prec=64)
+        assert [str(e) for e in errors] == ["forced at 64", "forced at 128", "forced at 256"]
+        assert info.value is errors[-1]
+        assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
+
+    def test_cli_reports_precision_failure(self, monkeypatch, capsys):
+        import extraspecial.oracle as oracle_mod
+        from extraspecial import PrecisionError
+        from extraspecial.cli import main
+
+        def always_fail(tower, gen_data, gens, window):
             raise PrecisionError("forced")
 
-        monkeypatch.setattr(oracle_mod, "_verify_once", always_fail)
-        with pytest.raises(PrecisionError):
-            oracle_mod.verify_family("H", 3, 1, 1, 1, prec=64)
+        monkeypatch.setattr(oracle_mod, "scaffold_row_check", always_fail)
+        code = main(["oracle", "verify", "--variant", "H", "--p", "3", "--n", "1",
+                     "--u", "1", "--t", "1"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("precision failure:")
+
+
+class TestExactness:
+    """Everything before the scaffold stage's inverse is exact arithmetic."""
+
+    @pytest.mark.parametrize("setup", ["h_setup", "m_setup"])
+    def test_tower_and_generator_series_are_exact(self, request, setup):
+        tower, _, table, gen_data, _ = request.getfixturevalue(setup)
+        y = gen_data.element
+        elements = [rel for rel in tower.algebra.relations] + [y]
+        elements += [sigma.apply(y) - y for sigma in table.elements.values()]
+        series = [c for x in elements for c in x.coeffs.values()]
+        series += list(gen_data.cofactors) + list(tower.omegas) + list(tower.a)
+        assert series
+        assert all(s.prec == math.inf for s in series)
+
+    def test_x_carries_the_window_and_certifies_at_one(self, h_setup):
+        tower, gens, _, gen_data, _ = h_setup
+        x_elem = gen_data.element * gen_data.cofactors[-1].inverse(window=64)
+        assert any(c.prec < math.inf for c in x_elem.coeffs.values())
+        rep = scaffold_row_check(tower, gen_data, gens, 1)
+        assert rep.ok and rep.x_vtop == -82
 
 
 class TestP5:

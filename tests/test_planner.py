@@ -111,6 +111,28 @@ class TestGmsVerdict:
 
 
 class TestExampleFamily:
+    @pytest.mark.parametrize("variant,p,n,u,t,e0", [
+        ("H", 3, 1, 1, 1, INF), ("M", 3, 1, 26, 10, ExtRational(836)),
+        ("H", 5, 1, 2, 1, INF), ("M", 3, 2, 1, 1, INF)])
+    def test_one_family_builder(self, variant, p, n, u, t, e0):
+        # the planner's builder gives the params both the oracle and
+        # example_family built by hand, here family_params of this file
+        from extraspecial import planner
+        assert planner.family_params(variant, p, n, u, t, e0, None) == \
+            family_params(p, n, u, t, variant, e0)
+
+    def test_family_builder_field_from_q(self):
+        from extraspecial import planner
+        params = planner.family_params("H", 3, 1, 1, 1, INF, 27)
+        assert params.q == 27 and params.field == residue_field(3, 3)
+
+    def test_family_builder_validates_only_through_params(self):
+        # t = 0 is a valid (uncertified) parameter set; example_family rejects it
+        from extraspecial import planner
+        assert planner.family_params("H", 3, 1, 1, 0, INF, None).m == (0, 0, 0)
+        with pytest.raises(ValueError, match="positive"):
+            example_family(3, 1, 1, 0, "H")
+
     def test_h_free(self):
         rep = example_family(3, 1, 1, 1, "H")
         assert rep.cfrak == 64 and rep.gms == "free" and rep.certified
