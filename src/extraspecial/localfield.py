@@ -10,8 +10,11 @@ of multiplication matrices on each p-dimensional level.
 
 The tower is exact: its constants, relations and Galois images have exact
 series coefficients (prec = inf).  Only an element built from a truncated
-inverse carries a window, and its valuation raises PrecisionError when that
-window cannot certify it.
+inverse carries a window.  This module decides nothing about precision: it
+drops a coefficient only when the series layer says it is exactly zero, so
+an imprecise zero O(pi^N) stays in the element and flows through the norms
+under the series rules, and a valuation the window cannot certify raises
+PrecisionError.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ class TowerAlgebra:
         return self.from_series(LaurentSeries.one(self.field))
 
     def from_series(self, s: LaurentSeries) -> "TowerElement":
-        if s.is_structurally_zero():
-            return TowerElement(self, {})
         return TowerElement(self, {self._zero_exps: s})
 
     def from_scalar(self, c) -> "TowerElement":
@@ -77,7 +78,7 @@ class TowerAlgebra:
         work = list(pending.items())
         while work:
             exps, coeff = work.pop()
-            if coeff.is_structurally_zero():
+            if coeff.is_zero():
                 continue
             over = None
             for i in range(self.nvars - 1, -1, -1):
@@ -86,11 +87,7 @@ class TowerAlgebra:
                     break
             if over is None:
                 cur = acc.get(exps)
-                s = coeff if cur is None else cur + coeff
-                if s.is_structurally_zero():
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = s
+                acc[exps] = coeff if cur is None else cur + coeff
                 continue
             rel = self.relations[over]
             if rel is None:
@@ -109,17 +106,19 @@ class TowerAlgebra:
 
 class TowerElement:
     """An element of a :class:`TowerAlgebra`, reduced, as a map from
-    exponent vectors (all entries < p) to Laurent series coefficients."""
+    exponent vectors (all entries < p) to Laurent series coefficients that
+    are not exactly zero."""
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: TowerAlgebra, coeffs: dict):
         self.algebra = algebra
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_structurally_zero()}
+        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
 
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
+        """Exactly zero; an imprecise zero coefficient keeps the element nonzero."""
         return not self.coeffs
 
     def support_level(self) -> int:
@@ -168,11 +167,7 @@ class TowerElement:
         out = dict(self.coeffs)
         for e, c in o.coeffs.items():
             cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s.is_structurally_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = c if cur is None else cur + c
         return TowerElement(self.algebra, out)
 
     __radd__ = __add__

@@ -19,7 +19,7 @@ from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra
                          enumerate_group, galois_generators, group_structure)
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
-from .valuation import INF, ExtRational, LaurentSeries, PrecisionError
+from .valuation import INF, ExtRational, LaurentSeries, PrecisionError, exact_log
 
 
 class OracleMismatch(RuntimeError):
@@ -27,13 +27,10 @@ class OracleMismatch(RuntimeError):
 
 
 def _plog(ratio: int, p: int) -> int:
-    """Exact base-p logarithm; raises when ratio is not a p-power."""
-    out = 0
-    while ratio % p == 0:
-        ratio //= p
-        out += 1
-    if ratio != 1:
-        raise OracleMismatch(f"{ratio * p**out} is not a power of p = {p}")
+    """Exact base-p logarithm; OracleMismatch when ratio is not a p-power."""
+    out = exact_log(p, ratio)
+    if out is None:
+        raise OracleMismatch(f"{ratio} is not a power of p = {p}")
     return out
 
 

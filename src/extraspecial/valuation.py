@@ -15,10 +15,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-#: Default number of determined coefficients produced by series inversion
-#: when the input is exact.
-DEFAULT_WINDOW = 512
-
 _SUPPORTED_P = (3, 5, 7)
 
 
@@ -499,12 +495,20 @@ def residue_field(p: int, d: int = 1, modulus: tuple[int, ...] | None = None) ->
     return ResidueField(p, d, modulus)
 
 
+def exact_log(p: int, n: int) -> int | None:
+    """The exact base-p logarithm: d >= 0 with n = p^d, None when n is not a
+    power of p.  Callers raise their own error for None."""
+    d = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        d += 1
+    return d if n == 1 else None
+
+
 def field_degree(p: int, q: int) -> int:
     """The d with q = p^d; ValueError when q is not a positive power of p."""
-    d = 1
-    while p**d < q:
-        d += 1
-    if p**d != q:
+    d = exact_log(p, q)
+    if not d:
         raise ValueError(f"q = {q} is not a power of p = {p}")
     return d
 
@@ -520,11 +524,14 @@ class LaurentSeries:
     ``coeffs`` maps exponents to nonzero coefficients, stored as field
     indices (``FFElem.idx``); every exponent below ``prec`` is determined,
     exponents >= ``prec`` are unknown.  ``prec`` is ``math.inf`` for exact
-    series.  An empty series with finite ``prec`` is an *imprecise zero*:
-    asking for its valuation raises :class:`PrecisionError` rather than
-    guessing.  :class:`FFElem` appears only at the edge: the constructor
-    (FFElem or int mod p), ``monomial``, ``parse`` and scalar operands take
-    elements in; ``leading``, ``coefficient`` and ``str`` hand them out.
+    series.  Every precision decision is made here.  An empty series with
+    finite ``prec`` is an *imprecise zero* O(pi^N): it is not exactly zero,
+    its valuation raises :class:`PrecisionError` rather than guessing, and
+    in a product it counts as valuation >= N.  No operation picks a window:
+    :meth:`inverse` of an exact series takes the caller's.
+    :class:`FFElem` appears only at the edge: the constructor (FFElem or
+    int mod p), ``monomial``, ``parse`` and scalar operands take elements
+    in; ``leading``, ``coefficient`` and ``str`` hand them out.
     """
 
     __slots__ = ("field", "coeffs", "prec")
@@ -565,16 +572,8 @@ class LaurentSeries:
         return self.prec == math.inf
 
     def is_zero(self) -> bool:
-        """Exactly zero.  Raises for an imprecise zero."""
-        if self.coeffs:
-            return False
-        if self.is_exact:
-            return True
-        raise PrecisionError("insufficient precision: series is zero to O(pi^%s)" % self.prec)
-
-    def is_structurally_zero(self) -> bool:
-        """No stored coefficients, regardless of precision."""
-        return not self.coeffs
+        """Exactly zero; False for an imprecise zero, whose value is unknown."""
+        return not self.coeffs and self.prec == math.inf
 
     def valuation(self):
         """Least exponent with a nonzero coefficient; inf for exact zero."""
@@ -646,8 +645,11 @@ class LaurentSeries:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        # prec = min(val(a) + prec(b), val(b) + prec(a)); exact zero absorbs.
-        prec = min(self.valuation() + o.prec, o.valuation() + self.prec)
+        # prec = min(val(a) + prec(b), val(b) + prec(a)), with val >= N read
+        # for an imprecise zero O(pi^N); exact zero absorbs.
+        va = min(self.coeffs) if self.coeffs else self.prec
+        vb = min(o.coeffs) if o.coeffs else o.prec
+        prec = min(va + o.prec, vb + self.prec)
         add = f._add_idx
         out: dict[int, int] = {}
         for ea, ca in self.coeffs.items():
@@ -670,7 +672,7 @@ class LaurentSeries:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative powers need a window: use inverse(window)")
         out = LaurentSeries.one(self.field)
         base = self
         while e:
@@ -680,28 +682,21 @@ class LaurentSeries:
             e >>= 1
         return out
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by pi^k."""
-        return self._of(self.field, {e + k: c for e, c in self.coeffs.items()}, self.prec + k)
-
     def inverse(self, window: int | None = None) -> "LaurentSeries":
-        """Multiplicative inverse on a window of ``window`` coefficients.
+        """Multiplicative inverse on a window of ``window`` coefficients
+        above its valuation.
 
-        For an exact input the window defaults to ``DEFAULT_WINDOW``; for a
-        truncated input the relative precision is preserved.
+        The caller owns the window: an exact input without one is a
+        ValueError.  A truncated input keeps its own relative precision,
+        capped by ``window`` when one is given.
         """
-        if self.is_structurally_zero():
-            self.is_zero()  # raises PrecisionError when imprecise
+        v = self.valuation()  # PrecisionError for an imprecise zero
+        if v == math.inf:
             raise ZeroDivisionError("inverse of the zero series")
-        v = self.valuation()
         if self.is_exact:
-            w = window if window is not None else DEFAULT_WINDOW
+            if window is None:
+                raise ValueError("the inverse of an exact series needs a window")
+            w = window
         else:
             w = int(self.prec - v) if window is None else min(window, int(self.prec - v))
         f = self.field

@@ -157,6 +157,19 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["prec"] == 400
 
+    @pytest.mark.parametrize("variant,p,n,window", [
+        ("H", 3, 1, 2), ("M", 3, 1, 2), ("H", 5, 1, 2), ("M", 5, 1, 2),
+        ("H", 3, 2, 4), ("M", 3, 2, 4)])
+    def test_window_one_is_retried(self, capsys, variant, p, n, window):
+        # window 1 never certifies v_top(X): the report carries the window that did
+        code, out, _ = run(capsys, "oracle", "verify", "--variant", variant, "--p", str(p),
+                           "--n", str(n), "--u", "1", "--t", "1", "--prec", "1",
+                           "--output", "json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["passed"] is True
+        assert d["prec"] == window
+
     def test_rejected_parameters_exit_2(self, capsys):
         # planner rejection is a hypothesis failure, not malformed input
         code, _, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial import (ExtRational, INF, LaurentSeries, TowerAlgebra, TowerParams,
-                          build_tower, elt_valuation, elt_valuation_top, enumerate_group,
-                          galois_generators, group_structure, residue_field, wp_eval)
+from extraspecial import (ExtRational, INF, LaurentSeries, PrecisionError, TowerAlgebra,
+                          TowerParams, build_tower, elt_valuation, elt_valuation_top,
+                          enumerate_group, galois_generators, group_structure, residue_field,
+                          wp_eval)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
 from conftest import random_elem
@@ -121,6 +122,19 @@ class TestValuation:
 
     def test_zero(self, h_tower):
         assert elt_valuation(h_tower.algebra.zero()).is_infinite
+
+    def test_imprecise_zero_coefficient_is_kept_and_refused(self):
+        # (1 + O(pi^5)) - 1 is O(pi^5), not 0: the tower keeps it and the
+        # valuation refuses to guess
+        f9 = residue_field(3, 2)
+        algebra = TowerAlgebra(f9, 1)
+        x = algebra.from_series(LaurentSeries.parse(f9, "1 + O(pi^5)")) - 1
+        assert not x.is_zero()
+        assert x.coeffs == {(0,): LaurentSeries(f9, {}, prec=5)}
+        with pytest.raises(PrecisionError):
+            elt_valuation(x)
+        assert (x - x).coeffs == {(0,): LaurentSeries(f9, {}, prec=5)}
+        assert (x * algebra.zero()).is_zero()
 
     def test_multiplicative(self, h_tower):
         rng = random.Random(5)

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
 from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMismatch,
-                          TowerAlgebra, TowerParams, build_tower, construct_generator,
-                          default_leads, default_window, elt_valuation_top, enumerate_group,
+                          PrecisionError, TowerAlgebra, TowerElement, TowerParams,
+                          build_tower, construct_generator, default_leads, default_window,
+                          elt_valuation, elt_valuation_top, enumerate_group,
                           galois_generators, group_structure, lower_to_upper,
                           ramification_filtration, residue_field, ring_det,
                           scaffold_row_check, tval_valuation, verify_elementary_layers,
@@ -13,6 +15,7 @@ from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMisma
 from extraspecial.detval import frobenius_matrix
 from extraspecial.oracle import (_cp_break, _jump_multiset, _shift_valuation,
                                  _uniformizer_exponents)
+from conftest import random_elem
 from test_localfield import make_tower
 
 
@@ -405,6 +408,24 @@ class TestPrecisionRetry:
         assert rep.prec == 400
         assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
 
+    def test_window_one_retries_on_real_arithmetic(self, monkeypatch):
+        # no forced failure: window 1 cannot certify v_top(X), window 2 can
+        import extraspecial.oracle as oracle_mod
+        runs = self._count_stages(monkeypatch, oracle_mod)
+        windows = []
+        real = oracle_mod.scaffold_row_check
+
+        def spy(tower, gen_data, gens, window):
+            windows.append(window)
+            return real(tower, gen_data, gens, window)
+
+        monkeypatch.setattr(oracle_mod, "scaffold_row_check", spy)
+        rep = oracle_mod.verify_family("H", 3, 1, 1, 1, prec=1)
+        assert rep.passed
+        assert windows == [1, 2]
+        assert rep.prec == 2
+        assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
+
     def test_verify_tower_gives_up_after_three(self, monkeypatch):
         import extraspecial.oracle as oracle_mod
         from extraspecial import PrecisionError
@@ -453,12 +474,57 @@ class TestExactness:
         assert series
         assert all(s.prec == math.inf for s in series)
 
-    def test_x_carries_the_window_and_certifies_at_one(self, h_setup):
+    def test_x_carries_the_window_and_refuses_at_one(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
         x_elem = gen_data.element * gen_data.cofactors[-1].inverse(window=64)
         assert any(c.prec < math.inf for c in x_elem.coeffs.values())
-        rep = scaffold_row_check(tower, gen_data, gens, 1)
+        with pytest.raises(PrecisionError):
+            scaffold_row_check(tower, gen_data, gens, 1)
+        rep = scaffold_row_check(tower, gen_data, gens, 2)
         assert rep.ok and rep.x_vtop == -82
+
+
+def _fill(x: TowerElement, window: int, rng: random.Random) -> TowerElement:
+    """x with every coefficient cut to O(pi^window) and its unknown tail
+    filled with exact random terms at exponents window..window+3."""
+    field = x.algebra.field
+    return TowerElement(x.algebra, {
+        e: c.truncate(window) + LaurentSeries(
+            field, {window + j: random_elem(field, rng) for j in range(4)})
+        for e, c in x.coeffs.items()})
+
+
+class TestWindowSoundness:
+    """A valuation read from truncated coefficients is certified: any
+    filling of the unknown tails has that same valuation."""
+
+    @pytest.mark.parametrize("setup", ["h_setup", "m_setup"])
+    def test_certified_valuation_holds_for_every_filling(self, request, setup):
+        tower, gens, _, gen_data, _ = request.getfixturevalue(setup)
+        y = gen_data.element
+        deltas = [sigma.apply(y) - y for sigma in gens]
+        elements = [y, y * y, y + tower.alpha(1)] + deltas
+        elements += [d - t for d, t in zip(deltas, gen_data.cofactors)]
+        elements += [d * y for d in deltas]
+        rng = random.Random(7)
+        refused = certified = 0
+        for x in elements:
+            if x.is_zero():
+                continue
+            exps = [e for c in x.coeffs.values() for e in c.coeffs]
+            for window in range(min(exps), max(exps) + 2):
+                truncated = TowerElement(x.algebra, {e: c.truncate(window)
+                                                     for e, c in x.coeffs.items()})
+                try:
+                    v = elt_valuation(truncated)
+                except PrecisionError:
+                    refused += 1
+                    continue
+                certified += 1
+                assert v == elt_valuation(x)
+                assert v == elt_valuation(_fill(x, window, rng))
+                assert v == elt_valuation(_fill(x, window, rng))
+        assert refused and certified
 
 
 class TestP5:
