@@ -1,6 +1,8 @@
-"""Frobenius-twist matrices: Moore determinants, the closed-form valuation
-of det(phi^(j-1)(beta_i)), cofactor valuations for the tower generator, and
-the exact char-p Frobenius/determinant commutation check.
+"""The one determinant of the package (``ring_det``, which every norm and
+twist expands), Frobenius-twist matrices: Moore determinants, the
+closed-form valuation of det(phi^(j-1)(beta_i)), cofactor valuations for
+the tower generator, and the exact char-p Frobenius/determinant
+commutation check.
 """
 
 from __future__ import annotations
@@ -16,22 +18,54 @@ class TwistHypothesisError(ValueError):
     """The matrix violates the sorted-valuation / independence hypothesis."""
 
 
+class _Minor:
+    """The minor of ``full`` on the rows ``keep`` and its last len(keep)
+    columns, with the memo shared by every minor of one determinant."""
+
+    __slots__ = ("full", "keep", "memo")
+
+    def __init__(self, full, keep: tuple[int, ...], memo: dict):
+        self.full = full
+        self.keep = keep
+        self.memo = memo
+
+
 def ring_det(rows):
-    """Determinant over any commutative ring, by cofactor expansion along
-    the first column.  Intended for the small sizes used here (k <= 7)."""
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("matrix must be square")
-    if k == 1:
-        return rows[0][0]
+    """Determinant over any commutative ring, by expansion along the first
+    column with each minor expanded once.
+
+    Columns are used left to right, so a minor is fixed by the rows it
+    keeps.  Each minor is expanded once, through this function by name, and
+    remembered for the rest of the call: a k x k matrix makes at most
+    k 2^(k-1) entry products.  An entry that is exactly zero (``is_zero()``)
+    makes none; an imprecise zero O(pi^N) is multiplied, since its product
+    carries precision.
+    """
+    if isinstance(rows, _Minor):
+        full, keep, memo = rows.full, rows.keep, rows.memo
+    else:
+        k = len(rows)
+        if k == 0 or any(len(r) != k for r in rows):
+            raise ValueError("matrix must be square and nonempty")
+        full, keep, memo = rows, tuple(range(k)), {}
+    col = len(full) - len(keep)
+    if len(keep) == 1:
+        return full[keep[0]][col]
     total = None
-    for i in range(k):
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = rows[i][0] * ring_det(minor)
-        if i % 2:
+    for pos, i in enumerate(keep):
+        entry = full[i][col]
+        if entry.is_zero():
+            continue
+        sub = keep[:pos] + keep[pos + 1:]
+        minor = memo.get(sub)
+        if minor is None:
+            minor = memo[sub] = ring_det(_Minor(full, sub, memo))
+        term = entry * minor
+        if pos % 2:
             term = -term
         total = term if total is None else total + term
-    return total
+    # every entry of the column is exactly zero, and so is the determinant
+    return full[keep[0]][col] if total is None else total
 
 
 def frobenius_matrix(betas: list) -> list[list]:
@@ -104,10 +138,7 @@ def tval_valuation(fm: FrobMatrix, cross_check: bool = False) -> ExtRational:
 def moore_det(mus: "list[FFElem]") -> FFElem:
     """det(mu_i^(p^(j-1))) over F_q; nonzero exactly when the mu_i are
     linearly independent over F_p."""
-    if not mus:
-        raise ValueError("empty Moore matrix")
-    det = ring_det(frobenius_matrix(mus))
-    return det if isinstance(det, FFElem) else mus[0].field(det)
+    return ring_det(frobenius_matrix(mus))
 
 
 @dataclass(frozen=True)

@@ -298,12 +298,6 @@ class FFElem:
             return self.inverse() ** (-e)
         return FFElem(self.field, self.field._pow_idx(self.idx, e))
 
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
     def inverse(self) -> "FFElem":
         if self.idx == 0:
             raise ZeroDivisionError("inverse of zero in residue field")
@@ -314,6 +308,9 @@ class FFElem:
 
     def __bool__(self):
         return self.idx != 0
+
+    def is_zero(self) -> bool:
+        return self.idx == 0
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -3,11 +3,68 @@ import random
 
 import pytest
 
+import extraspecial
 from extraspecial import (FrobMatrix, LaurentSeries, moore_det, phidet_check,
                           residue_field, ring_det, ti_valuations, tval_valuation)
+from extraspecial import detval, localfield, oracle
 from extraspecial.detval import TwistHypothesisError, frobenius_matrix
 from extraspecial.artin_schreier import fp_rank
 from conftest import elem_from_index, random_elem, random_series
+from test_localfield import make_tower
+
+
+def cofactor_det(rows):
+    """The plain cofactor expansion along the first column that ``ring_det``
+    replaced: every minor recomputed, every entry multiplied."""
+    k = len(rows)
+    if any(len(r) != k for r in rows):
+        raise ValueError("matrix must be square")
+    if k == 1:
+        return rows[0][0]
+    total = None
+    for i in range(k):
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = rows[i][0] * cofactor_det(minor)
+        if i % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def outcome(fn, rows):
+    try:
+        value = fn(rows)
+    except Exception as exc:  # noqa: BLE001  (the exception type is compared)
+        return "raises", type(exc)
+    return type(value), value
+
+
+def assert_same_det(rows):
+    """ring_det and the cofactor expansion agree in type, value and, through
+    the series' equality, precision; or both raise the same exception type."""
+    got, want = outcome(ring_det, rows), outcome(cofactor_det, rows)
+    assert got == want, rows
+    return got
+
+
+@pytest.fixture(scope="module")
+def towers():
+    return {"H": make_tower("H"), "M": make_tower("M")}
+
+
+def random_matrix(rng, k, entry, zero):
+    """A k x k matrix of ``entry(rng)`` with about a third exact zeros, and
+    sometimes a whole row or column of exact zeros."""
+    rows = [[zero if rng.random() < 0.35 else entry(rng) for _ in range(k)]
+            for _ in range(k)]
+    shape = rng.randrange(4)
+    if shape == 1:
+        rows[rng.randrange(k)] = [zero] * k
+    elif shape == 2:
+        col = rng.randrange(k)
+        for r in rows:
+            r[col] = zero
+    return rows
 
 
 class TestRingDet:
@@ -26,7 +83,179 @@ class TestRingDet:
         assert ring_det(m) == one
 
 
+class TestMemoizedAgainstCofactor:
+    """``ring_det`` against the cofactor expansion it replaced."""
+
+    @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 1), (7, 1)])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_finite_field(self, p, d, k):
+        field = residue_field(p, d)
+        rng = random.Random(1000 * p + 100 * d + k)
+        for _ in range(4):
+            rows = random_matrix(rng, k, lambda r: random_elem(field, r, nonzero=True),
+                                 field.zero())
+            assert assert_same_det(rows)[0] is type(field.zero())
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_series(self, k, f9):
+        """Exact, truncated and imprecise-zero entries, and whole zero rows
+        and columns; the determinant's precision must match too."""
+        rng = random.Random(7100 + k)
+        precs = set()
+
+        def entry(r):
+            s = random_series(f9, r, min_exp=-3, max_exp=3, max_terms=3)
+            kind = r.randrange(4)
+            if kind == 1:
+                return s.truncate(r.randint(-2, 4))
+            if kind == 2:
+                return LaurentSeries(f9, {}, r.randint(-2, 5))
+            return s
+
+        for _ in range(8 if k < 7 else 3):
+            rows = random_matrix(rng, k, entry, LaurentSeries.zero(f9))
+            kind, det = assert_same_det(rows)
+            assert kind is LaurentSeries
+            precs.add(det.prec)
+        assert precs != {float("inf")} or k == 1
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_tower_elements(self, variant, k, towers):
+        tower = towers[variant]
+        algebra = tower.algebra
+        field = tower.field
+        rng = random.Random(7200 + 10 * k + (variant == "M"))
+        pool = [tower.alpha(i) for i in range(1, tower.nvars + 1)]
+
+        def entry(r):
+            x = algebra.from_series(random_series(field, r, min_exp=-2, max_exp=2, max_terms=2))
+            for _ in range(r.randint(0, 2)):
+                x = x + r.choice(pool) * algebra.from_series(
+                    random_series(field, r, min_exp=-1, max_exp=1, max_terms=1, nonzero=True))
+            if r.random() < 0.15:
+                x = x + algebra.from_series(LaurentSeries(field, {}, r.randint(1, 4)))
+            return x
+
+        for _ in range(2):
+            rows = random_matrix(rng, k, entry, algebra.zero())
+            assert assert_same_det(rows)[0] is type(algebra.zero())
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_oracle_matrices(self, variant, towers, monkeypatch):
+        """Every determinant that building Y and the level norms of the
+        tower's own elements expand: generators, Y and a Galois difference."""
+        tower = towers[variant]
+        seen = []
+
+        def checked(rows):
+            seen.append(len(rows))
+            return assert_same_det(rows)[1]
+
+        monkeypatch.setattr(localfield, "ring_det", checked)
+        monkeypatch.setattr(oracle, "ring_det", checked)
+        y = oracle.construct_generator(tower).element
+        sigma = localfield.galois_generators(tower)[0]
+        for x in [tower.alpha(i) for i in range(1, tower.nvars + 1)] + [sigma.apply(y) - y]:
+            localfield.elt_valuation(x)
+        assert tower.nvars in seen and tower.p in seen
+
+    def test_exceptions_agree(self, f9, f3):
+        one9 = LaurentSeries.one(f9)
+        assert assert_same_det([[one9, one9], [one9]])[0] == "raises"
+        # a nonzero entry of another field is multiplied by both
+        rng = random.Random(7300)
+        for k in range(2, 6):
+            rows = [[random_elem(f9, rng, nonzero=True) for _ in range(k)] for _ in range(k)]
+            rows[rng.randrange(k)][rng.randrange(k)] = f3(1)
+            assert assert_same_det(rows) == ("raises", ValueError)
+
+
+class Counted:
+    """A ring element that logs each product it is the left factor of."""
+
+    def __init__(self, value, log):
+        self.value = value
+        self.log = log
+
+    def is_zero(self):
+        return self.value.is_zero()
+
+    def __mul__(self, other):
+        self.log.append(self)
+        return Counted(self.value * other.value, self.log)
+
+    def __neg__(self):
+        return Counted(-self.value, self.log)
+
+    def __add__(self, other):
+        return Counted(self.value + other.value, self.log)
+
+
+class TestExpansionCost:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_dense_matrix_bound(self, k, f9):
+        log = []
+        rng = random.Random(7400 + k)
+        plain = [[random_elem(f9, rng, nonzero=True) for _ in range(k)] for _ in range(k)]
+        det = ring_det([[Counted(x, log) for x in row] for row in plain])
+        assert det.value == cofactor_det(plain)
+        # each minor of size s >= 2 multiplies its s entries once
+        assert len(log) == k * (2 ** (k - 1) - 1) <= k * 2 ** (k - 1)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_exact_zeros_are_skipped_imprecise_zeros_are_not(self, k, f9):
+        """A permutation matrix: with exact zeros off the permutation only the
+        k - 1 nonzero entries above the last column are multiplied; with
+        imprecise zeros every minor and entry is expanded."""
+        perm = list(range(k))
+        random.Random(7500 + k).shuffle(perm)
+        one = LaurentSeries.one(f9)
+        for zero, products in ((LaurentSeries.zero(f9), k - 1),
+                               (LaurentSeries(f9, {}, 3), k * (2 ** (k - 1) - 1))):
+            log = []
+            plain = [[one if perm[i] == j else zero for j in range(k)] for i in range(k)]
+            det = ring_det([[Counted(x, log) for x in row] for row in plain])
+            assert det.value == cofactor_det(plain)
+            assert len(log) == products
+            assert not any(c.is_zero() for c in log)
+            if k > 1 and not zero.is_zero():
+                assert any(c.value == zero for c in log)
+
+    def test_zero_column_makes_no_product(self, f9):
+        log = []
+        zero, one = LaurentSeries.zero(f9), LaurentSeries.one(f9)
+        rows = [[Counted(zero, log), Counted(one, log)], [Counted(zero, log), Counted(one, log)]]
+        assert ring_det(rows).is_zero() and log == []
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_each_minor_expanded_once(self, k, f9, monkeypatch):
+        """Recursion goes through the module's name: one call per distinct
+        set of kept rows, 2^k - 1 for a dense matrix."""
+        calls = []
+        inner = detval.ring_det
+
+        def counting(rows):
+            calls.append(rows)
+            return inner(rows)
+
+        monkeypatch.setattr(detval, "ring_det", counting)
+        rng = random.Random(7600 + k)
+        rows = [[random_elem(f9, rng, nonzero=True) for _ in range(k)] for _ in range(k)]
+        assert counting(rows) == cofactor_det(rows)
+        assert len(calls) == 2 ** k - 1
+
+    def test_one_determinant_is_bound_everywhere(self):
+        assert localfield.ring_det is detval.ring_det
+        assert oracle.ring_det is detval.ring_det
+        assert extraspecial.ring_det is detval.ring_det
+
+
 class TestMooreDet:
+    def test_empty_refused(self):
+        with pytest.raises(ValueError):
+            moore_det([])
+
     def test_1x1(self, f9):
         g = f9.gen()
         assert moore_det([g]) == g

@@ -537,3 +537,11 @@ class TestP5:
         rep = verify_family("M", 5, 1, 1, 1)
         assert rep.passed
         assert rep.group.gen_orders[0] == 25
+
+
+class TestP7:
+    def test_h_p7(self):
+        rep = verify_family("H", 7, 1, 1, 1)
+        assert rep.passed
+        assert rep.filtration.lower_multiset == (1, 1, 2402)
+        assert rep.group.gen_orders == (7, 7, 7)
