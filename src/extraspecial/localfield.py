@@ -10,11 +10,13 @@ of multiplication matrices on each p-dimensional level.
 
 The tower is exact: its constants, relations and Galois images have exact
 series coefficients (prec = inf).  Only an element built from a truncated
-inverse carries a window.  This module decides nothing about precision: it
-drops a coefficient only when the series layer says it is exactly zero, so
-an imprecise zero O(pi^N) stays in the element and flows through the norms
-under the series rules, and a valuation the window cannot certify raises
-PrecisionError.
+inverse carries a window.  The tower drops a coefficient only when the
+series layer says it is exactly zero, so an imprecise zero O(pi^N) stays
+in the element and flows through the norms under the series rules, and a
+valuation the window cannot certify raises PrecisionError.  The module
+makes one precision decision, and it never changes an answer:
+elt_valuation runs its norm chain at a capped relative precision first,
+and falls back to the exact chain when the cap cannot certify.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from .artin_schreier import witt_carry
 from .detval import ring_det
 from .planner import PlanReport, TowerParams, plan
-from .valuation import INF, ExtRational, FFElem, LaurentSeries, ResidueField
+from .valuation import INF, ExtRational, FFElem, LaurentSeries, PrecisionError, ResidueField
 
 
 class PlanRejection(ValueError):
@@ -452,26 +454,71 @@ def _level_norm(x: TowerElement, i: int) -> TowerElement:
     return ring_det(rows)
 
 
+# The capped chain keeps CAP_START coefficients of relative precision and
+# doubles it after a PrecisionError, CAP_TRIES times, before the exact chain.
+CAP_START = 8
+CAP_TRIES = 3
+
+
+def _cap(x: TowerElement, w: int) -> TowerElement:
+    """x with every coefficient series that reaches w terms above its own
+    valuation v cut to O(pi^(v + w)).  Shorter series, exact zeros and
+    imprecise zeros are kept as they are, so ring_det still skips the
+    exact zeros."""
+    out = {}
+    for e, c in x.coeffs.items():
+        if c.coeffs:
+            v = min(c.coeffs)
+            if max(c.coeffs) >= v + w:
+                c = c.truncate(v + w)
+        out[e] = c
+    return TowerElement(x.algebra, out)
+
+
+def _norm_valuation(x: TowerElement, w: int | None) -> ExtRational:
+    """v_0(x) for nonzero x through the norm chain, with every coefficient
+    capped to relative precision w before each level norm, or exact for w
+    None."""
+    level = x.support_level()
+    cur = x
+    for i in range(level - 1, -1, -1):
+        if w is not None:
+            cur = _cap(cur, w)
+        cur = _level_norm(cur, i)
+        if cur.support_level() > i:
+            raise ConstructionError("norm escaped its subalgebra")
+    v = cur.constant_series().valuation()
+    if v == math.inf:
+        raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
+    return ExtRational(Fraction(v, x.algebra.p**level))
+
+
 def elt_valuation(x: TowerElement) -> ExtRational:
     """v_0(x) in (1/p^k) * Z, k the generator count of the algebra of x,
     through iterated norm determinants.
+
+    Only the leading term of the last norm is needed, so the chain runs at
+    capped relative precision first (the model of Caruso, Roe and Vaccon,
+    *Tracking p-adic precision*): before each level norm a coefficient
+    keeps w terms above its own valuation, and the series rules track what
+    the cut leaves known.  A capped run differs from the exact one only in
+    terms it marks unknown, so a leading term it certifies is the exact
+    chain's.  On PrecisionError w doubles; after CAP_TRIES capped runs the
+    exact chain decides, and its result or PrecisionError is returned
+    unchanged.  The cap never changes the answer, only its cost.
 
     Exact zero maps to +infinity; an imprecise zero or a norm whose leading
     coefficient escapes the tracked window raises PrecisionError.
     """
     if x.is_zero():
         return INF
-    level = x.support_level()
-    cur = x
-    for i in range(level - 1, -1, -1):
-        cur = _level_norm(cur, i)
-        if cur.support_level() > i:
-            raise ConstructionError("norm escaped its subalgebra")
-    series = cur.constant_series()
-    v = series.valuation()
-    if v == math.inf:
-        raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
-    return ExtRational(Fraction(v, x.algebra.p**level))
+    w = CAP_START
+    for _ in range(CAP_TRIES):
+        try:
+            return _norm_valuation(x, w)
+        except PrecisionError:
+            w *= 2
+    return _norm_valuation(x, None)
 
 
 def elt_valuation_top(x: TowerElement) -> int:

@@ -521,7 +521,7 @@ class LaurentSeries:
     ``coeffs`` maps exponents to nonzero coefficients, stored as field
     indices (``FFElem.idx``); every exponent below ``prec`` is determined,
     exponents >= ``prec`` are unknown.  ``prec`` is ``math.inf`` for exact
-    series.  Every precision decision is made here.  An empty series with
+    series.  Every precision rule is here.  An empty series with
     finite ``prec`` is an *imprecise zero* O(pi^N): it is not exactly zero,
     its valuation raises :class:`PrecisionError` rather than guessing, and
     in a product it counts as valuation >= N.  No operation picks a window:
@@ -647,7 +647,9 @@ class LaurentSeries:
         va = min(self.coeffs) if self.coeffs else self.prec
         vb = min(o.coeffs) if o.coeffs else o.prec
         prec = min(va + o.prec, vb + self.prec)
-        add = f._add_idx
+        # accumulate logarithms: g^c + g^l = g^c (1 + g^(l-c)) = g^(c + zech[l-c]);
+        # a pair's log sum reaches 2(q-2), so differences are reduced mod q-1
+        zech, m = f._zech, f.q - 1
         out: dict[int, int] = {}
         for ea, ca in self.coeffs.items():
             la = log[ca]
@@ -655,15 +657,15 @@ class LaurentSeries:
                 e = ea + eb
                 if e >= prec:
                     continue
-                prod = exp[la + log[cb]]
+                lp = la + log[cb]
                 cur = out.get(e)
                 if cur is None:
-                    out[e] = prod
-                elif s := add(cur, prod):
-                    out[e] = s
-                else:
+                    out[e] = lp
+                elif (z := zech[(lp - cur) % m]) is None:
                     del out[e]
-        return self._of(f, out, prec)
+                else:
+                    out[e] = (cur + z) % m
+        return self._of(f, {e: exp[lc] for e, lc in out.items()}, prec)
 
     __rmul__ = __mul__
 
@@ -697,18 +699,25 @@ class LaurentSeries:
         else:
             w = int(self.prec - v) if window is None else min(window, int(self.prec - v))
         f = self.field
-        log, exp, add = f._log, f._exp, f._add_idx
-        lead_inv = -log[self.coeffs[v]] % (f.q - 1)  # log of lead^-1
-        # normalized unit u = self * lead^-1 * pi^-v has constant term 1
-        unit = {e - v: exp[log[c] + lead_inv] for e, c in self.coeffs.items() if e > v}
-        inv = [1]
+        log, exp, zech, m = f._log, f._exp, f._zech, f.q - 1
+        lead_inv = -log[self.coeffs[v]] % m  # log of lead^-1
+        # logs of the normalized unit u = self * lead^-1 * pi^-v (constant term 1)
+        # and of its inverse, None for a zero coefficient; sums as in __mul__
+        unit = {e - v: (log[c] + lead_inv) % m for e, c in self.coeffs.items() if e > v}
+        inv: list[int | None] = [0]
         for k in range(1, w):
-            acc = 0
-            for e, c in unit.items():
-                if e <= k and (x := inv[k - e]):
-                    acc = add(acc, exp[log[c] + log[x]])
-            inv.append(f._neg_idx(acc))
-        out = {k - v: exp[log[c] + lead_inv] for k, c in enumerate(inv[:w]) if c}
+            acc = None
+            for e, lc in unit.items():
+                if e <= k and (lx := inv[k - e]) is not None:
+                    lp = lc + lx
+                    if acc is None:
+                        acc = lp
+                    elif (z := zech[(lp - acc) % m]) is None:
+                        acc = None
+                    else:
+                        acc = (acc + z) % m
+            inv.append(None if acc is None else (acc + f._half) % m)
+        out = {k - v: exp[lc + lead_inv] for k, lc in enumerate(inv[:w]) if lc is not None}
         return self._of(f, out, -v + w)
 
     def frobenius(self) -> "LaurentSeries":

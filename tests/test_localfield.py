@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from extraspecial import (ExtRational, INF, LaurentSeries, PrecisionError, TowerAlgebra,
-                          TowerParams, build_tower, elt_valuation, elt_valuation_top,
-                          enumerate_group, galois_generators, group_structure, residue_field,
-                          wp_eval)
+                          TowerElement, TowerParams, build_tower, elt_valuation,
+                          elt_valuation_top, enumerate_group, galois_generators,
+                          group_structure, localfield, residue_field, verify_family, wp_eval)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
-from conftest import random_elem
+from conftest import random_elem, random_series
 
 
 def make_tower(variant="H", p=3, n=1, u=1, t=1):
@@ -167,6 +167,105 @@ class TestValuation:
             if x.is_zero():
                 continue
             assert isinstance(elt_valuation_top(x), int)
+
+
+def exact_chain(x):
+    """v_0(x) through the exact norm chain: the capped chain's fallback,
+    kept here as its test oracle."""
+    return INF if x.is_zero() else localfield._norm_valuation(x, None)
+
+
+def valuation_outcome(fn, x):
+    """The valuation, or the type and message of the exception raised."""
+    try:
+        return fn(x)
+    except (PrecisionError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def seeded_elements(tower, rng, count):
+    """Tower elements with random multi-term series coefficients, each also
+    cut to a window at or just above its lowest exponent."""
+    out = []
+    for _ in range(count):
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randrange(tower.p) for _ in range(tower.nvars))
+            coeffs[exps] = random_series(tower.field, rng, -8, 8, max_terms=6, nonzero=True)
+        x = TowerElement(tower.algebra, coeffs)
+        window = min(e for c in x.coeffs.values() for e in c.coeffs) + rng.randint(0, 3)
+        out += [x, TowerElement(tower.algebra, {e: c.truncate(window)
+                                                for e, c in x.coeffs.items()})]
+    return out
+
+
+class TestCappedValuation:
+    """elt_valuation runs the norm chain at capped relative precision and
+    must agree with the exact chain: same value, or same exception."""
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_seeded_elements_match_exact_chain(self, monkeypatch, variant, h_tower, m_tower):
+        tower = h_tower if variant == "H" else m_tower
+        elements = seeded_elements(tower, random.Random(31), 16)
+        want = [valuation_outcome(exact_chain, x) for x in elements]
+        assert any(isinstance(o, tuple) for o in want)
+        assert any(not isinstance(o, tuple) for o in want)
+        for start in (1, 2, 8):
+            monkeypatch.setattr(localfield, "CAP_START", start)
+            assert [valuation_outcome(elt_valuation, x) for x in elements] == want
+
+    @pytest.mark.parametrize("variant, p", [("H", 3), ("M", 3), ("H", 5)])
+    def test_oracle_elements_match_exact_chain(self, monkeypatch, variant, p):
+        measured = []
+        real = localfield.elt_valuation
+
+        def record(x):
+            measured.append(x)
+            return real(x)
+
+        monkeypatch.setattr(localfield, "elt_valuation", record)
+        assert verify_family(variant, p, 1, 1, 1).passed
+        assert len(measured) > 20
+        want = [valuation_outcome(exact_chain, x) for x in measured]
+        for start in (1, 2, 8):
+            monkeypatch.setattr(localfield, "CAP_START", start)
+            assert [valuation_outcome(real, x) for x in measured] == want
+
+    @pytest.mark.parametrize("N, attempts", [(1, [8]), (2, [8, 16]), (3, [8, 16, 32]),
+                                             (4, [8, 16, 32, None])])
+    def test_deep_cancellation_retries(self, monkeypatch, N, attempts):
+        # alpha^3 = alpha + pi and t_N = -(pi + pi^3 + ... + pi^(3^N)):
+        # N(alpha - t_N) = -(t_N^3 - t_N - pi) = pi^(3^(N+1)), so v_0 = 3^N, and
+        # the cap must keep pi^(3^N) in t_N before the cancellation certifies
+        assert (localfield.CAP_START, localfield.CAP_TRIES) == (8, 3)
+        f9 = residue_field(3, 2)
+        algebra = TowerAlgebra(f9, 1)
+        algebra.set_relation(0, algebra.from_series(LaurentSeries.monomial(f9, 1, 1)))
+        t = -LaurentSeries(f9, {3**j: 1 for j in range(N + 1)})
+        x = algebra.gen(0) - t
+        tries = []
+        real = localfield._norm_valuation
+
+        def spy(x, w):
+            tries.append(w)
+            return real(x, w)
+
+        monkeypatch.setattr(localfield, "_norm_valuation", spy)
+        assert elt_valuation(x) == 3**N
+        assert tries == attempts
+        assert exact_chain(x) == 3**N
+
+    def test_cap_keeps_short_series_and_zeros(self, h_tower):
+        f = h_tower.field
+        long = LaurentSeries(f, {e: 1 for e in range(-2, 10)})
+        short = LaurentSeries(f, {-2: 1, 5: 1})
+        imprecise = LaurentSeries(f, {}, prec=3)
+        algebra = h_tower.algebra
+        x = TowerElement(algebra, {(0, 0, 0): long, (1, 0, 0): short, (0, 1, 0): imprecise})
+        capped = localfield._cap(x, 8)
+        assert capped.coeffs[(0, 0, 0)] == long.truncate(6)
+        assert capped.coeffs[(1, 0, 0)] is short
+        assert capped.coeffs[(0, 1, 0)] is imprecise
 
 
 class TestGaloisGenerators:

@@ -16,7 +16,7 @@ from extraspecial.detval import frobenius_matrix
 from extraspecial.oracle import (_cp_break, _jump_multiset, _shift_valuation,
                                  _uniformizer_exponents)
 from conftest import random_elem
-from test_localfield import make_tower
+from test_localfield import exact_chain, make_tower, valuation_outcome
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +496,8 @@ def _fill(x: TowerElement, window: int, rng: random.Random) -> TowerElement:
 
 class TestWindowSoundness:
     """A valuation read from truncated coefficients is certified: any
-    filling of the unknown tails has that same valuation."""
+    filling of the unknown tails has that same valuation, and the capped
+    norm chain gives the exact chain's value or refusal."""
 
     @pytest.mark.parametrize("setup", ["h_setup", "m_setup"])
     def test_certified_valuation_holds_for_every_filling(self, request, setup):
@@ -515,6 +516,8 @@ class TestWindowSoundness:
             for window in range(min(exps), max(exps) + 2):
                 truncated = TowerElement(x.algebra, {e: c.truncate(window)
                                                      for e, c in x.coeffs.items()})
+                assert valuation_outcome(elt_valuation, truncated) == \
+                    valuation_outcome(exact_chain, truncated)
                 try:
                     v = elt_valuation(truncated)
                 except PrecisionError:
@@ -545,3 +548,9 @@ class TestP7:
         assert rep.passed
         assert rep.filtration.lower_multiset == (1, 1, 2402)
         assert rep.group.gen_orders == (7, 7, 7)
+
+    def test_m_p7(self):
+        rep = verify_family("M", 7, 1, 1, 1)
+        assert rep.passed
+        assert rep.filtration.lower_multiset == (1, 1, 2402)
+        assert rep.group.gen_orders[0] == 49
