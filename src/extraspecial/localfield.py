@@ -3,10 +3,11 @@
 K_0 = F_q((pi)) is extended by generators alpha_1..alpha_(2n+1) subject to
 alpha_i^p = alpha_i + a_i for i <= 2n and
 alpha_top^p = alpha_top + E + a_top, where E is the variant-specific cross
-term.  Elements are kept reduced (no exponent reaches p); the relations are
-triangular, so reduction only ever introduces lower generators and
-terminates.  Valuations are computed through iterated norms: determinants
-of multiplication matrices on each p-dimensional level.
+term.  Elements are kept reduced by one accumulator, TowerAlgebra._collect:
+every product, sum and Galois image merges its terms there and rewrites
+exponents >= p from the top generator down (the relations are triangular).
+Valuations are iterated norms: determinants of multiplication matrices on
+each p-dimensional level.
 
 The tower is exact: its constants, relations and Galois images have exact
 series coefficients (prec = inf).  Only an element built from a truncated
@@ -40,7 +41,8 @@ class ConstructionError(RuntimeError):
 
 
 class TowerAlgebra:
-    """K_0[x_0..x_(k-1)] modulo x_i^p = x_i + rel_i with triangular rel_i."""
+    """K_0[x_0..x_(k-1)] modulo x_i^p = x_i + rel_i with triangular rel_i;
+    _collect merges and reduces the terms of every product, sum and image."""
 
     def __init__(self, field: ResidueField, nvars: int):
         self.field = field
@@ -73,37 +75,35 @@ class TowerAlgebra:
         exps[i] = 1
         return TowerElement(self, {tuple(exps): LaurentSeries.one(self.field)})
 
-    def _reduce(self, pending: dict) -> dict:
-        """Rewrite exponents >= p using the relations until none remain."""
-        p = self.p
+    def _collect(self, terms) -> "TowerElement":
+        """The reduced sum of (exponents, series) terms.  Equal exponents
+        merge; while an exponent of some x_i is >= p, i the highest such
+        generator, those terms are rewritten by x_i^p = x_i + rel_i and
+        merged again.  rel_i involves only generators below i, so i never
+        rises: one sweep per level."""
         acc: dict[tuple[int, ...], LaurentSeries] = {}
-        work = list(pending.items())
-        while work:
-            exps, coeff = work.pop()
-            if coeff.is_zero():
-                continue
-            over = None
-            for i in range(self.nvars - 1, -1, -1):
-                if exps[i] >= p:
-                    over = i
-                    break
-            if over is None:
+        p, i = self.p, self.nvars - 1
+        while True:
+            for exps, c in terms:
                 cur = acc.get(exps)
-                acc[exps] = coeff if cur is None else cur + coeff
-                continue
-            rel = self.relations[over]
+                acc[exps] = c if cur is None else cur + c
+            if max(map(max, acc), default=0) < p:
+                return TowerElement(self, acc)
+            while not (over := [exps for exps in acc if exps[i] >= p]):
+                i -= 1
+            rel = self.relations[i]
             if rel is None:
-                raise RuntimeError(f"relation for generator {over} not installed")
-            base = list(exps)
-            base[over] -= p
-            # x^base * x_over^p = x^base * (x_over + rel)
-            lin = list(base)
-            lin[over] += 1
-            work.append((tuple(lin), coeff))
-            for rexps, rcoeff in rel.coeffs.items():
-                combined = tuple(b + r for b, r in zip(base, rexps))
-                work.append((combined, coeff * rcoeff))
-        return acc
+                raise RuntimeError(f"relation for generator {i} not installed")
+            terms = []
+            for exps in over:
+                c = acc.pop(exps)
+                if c.is_zero():
+                    continue
+                # x^base * x_i^p = x^base * (x_i + rel_i)
+                base = exps[:i] + (exps[i] - p,) + exps[i + 1:]
+                terms.append((exps[:i] + (exps[i] - p + 1,) + exps[i + 1:], c))
+                terms += [(tuple(b + r for b, r in zip(base, rexps)), c * rc)
+                          for rexps, rc in rel.coeffs.items()]
 
 
 class TowerElement:
@@ -166,11 +166,7 @@ class TowerElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return TowerElement(self.algebra, out)
+        return self.algebra._collect([*self.coeffs.items(), *o.coeffs.items()])
 
     __radd__ = __add__
 
@@ -187,22 +183,14 @@ class TowerElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, FFElem)):
-            c = self.algebra.field(other)
-            return TowerElement(self.algebra, {e: x * c for e, x in self.coeffs.items()})
-        if isinstance(other, LaurentSeries):
+        if isinstance(other, (int, FFElem, LaurentSeries)):
             return TowerElement(self.algebra, {e: x * other for e, x in self.coeffs.items()})
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        pending: dict[tuple[int, ...], LaurentSeries] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in o.coeffs.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                cur = pending.get(e)
-                pending[e] = c if cur is None else cur + c
-        return TowerElement(self.algebra, self.algebra._reduce(pending))
+        return self.algebra._collect([
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.coeffs.items() for eb, cb in o.coeffs.items()])
 
     __rmul__ = __mul__
 
@@ -290,19 +278,16 @@ class GaloisMap:
     def apply(self, x: TowerElement) -> TowerElement:
         if x.algebra is not self.algebra:
             raise ValueError("element of a different algebra")
-        total = self.algebra.zero()
+        terms = []
         for exps, c in x.coeffs.items():
             term = None
             for i, e in enumerate(exps):
                 if e:
                     pw = self._image_power(i, e)
                     term = pw if term is None else term * pw
-            if term is None:
-                term = self.algebra.from_series(c)
-            else:
-                term = term * c
-            total = total + term
-        return total
+            terms += ([(exps, c)] if term is None
+                      else [(e, t * c) for e, t in term.coeffs.items()])
+        return self.algebra._collect(terms)
 
     def compose(self, other: "GaloisMap") -> "GaloisMap":
         """self after other."""

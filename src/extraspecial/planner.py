@@ -249,6 +249,8 @@ def gms_verdict(p: int, n: int, cfrak, u1: int) -> str:
     cfrak = ExtRational(cfrak) if not isinstance(cfrak, ExtRational) else cfrak
     if cfrak < 1:
         raise ValueError("gms_verdict requires cfrak >= 1")
+    if u1 < 1:
+        raise ValueError(f"u_1 = {u1} is not a positive upper ramification number")
     if u1 % p == 0:
         raise ValueError(f"p divides u_1 = {u1}")
     pn2t = p ** (2 * n + 1)

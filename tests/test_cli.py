@@ -50,6 +50,14 @@ class TestVerdict:
         assert code == 1
         assert "cfrak" in err
 
+    @pytest.mark.parametrize("u1", ["-1", "-28"])
+    def test_nonpositive_u1_is_usage_error(self, capsys, u1):
+        code, out, err = run(capsys, "verdict", "--p", "3", "--n", "1",
+                             "--c", "60", "--u1", u1)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "positive upper ramification" in err
+
 
 class TestPlan:
     def test_full_plan(self, capsys):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from extraspecial import (ExtRational, INF, LaurentSeries, PrecisionError, TowerAlgebra,
-                          TowerElement, TowerParams, build_tower, elt_valuation,
-                          elt_valuation_top, enumerate_group, galois_generators,
-                          group_structure, localfield, residue_field, verify_family, wp_eval)
+                          TowerElement, TowerParams, build_tower, construct_generator,
+                          elt_valuation, elt_valuation_top, enumerate_group,
+                          galois_generators, group_structure, localfield, residue_field,
+                          verify_family, wp_eval)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
 from conftest import random_elem, random_series
@@ -388,3 +389,199 @@ class TestGroupStructure:
         assert rep.sigma1_p_word[-1] in (1, 2)
         assert rep.metacyclic_w == rep.sigma1_p_word[-1]
         assert rep.matches_expected
+
+
+# -- the accumulators that TowerAlgebra._collect replaced, kept as test oracles --
+
+
+def reference_reduce(algebra, pending):
+    """The work-list reduction: rewrite one term at a time, highest
+    generator first, until no exponent reaches p."""
+    p = algebra.p
+    acc = {}
+    work = list(pending.items())
+    while work:
+        exps, coeff = work.pop()
+        if coeff.is_zero():
+            continue
+        over = None
+        for i in range(algebra.nvars - 1, -1, -1):
+            if exps[i] >= p:
+                over = i
+                break
+        if over is None:
+            cur = acc.get(exps)
+            acc[exps] = coeff if cur is None else cur + coeff
+            continue
+        base = list(exps)
+        base[over] -= p
+        lin = list(base)
+        lin[over] += 1
+        work.append((tuple(lin), coeff))
+        for rexps, rcoeff in algebra.relations[over].coeffs.items():
+            work.append((tuple(b + r for b, r in zip(base, rexps)), coeff * rcoeff))
+    return acc
+
+
+def reference_mul(x, y):
+    """Tower product: pre-merge the pairwise products, then the work list."""
+    pending = {}
+    for ea, ca in x.coeffs.items():
+        for eb, cb in y.coeffs.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            c = ca * cb
+            cur = pending.get(e)
+            pending[e] = c if cur is None else cur + c
+    return TowerElement(x.algebra, reference_reduce(x.algebra, pending))
+
+
+def reference_add(x, y):
+    """Tower sum: merge y's coefficients into a copy of x's."""
+    out = dict(x.coeffs)
+    for e, c in y.coeffs.items():
+        cur = out.get(e)
+        out[e] = c if cur is None else cur + c
+    return TowerElement(x.algebra, out)
+
+
+def reference_apply(sigma, x):
+    """sigma(x) as a running total of sigma(monomial) * coefficient, with the
+    image powers built by reference_mul."""
+    algebra = x.algebra
+    total = algebra.zero()
+    for exps, c in x.coeffs.items():
+        term = None
+        for i, e in enumerate(exps):
+            if e:
+                pw = sigma.images[i]
+                for _ in range(e - 1):
+                    pw = reference_mul(pw, sigma.images[i])
+                term = pw if term is None else reference_mul(term, pw)
+        if term is None:
+            term = algebra.from_series(c)
+        else:
+            term = TowerElement(algebra, {e: t * c for e, t in term.coeffs.items()})
+        total = reference_add(total, term)
+    return total
+
+
+def mixed_series(field, rng, kinds=3):
+    """An exact, a truncated or an imprecise-zero series, one third each;
+    always exact for kinds=1."""
+    s = random_series(field, rng, -6, 6, max_terms=4, nonzero=True)
+    kind = rng.randrange(kinds)
+    if kind == 1:
+        return s.truncate(s.valuation() + rng.randint(1, 4))
+    if kind == 2:
+        return LaurentSeries(field, {}, prec=rng.randint(-3, 6))
+    return s
+
+
+def mixed_elements(algebra, rng, count, kinds=3):
+    """Reduced elements whose coefficients come from mixed_series."""
+    return [TowerElement(algebra, {tuple(rng.randrange(algebra.p) for _ in range(algebra.nvars)):
+                                   mixed_series(algebra.field, rng, kinds)
+                                   for _ in range(rng.randint(1, 4))})
+            for _ in range(count)]
+
+
+def one_generator_algebra():
+    """F_9((pi))[alpha] with alpha^3 = alpha + pi^-2."""
+    f9 = residue_field(3, 2)
+    algebra = TowerAlgebra(f9, 1)
+    algebra.set_relation(0, algebra.from_series(LaurentSeries.monomial(f9, 1, -2)))
+    return algebra
+
+
+@pytest.fixture(scope="module")
+def accumulator_algebras(h_tower, m_tower):
+    return {"H-3": h_tower.algebra, "M-3": m_tower.algebra,
+            "H-5": make_tower("H", p=5).algebra, "one-gen": one_generator_algebra()}
+
+
+def same(got, want):
+    """A TowerElement equal to want, coefficient precision included."""
+    return type(got) is TowerElement and got == want
+
+
+class TestCollectAgainstDeletedAccumulators:
+    """__mul__, __add__ and GaloisMap.apply sum through TowerAlgebra._collect
+    and must give what the deleted accumulators gave, precision included."""
+
+    ALGEBRAS = ["H-3", "M-3", "H-5", "one-gen"]
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_products_and_sums(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        rng = random.Random(101)
+        xs = mixed_elements(algebra, rng, 10)
+        xs += [z for x in xs[:4] for z in (x * x, -x)]
+        coeffs = [c for x in xs for c in x.coeffs.values()]
+        assert any(c.is_exact for c in coeffs)
+        assert any(c.coeffs and not c.is_exact for c in coeffs)
+        assert any(not c.coeffs for c in coeffs)
+        for x in xs:
+            for y in xs:
+                assert same(x * y, reference_mul(x, y))
+                assert same(x + y, reference_add(x, y))
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_scalar_products(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        f = algebra.field
+        rng = random.Random(102)
+        for x in mixed_elements(algebra, rng, 6):
+            for c in (0, 1, 2, f.gen(), mixed_series(f, rng)):
+                s = c if isinstance(c, LaurentSeries) else LaurentSeries.monomial(f, c)
+                assert same(x * c, reference_mul(x, algebra.from_series(s)))
+        with pytest.raises(ValueError):
+            algebra.one() * residue_field(7).one()
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_cancellation_to_exact_zero(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        rng = random.Random(103)
+        zero = algebra.zero()
+        xs = mixed_elements(algebra, rng, 8)
+        exact = mixed_elements(algebra, rng, 8, kinds=1)
+        for x in xs + exact:
+            assert same(x - x, reference_add(x, -x))
+            assert same(x * zero, reference_mul(x, zero))
+            assert (x * zero).is_zero()
+        for x, y in zip(exact, exact[1:]):
+            assert (x - x).is_zero()
+            comm = x * y - y * x
+            assert comm.is_zero()
+            assert same(comm, reference_add(reference_mul(x, y), -reference_mul(y, x)))
+        # (g + 1)(g - 1) = g^2 - 1: the g terms cancel to an exact zero
+        g = algebra.gen(algebra.nvars - 1)
+        prod = (g + 1) * (g - 1)
+        assert same(prod, reference_mul(g + 1, g - 1))
+        assert len(prod.coeffs) == 2
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_collect_high_exponents(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        p, k = algebra.p, algebra.nvars
+        rng = random.Random(104)
+        for _ in range(12 if p == 3 else 4):
+            terms = [(tuple(rng.randint(0, 3 * p) for _ in range(k)),
+                      mixed_series(algebra.field, rng)) for _ in range(rng.randint(1, 4))]
+            terms += [(e, mixed_series(algebra.field, rng)) for e, _ in terms[:2]]
+            terms.append(((3 * p,) * k, LaurentSeries.one(algebra.field)))
+            pending = {}
+            for e, c in terms:
+                pending[e] = c if e not in pending else pending[e] + c
+            got = algebra._collect(terms)
+            assert same(got, TowerElement(algebra, reference_reduce(algebra, pending)))
+            assert all(e < p for exps in got.coeffs for e in exps)
+
+    def test_apply_over_the_group_table(self, h_tower):
+        table = enumerate_group(h_tower, galois_generators(h_tower))
+        y = construct_generator(h_tower).element
+        xs = [y] + mixed_elements(h_tower.algebra, random.Random(105), 6)
+        assert len(table.elements) == 27
+        for sigma in table.elements.values():
+            for x in xs:
+                assert same(sigma.apply(x), reference_apply(sigma, x))
+

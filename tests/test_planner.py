@@ -100,6 +100,11 @@ class TestGmsVerdict:
         with pytest.raises(ValueError):
             gms_verdict(3, 1, 0, 1)
 
+    @pytest.mark.parametrize("u1", [-1, -28])
+    def test_requires_positive_u1(self, u1):
+        with pytest.raises(ValueError, match="positive upper ramification"):
+            gms_verdict(3, 1, 60, u1)
+
     def test_monotone_in_precision(self):
         order = {"no-conclusion": 0, "free": 1, "free-and-hopf": 2}
         for u1 in (1, 5, 26, 53):
