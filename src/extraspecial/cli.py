@@ -14,9 +14,10 @@ import sys
 
 from .localfield import ConstructionError, PlanRejection
 from .oracle import OracleMismatch, verify_family
-from .planner import TowerParams, _is_odd_prime, example_family, gms_verdict, plan
+from .planner import (TowerParams, _is_odd_prime, example_family, family_field, gms_verdict,
+                      plan)
 from .ramification import RamSequence, build_shift_tables, check_ram_inequalities
-from .valuation import ExtRational, PrecisionError, field_degree, residue_field
+from .valuation import ExtRational, PrecisionError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,8 +112,7 @@ def _render_verdict(d: dict) -> None:
 
 def _cmd_plan(args) -> int:
     _validate_p_n(args.p, args.n)
-    field = residue_field(args.p, 2 * args.n if args.q is None
-                          else field_degree(args.p, args.q))
+    field = family_field(args.p, args.n, args.q)
     leads = tuple(field.parse_element(x) for x in args.leads.split(","))
     params = TowerParams(
         p=args.p, n=args.n, variant=args.variant,

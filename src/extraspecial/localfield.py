@@ -314,9 +314,6 @@ class GaloisMap:
             acc = self.compose(acc)
         return out
 
-    def inverse(self) -> "GaloisMap":
-        return self.powers()[-1]
-
     def __eq__(self, other):
         return isinstance(other, GaloisMap) and self.key() == other.key()
 
@@ -557,8 +554,6 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
 class GroupTable:
     """All p^(2n+1) automorphisms indexed by normal-form exponent words."""
 
-    p: int
-    nvars: int
     elements: dict[tuple[int, ...], GaloisMap]
     word_by_key: dict
     powers: list[list[GaloisMap]]     # gens[i].powers(), walked once
@@ -568,12 +563,25 @@ class GroupTable:
         return len(self.elements)
 
     def word_of(self, m: GaloisMap) -> tuple[int, ...]:
-        return self.word_by_key[m.key()]
+        word = self.word_by_key.get(m.key())
+        if word is None:
+            raise ConstructionError("group is not closed under composition")
+        return word
+
+    def check_closed(self, gens: list[GaloisMap]) -> None:
+        """Raise ConstructionError unless g m is in the table for every
+        generator g and element m: k p^k compositions.  The table holds the
+        identity and the group is finite, so this is closure under
+        composition."""
+        for g in gens:
+            for m in self.elements.values():
+                self.word_of(g.compose(m))
 
 
 def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
-    """Build every product sigma_1^e1 ... sigma_k^ek, check that they are
-    pairwise distinct and closed under composition by the generators."""
+    """Build every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, and check
+    that they are pairwise distinct.  That they are closed under composition
+    is proved by :func:`group_structure`."""
     p = tower.p
     powers = [g.powers() for g in gens]
 
@@ -593,11 +601,7 @@ def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
             raise ConstructionError(
                 f"normal-form words {word_by_key[key]} and {word} give the same map")
         word_by_key[key] = word
-    for g in gens:
-        for m in elements.values():
-            if g.compose(m).key() not in word_by_key:
-                raise ConstructionError("group is not closed under composition")
-    return GroupTable(p, tower.nvars, elements, word_by_key, powers)
+    return GroupTable(elements, word_by_key, powers)
 
 
 @dataclass
@@ -624,9 +628,40 @@ class GroupReport:
 
 
 def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> GroupReport:
-    """Measure generator orders, pairwise commutators, and sigma_1^p, then
-    compare with the presentation of H(n) (exponent p, center generated by
-    the top map) or M(n) (sigma_1 of order p^2 with sigma_1^p central)."""
+    """Measure generator orders, pairwise commutators and sigma_1^p, and
+    compare them with the presentation of H(n) or M(n).  This check is also
+    the one proof that the table of :func:`enumerate_group` is the whole
+    group sigma_1..sigma_k generate.
+
+    The presentation, with k = 2n + 1, s_top = s_k and p odd:
+      every s_i has order p, except that in M(n) s_1 has order p^2 and
+      s_1^p = s_top^w with w != 0 mod p;
+      [s_i, s_(n+i)] = s_top for i <= n, and [s_i, s_j] = 1 for every
+      other pair, s_top included.
+    It presents a group of order exactly p^k, H(n) or M(n):
+    - At most p^k.  Every commutator lies in <s_top>, which is central of
+      order p, and so does every s_i^p.  So collecting a word to normal form
+      s_1^e_1 ... s_k^e_k, 0 <= e_i < p, moves each letter past another at
+      the cost of a central factor and reduces each exponent mod p at the
+      cost of another: at most p^k normal forms.
+    - At least p^k, by a model of each variant that satisfies every
+      relation.  H(n): F_p^n x F_p^n x F_p with (a, b, c)(a', b', c') =
+      (a + a', b + b', c + c' - a.b'), the s_i the unit vectors; it has
+      exponent p since p is odd.  M(n): N x| F_p^n with
+      N = Z/p^2 x F_p^(n-1) generated by s_1..s_n and s_top = s_1^(pw'),
+      ww' = 1 mod p; s_(n+j) acts on N by x -> x s_top^(-x_j), x_j the j-th
+      coordinate of x mod p, an automorphism of order p that fixes s_top.
+
+    Closure.  When the check passes, the maps satisfy these relations, so
+    the group they generate is a quotient of the presented one (von Dyck)
+    and has at most p^k elements.  enumerate_group found p^k pairwise
+    distinct products of them, so the products fill it and the table is
+    closed under composition.  When the check fails, nothing is proved and
+    table.check_closed composes every element with every generator: a
+    table that is not closed raises ConstructionError, as does a
+    commutator or sigma_1^p missing from it; a closed table reports
+    matches_expected False.
+    """
     p = tower.p
     n = tower.n
     k = tower.nvars
@@ -663,6 +698,7 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
         ok = ok and central_word(sigma1_p_word) and sigma1_p_word[-1] != 0
         if central_word(sigma1_p_word):
             metacyclic_w = sigma1_p_word[-1]
-    ok = ok and table.order == p**k
+    if not ok:
+        table.check_closed(gens)
     return GroupReport(variant, table.order, gen_orders, commutators,
                        sigma1_p_word, metacyclic_w, ok)

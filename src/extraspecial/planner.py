@@ -269,11 +269,16 @@ def default_leads(field: ResidueField, n: int) -> tuple[FFElem, ...]:
     return tuple(g**i for i in range(2 * n)) + (field.one(),)
 
 
+def family_field(p: int, n: int, q: int | None) -> ResidueField:
+    """The residue field F_q of a tower, q = p^(2n) when None."""
+    return residue_field(p, 2 * n if q is None else field_degree(p, q))
+
+
 def family_params(variant: str, p: int, n: int, u: int, t: int, e0: ExtRational,
                   q: int | None) -> TowerParams:
     """The standard family r = u, m = (0, ..., 0, t) with the default leads
-    over F_q, q = p^(2n) when None; validated by TowerParams alone."""
-    field = residue_field(p, 2 * n if q is None else field_degree(p, q))
+    over family_field(p, n, q); validated by TowerParams alone."""
+    field = family_field(p, n, q)
     return TowerParams(p=p, n=n, variant=variant, e0=e0, r=u, m=(0,) * (2 * n) + (t,),
                        leads=default_leads(field, n), field=field)
 

@@ -604,16 +604,24 @@ class LaurentSeries:
         if o is NotImplemented:
             return o
         prec = min(self.prec, o.prec)
-        add = self.field._add_idx
+        f = self.field
+        log, exp, zech = f._log, f._exp, f._zech
         out = {e: c for e, c in self.coeffs.items() if e < prec}
         for e, c in o.coeffs.items():
             if e >= prec:
                 continue
-            if s := add(out.get(e, 0), c):
-                out[e] = s
-            else:
+            cur = out.get(e)
+            if cur is None:
+                out[e] = c
+                continue
+            # g^a + g^b = g^a (1 + g^(b-a)), as in __mul__; a negative
+            # difference indexes from the end, which is the reduction mod q-1
+            la = log[cur]
+            if (z := zech[log[c] - la]) is None:
                 del out[e]
-        return self._of(self.field, out, prec)
+            else:
+                out[e] = exp[la + z]
+        return self._of(f, out, prec)
 
     __radd__ = __add__
 

@@ -206,6 +206,25 @@ class TestOracle:
         assert out == ""
         assert err == "verification failure: group is not closed under composition\n"
 
+    def test_missing_group_word_is_verification_failure(self, capsys, monkeypatch):
+        # a commutator missing from the group table is a ConstructionError,
+        # never a KeyError
+        import dataclasses
+        import extraspecial.oracle as oracle
+        enumerate_group = oracle.enumerate_group
+
+        def without_center(tower, gens):
+            table = enumerate_group(tower, gens)
+            return dataclasses.replace(table, word_by_key={
+                k: w for k, w in table.word_by_key.items() if w != (0, 0, 1)})
+
+        monkeypatch.setattr(oracle, "enumerate_group", without_center)
+        code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
+                             "--n", "1", "--u", "1", "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "verification failure: group is not closed under composition\n"
+
     def test_composite_p_rejected(self, capsys):
         code, _, err = run(capsys, "ram", "convert", "--p", "4", "--lower", "1,2")
         assert code == 1

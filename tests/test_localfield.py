@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -322,7 +323,7 @@ class TestComposition:
     def test_noncommuting_pair_and_commutator(self, h_tower):
         s1, s2, s3 = galois_generators(h_tower)
         assert s1.compose(s2) != s2.compose(s1)
-        comm = s1.compose(s2).compose(s1.inverse().compose(s2.inverse()))
+        comm = s1.compose(s2).compose(s1.powers()[-1].compose(s2.powers()[-1]))
         assert comm == s3
 
     def test_center(self, h_tower):
@@ -344,7 +345,6 @@ class TestComposition:
                 acc = acc.compose(g)
             assert acc.is_identity()
             assert pows[-1].compose(g).is_identity()
-            assert g.inverse() == pows[-1]
             if i == 0:
                 # sigma_1^p: trivial in H(n), central of order p in M(n)
                 cubed = g.compose(g).compose(g)
@@ -389,6 +389,66 @@ class TestGroupStructure:
         assert rep.sigma1_p_word[-1] in (1, 2)
         assert rep.metacyclic_w == rep.sigma1_p_word[-1]
         assert rep.matches_expected
+
+
+class TestGroupClosure:
+    """group_structure proves closure from the presentation; the k p^k
+    closure loop, GroupTable.check_closed, is the oracle."""
+
+    TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_presentation_proves_closure(self, variant, p, n, monkeypatch):
+        tower = make_tower(variant, p, n)
+        gens = galois_generators(tower)
+        table = enumerate_group(tower, gens)
+        assert table.order == p ** tower.nvars
+        with monkeypatch.context() as m:
+            def unexpected(self, gens):
+                raise AssertionError("closure loop run on a passing presentation")
+            m.setattr(localfield.GroupTable, "check_closed", unexpected)
+            assert group_structure(tower, gens, table).matches_expected
+        table.check_closed(gens)
+
+    def test_missing_commutator_word_is_construction_error(self, h_tower):
+        gens = galois_generators(h_tower)
+        table = enumerate_group(h_tower, gens)
+        n = h_tower.n
+        comm = group_structure(h_tower, gens, table).commutator_words[(1, n + 1)]
+        assert comm == (0, 0, 1)
+        broken = dataclasses.replace(
+            table, word_by_key={k: w for k, w in table.word_by_key.items() if w != comm})
+        with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
+            group_structure(h_tower, gens, broken)
+
+    @staticmethod
+    def as_m_tower(tower):
+        """The H tower read against the M(n) presentation, which it fails."""
+        return dataclasses.replace(tower, params=dataclasses.replace(tower.params, variant="M"))
+
+    def test_failed_presentation_on_closed_table_reports_mismatch(self, h_tower, monkeypatch):
+        gens = galois_generators(h_tower)
+        table = enumerate_group(h_tower, gens)
+        runs = []
+        check_closed = localfield.GroupTable.check_closed
+        monkeypatch.setattr(localfield.GroupTable, "check_closed",
+                            lambda self, gens: runs.append(1) or check_closed(self, gens))
+        rep = group_structure(self.as_m_tower(h_tower), gens, table)
+        assert not rep.matches_expected
+        assert runs == [1]
+
+    def test_failed_presentation_on_open_table_is_construction_error(self, h_tower):
+        # (1, 1, 1) is no commutator and not sigma_1^p, so only the closure
+        # loop can see that it is missing
+        gens = galois_generators(h_tower)
+        table = enumerate_group(h_tower, gens)
+        gone = (1, 1, 1)
+        open_table = dataclasses.replace(
+            table,
+            elements={w: m for w, m in table.elements.items() if w != gone},
+            word_by_key={k: w for k, w in table.word_by_key.items() if w != gone})
+        with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
+            group_structure(self.as_m_tower(h_tower), gens, open_table)
 
 
 # -- the accumulators that TowerAlgebra._collect replaced, kept as test oracles --

@@ -237,14 +237,14 @@ class TestElementaryLayers:
         calls["powers"] = 0
         assert group_structure(tower, gens, table).matches_expected
         assert calls["powers"] == 0
-        # enumerate_group: one walk per generator, no compose for an e = 0
-        # factor, and the closure check's k p^k
+        # enumerate_group: one walk per generator and no compose for an e = 0
+        # factor; closure is proved by the presentation, not composed
         calls["compose"] = 0
         rebuilt = enumerate_group(tower, gens)
         p, k = tower.p, tower.nvars
         walks = sum(len(pw) - 1 for pw in rebuilt.powers)
         products = sum((p - 1) * p**i for i in range(k))
-        assert calls["compose"] == walks + products + k * p**k
+        assert calls["compose"] == walks + products
 
     def test_floor_fixing_maps_must_be_top_powers(self, h_setup):
         # a table whose top words are swapped with sigma_1's no longer has
