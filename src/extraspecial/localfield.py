@@ -213,10 +213,6 @@ class TowerElement:
             return o
         return self.coeffs == o.coeffs
 
-    def key(self):
-        """Hashable canonical form."""
-        return tuple(sorted((e, c.key()) for e, c in self.coeffs.items()))
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -242,7 +238,7 @@ class GaloisMap:
     exactly: (sigma(alpha_i))^p - sigma(alpha_i) = sigma(rhs_i).
     """
 
-    __slots__ = ("algebra", "images", "_pow_cache", "_key")
+    __slots__ = ("algebra", "images", "_pow_cache")
 
     def __init__(self, algebra: TowerAlgebra, images, validate: bool = True):
         self.algebra = algebra
@@ -250,7 +246,6 @@ class GaloisMap:
         if len(self.images) != algebra.nvars:
             raise ValueError("one image per generator required")
         self._pow_cache: dict[tuple[int, int], TowerElement] = {}
-        self._key = None
         if validate:
             p = algebra.p
             for i, img in enumerate(self.images):
@@ -294,11 +289,6 @@ class GaloisMap:
         return GaloisMap(self.algebra, [self.apply(img) for img in other.images],
                          validate=False)
 
-    def key(self):
-        if self._key is None:
-            self._key = tuple(img.key() for img in self.images)
-        return self._key
-
     def is_identity(self) -> bool:
         return all(self.images[i] == self.algebra.gen(i) for i in range(self.algebra.nvars))
 
@@ -315,10 +305,7 @@ class GaloisMap:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, GaloisMap) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        return isinstance(other, GaloisMap) and self.images == other.images
 
 
 @dataclass
@@ -523,11 +510,14 @@ def elt_valuation_top(x: TowerElement) -> int:
 def galois_generators(tower: Tower) -> list[GaloisMap]:
     """The canonical generators sigma_1..sigma_(2n+1).
 
-    sigma_i adds 1 to alpha_i and fixes the other alpha_j for j <= 2n; its
-    effect on the top generator is the unique exact root translate dictated
-    by the variant, with the free F_p summand pinned to 0.  Every image is
-    verified against the relations at construction; a failure raises
-    ConstructionError.
+    sigma_i, i <= 2n, adds 1 to alpha_i and fixes the other alpha_j for
+    j <= 2n; its effect on the top generator is the unique exact root
+    translate dictated by the variant, with the free F_p summand pinned to 0.
+    sigma_top adds 1 to alpha_top and fixes every other alpha_j.  This is
+    the shape GroupTable.word_of reads: the word of a normal-form product is
+    the F_p shifts it makes, and enumerate_group refuses generators of any
+    other shape.  Every image is verified against the relations at
+    construction; a failure raises ConstructionError.
     """
     algebra = tower.algebra
     n = tower.n
@@ -550,12 +540,21 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
     return maps
 
 
+def _fp_shift(x: TowerElement, y: TowerElement) -> int | None:
+    """The e in F_p with x = y + e exactly, or None."""
+    d = (x - y).coeffs
+    c = d.pop(x.algebra._zero_exps, LaurentSeries.zero(x.algebra.field))
+    if d or not c.is_exact or not c.coeffs.keys() <= {0}:
+        return None
+    e = c.coeffs.get(0, 0)  # a field index below p is the F_p element of that value
+    return e if e < c.field.p else None
+
+
 @dataclass
 class GroupTable:
     """All p^(2n+1) automorphisms indexed by normal-form exponent words."""
 
     elements: dict[tuple[int, ...], GaloisMap]
-    word_by_key: dict
     powers: list[list[GaloisMap]]     # gens[i].powers(), walked once
 
     @property
@@ -563,8 +562,14 @@ class GroupTable:
         return len(self.elements)
 
     def word_of(self, m: GaloisMap) -> tuple[int, ...]:
-        word = self.word_by_key.get(m.key())
-        if word is None:
+        """The word of m, read from its images: e_j = m(alpha_j) - alpha_j
+        for j < k, and e_k = m(alpha_k) - T(alpha_k), T the element of word
+        (e_1, ..., e_(k-1), 0).  Each must be an exact constant of F_p and
+        the word must be in the table, or ConstructionError."""
+        word = tuple(_fp_shift(m.images[j], m.algebra.gen(j)) for j in range(m.algebra.nvars - 1))
+        base = self.elements.get(word + (0,))
+        word += (_fp_shift(m.images[-1], base.images[-1]) if base else None,)
+        if word not in self.elements:
             raise ConstructionError("group is not closed under composition")
         return word
 
@@ -579,10 +584,15 @@ class GroupTable:
 
 
 def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
-    """Build every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, and check
-    that they are pairwise distinct.  That they are closed under composition
-    is proved by :func:`group_structure`."""
-    p = tower.p
+    """Build every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, once
+    each generator reads as its unit word.  :func:`group_structure` proves
+    that the products are pairwise distinct and closed under composition."""
+    p, k = tower.p, tower.nvars
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    seed = GroupTable({(0,) * k: GaloisMap.identity(tower.algebra), **dict(zip(units, gens))}, [])
+    for i, g in enumerate(gens):
+        if seed.word_of(g) != units[i]:
+            raise ConstructionError(f"generator {i + 1} does not read as its unit word")
     powers = [g.powers() for g in gens]
 
     elements: dict[tuple[int, ...], GaloisMap] = {(): GaloisMap.identity(tower.algebra)}
@@ -591,17 +601,9 @@ def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
         for word, m in elements.items():
             new[word + (0,)] = m  # the e = 0 factor is the identity
             for e in range(1, p):
-                new[word + (e,)] = m.compose(pows[e % len(pows)])
+                new[word + (e,)] = m.compose(pows[e])
         elements = new
-
-    word_by_key = {}
-    for word, m in elements.items():
-        key = m.key()
-        if key in word_by_key:
-            raise ConstructionError(
-                f"normal-form words {word_by_key[key]} and {word} give the same map")
-        word_by_key[key] = word
-    return GroupTable(elements, word_by_key, powers)
+    return GroupTable(elements, powers)
 
 
 @dataclass
@@ -654,13 +656,15 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
 
     Closure.  When the check passes, the maps satisfy these relations, so
     the group they generate is a quotient of the presented one (von Dyck)
-    and has at most p^k elements.  enumerate_group found p^k pairwise
-    distinct products of them, so the products fill it and the table is
-    closed under composition.  When the check fails, nothing is proved and
-    table.check_closed composes every element with every generator: a
-    table that is not closed raises ConstructionError, as does a
-    commutator or sigma_1^p missing from it; a closed table reports
-    matches_expected False.
+    and has at most p^k elements.  The p^k products of enumerate_group are
+    pairwise distinct, as each generator reads as its unit word: words with
+    different prefixes shift some alpha_j, j < k, by different amounts, and
+    words with one prefix differ by s_k^d, 0 < d < p, which moves alpha_k
+    by d.  So the products fill the group, and the table is closed.  When
+    the check fails, nothing is proved and table.check_closed composes
+    every element with every generator: a table that is not closed raises
+    ConstructionError, as does a commutator or sigma_1^p missing from it; a
+    closed table reports matches_expected False.
     """
     p = tower.p
     n = tower.n

@@ -180,7 +180,7 @@ INF = ExtRational.infinity()
 
 
 # ---------------------------------------------------------------------------
-# Finite fields F_q, q = p^d with p in {3, 5, 7} and d <= 4
+# Finite fields F_q, q = p^d with p in {3, 5, 7} and d <= 6
 # ---------------------------------------------------------------------------
 
 
@@ -214,7 +214,7 @@ def _poly_mod(a, m, p):
 
 
 def _poly_is_irreducible(m, p) -> bool:
-    """Brute-force trial division; fine for the supported degrees (<= 4)."""
+    """Brute-force trial division; fine for the supported degrees (<= 6)."""
     d = len(m) - 1
     if d < 1:
         return False
@@ -335,7 +335,7 @@ class FFElem:
 
 
 class ResidueField:
-    """F_q with q = p^d, p an odd prime in {3, 5, 7} and d <= 4.
+    """F_q with q = p^d, p an odd prime in {3, 5, 7} and d <= 6.
 
     Elements are indices 0..q-1 encoding coordinate vectors base p with
     respect to the power basis of a monic irreducible modulus.  The modulus
@@ -351,8 +351,8 @@ class ResidueField:
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if p not in _SUPPORTED_P:
             raise ValueError(f"unsupported characteristic {p}; supported: {_SUPPORTED_P}")
-        if not 1 <= d <= 4:
-            raise ValueError(f"unsupported extension degree {d}; need 1 <= d <= 4")
+        if not 1 <= d <= 6:
+            raise ValueError(f"unsupported extension degree {d}; need 1 <= d <= 6")
         self.p = p
         self.d = d
         self.q = p**d
@@ -759,10 +759,6 @@ class LaurentSeries:
         prec = min(self.prec, o.prec)
         exps = {e for e in self.coeffs if e < prec} | {e for e in o.coeffs if e < prec}
         return all(self.coeffs.get(e, 0) == o.coeffs.get(e, 0) for e in exps)
-
-    def key(self):
-        """Hashable canonical form (used for map-table comparisons)."""
-        return (tuple(sorted(self.coeffs.items())), self.prec)
 
     def __str__(self):
         if not self.coeffs:

@@ -95,7 +95,7 @@ class TestPlan:
     @pytest.mark.parametrize("flags", [
         ("--e0", "1/0"),
         ("--p", "11"),
-        ("--n", "3", "--m", "0,0,0,0,0,0,1", "--leads", "1,g,1,1,1,1,1"),
+        ("--n", "3", "--m", "0,0,0,0,0,0,1", "--leads", "1,g,1"),
         ("--q", "10"),
     ])
     def test_bad_input_is_usage_error(self, capsys, flags):
@@ -215,8 +215,8 @@ class TestOracle:
 
         def without_center(tower, gens):
             table = enumerate_group(tower, gens)
-            return dataclasses.replace(table, word_by_key={
-                k: w for k, w in table.word_by_key.items() if w != (0, 0, 1)})
+            return dataclasses.replace(table, elements={
+                w: m for w, m in table.elements.items() if w != (0, 0, 1)})
 
         monkeypatch.setattr(oracle, "enumerate_group", without_center)
         code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
@@ -291,7 +291,7 @@ _TABLES = _command(["ram", "tables"], p=_P, n=_N, b=_INT_LIST, output=_OUTPUT)
 _ORACLE_H31 = {"variant": "H", "p": "3", "n": "1", "u": "1", "t": "1"}
 _ORACLE = st.sampled_from([
     ("prec", "0"), ("prec", "-5"), ("p", "1"), ("p", "4"), ("p", "11"), ("n", "0"),
-    ("n", "3"), ("q", "10"), ("q", "1"), ("u", "3"), ("u", "0"), ("t", "-1"),
+    ("n", "4"), ("q", "10"), ("q", "1"), ("u", "3"), ("u", "0"), ("t", "-1"),
 ]).flatmap(lambda kv: _command(["oracle", "verify"],
                                **{k: st.just(v) for k, v in {**_ORACLE_H31, kv[0]: kv[1]}.items()}))
 

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+every source file parses at the Python floor that pyproject.toml declares.
 
 ``__init__.py`` imports to re-export, so it is exempt.  Names that occur
 only inside string annotations (``-> "TowerElement"``) count as used.
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "extraspecial"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "extraspecial"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+FLOOR = (3, 10)
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -56,3 +60,18 @@ def test_check_sees_an_unused_import():
     tree = ast.parse("from .x import a, b\nimport os.path\n"
                      "def f(y: 'list[b]'):\n    return y")
     assert {n for n in _imported_names(tree) if n not in _used_names(tree)} == {"a", "os"}
+
+
+def test_floor_is_the_declared_one():
+    assert f'requires-python = ">={FLOOR[0]}.{FLOOR[1]}"' in (ROOT / "pyproject.toml").read_text()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_at_python_floor(path):
+    # syntax only: a newer library name (tomllib, say) still passes
+    ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
+
+
+def test_floor_check_sees_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)

@@ -391,11 +391,12 @@ class TestGroupStructure:
         assert rep.matches_expected
 
 
+TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
+
+
 class TestGroupClosure:
     """group_structure proves closure from the presentation; the k p^k
     closure loop, GroupTable.check_closed, is the oracle."""
-
-    TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
     def test_presentation_proves_closure(self, variant, p, n, monkeypatch):
@@ -417,7 +418,7 @@ class TestGroupClosure:
         comm = group_structure(h_tower, gens, table).commutator_words[(1, n + 1)]
         assert comm == (0, 0, 1)
         broken = dataclasses.replace(
-            table, word_by_key={k: w for k, w in table.word_by_key.items() if w != comm})
+            table, elements={w: m for w, m in table.elements.items() if w != comm})
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             group_structure(h_tower, gens, broken)
 
@@ -444,11 +445,59 @@ class TestGroupClosure:
         table = enumerate_group(h_tower, gens)
         gone = (1, 1, 1)
         open_table = dataclasses.replace(
-            table,
-            elements={w: m for w, m in table.elements.items() if w != gone},
-            word_by_key={k: w for k, w in table.word_by_key.items() if w != gone})
+            table, elements={w: m for w, m in table.elements.items() if w != gone})
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             group_structure(self.as_m_tower(h_tower), gens, open_table)
+
+
+def map_key(m):
+    """The deleted GaloisMap.key(), kept as a test reference: each image as
+    its sorted terms (exponents, (sorted series coefficients, precision))."""
+    return tuple(tuple(sorted((e, (tuple(sorted(c.coeffs.items())), c.prec))
+                              for e, c in img.coeffs.items()))
+                 for img in m.images)
+
+
+class TestWordReading:
+    """GroupTable.word_of reads a map's word from the shifts it makes."""
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_every_element_reads_its_own_word(self, variant, p, n):
+        tower = make_tower(variant, p, n)
+        table = enumerate_group(tower, galois_generators(tower))
+        for word, m in table.elements.items():
+            assert table.word_of(m) == word
+        assert len({map_key(m) for m in table.elements.values()}) == p ** tower.nvars
+        # a map whose word is missing from the table is not read
+        last = (p - 1,) * tower.nvars
+        open_table = dataclasses.replace(
+            table, elements={w: m for w, m in table.elements.items() if w != last})
+        with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
+            open_table.word_of(table.elements[last])
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    @pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0), (0, 2, 1)])
+    def test_permuted_generators_are_refused(self, variant, order, h_tower, m_tower):
+        tower = h_tower if variant == "H" else m_tower
+        gens = galois_generators(tower)
+        with pytest.raises(ConstructionError):
+            enumerate_group(tower, [gens[i] for i in order])
+
+    def test_shift_outside_fp_is_not_a_word(self, h_tower):
+        table = enumerate_group(h_tower, galois_generators(h_tower))
+        algebra, g = h_tower.algebra, h_tower.field.gen()
+        assert not g.in_prime_field
+        images = [algebra.gen(j) for j in range(algebra.nvars)]
+        images[0] = images[0] + g
+        with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
+            table.word_of(GaloisMap(algebra, images, validate=False))
+        alpha = algebra.gen(0)
+        assert localfield._fp_shift(alpha + g, alpha) is None
+        assert localfield._fp_shift(alpha + g + (2 - g), alpha) == 2
+        # only exact constants are read: O(pi^5) + 1 is not
+        inexact = LaurentSeries.monomial(h_tower.field, 1, 0, prec=5)
+        assert localfield._fp_shift(alpha + inexact, alpha) is None
+        assert localfield._fp_shift(alpha * alpha, alpha) is None
 
 
 # -- the accumulators that TowerAlgebra._collect replaced, kept as test oracles --

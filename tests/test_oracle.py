@@ -15,8 +15,9 @@ from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMisma
 from extraspecial.detval import frobenius_matrix
 from extraspecial.oracle import (_cp_break, _jump_multiset, _shift_valuation,
                                  _uniformizer_exponents)
+from extraspecial.planner import family_params
 from conftest import random_elem
-from test_localfield import exact_chain, make_tower, valuation_outcome
+from test_localfield import exact_chain, make_tower, map_key, valuation_outcome
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +208,7 @@ class TestElementaryLayers:
             for b in sorted(set(filtration.lower_multiset)):
                 group = [table.elements[w] for w, v in filtration.ivals.items() if v - 1 >= b]
                 group.append(GaloisMap.identity(tower.algebra))
-                sizes.append(len({frozenset(g.compose(h).key() for h in fixing)
+                sizes.append(len({frozenset(map_key(g.compose(h)) for h in fixing)
                                   for g in group}))
             upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
             composed = tuple(int(x) for x in _jump_multiset(upper, sizes, p, "reference"))
@@ -292,10 +293,17 @@ class TestVerifyFamily:
         assert rep.group.gen_orders[0] == 9
         assert rep.group.metacyclic_w in (1, 2)
 
-    def test_wider_field_h(self):
-        # same tower over F_27: cardinality above the minimum is fine
-        rep = verify_family("H", 3, 1, 1, 1, q=27)
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_wider_field(self, variant):
+        # same tower over F_27: cardinality above the minimum is fine, and
+        # the generators still shift by constants of F_3
+        rep = verify_family(variant, 3, 1, 1, 1, q=27)
         assert rep.passed
+        tower = build_tower(family_params(variant, 3, 1, 1, 1, INF, 27))
+        assert tower.field.q == 27
+        gens = galois_generators(tower)
+        table = enumerate_group(tower, gens)
+        assert [table.word_of(g) for g in gens] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_second_family_member(self):
         # u = 2, t = 1: u = (2, 2, 11), b = (2, 2, 83)
@@ -319,6 +327,13 @@ class TestVerifyFamily:
         assert rep.group.commutator_words[(1, 3)] == (0, 0, 0, 0, 1)
         assert rep.group.commutator_words[(2, 4)] == (0, 0, 0, 0, 1)
         assert rep.group.commutator_words[(1, 2)] == (0, 0, 0, 0, 0)
+
+    def test_n3_h_tower(self):
+        # degree 3^7 over F_729, the first tower with a residue field of degree 6
+        rep = verify_family("H", 3, 3, 1, 1)
+        assert rep.passed
+        assert rep.group.order == 3**7
+        assert rep.filtration.lower_multiset == (1,) * 6 + (531442,)
 
     def test_n2_m_tower(self):
         rep = verify_family("M", 3, 2, 1, 1)

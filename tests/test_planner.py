@@ -174,6 +174,17 @@ class TestExampleFamily:
         rep_m = example_family(3, 2, 1, 1, "M")
         assert rep_m.cfrak == 6561 + 1 - 243
 
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_n3_family(self, p, variant):
+        # degree p^7 towers over F_(p^6): closed form t p^12 + u - 2u p^6 (H)
+        # or t p^12 + u - u p^7 (M)
+        rep = example_family(p, 3, 1, 1, variant)
+        assert rep.params.q == p**6
+        assert rep.b == (1,) * 6 + (p**12 + 1,)
+        assert rep.certified
+        assert rep.cfrak == p**12 + 1 - (2 * p**6 if variant == "H" else p**7)
+
     def test_closed_form_matches_on_grid(self):
         # the family's closed-form precision equals the general minimum
         # whenever m_1 = ... = m_2n = 0, in simple mode and in full mode
