@@ -3,8 +3,10 @@ its valuation, the measured ramification filtration, scaffold row bounds,
 and the elementary-layer breaks, all compared against planner predictions.
 
 Everything is computed by brute force in exact arithmetic over F_q((pi)):
-the filtration from first definitions (valuations of sigma(pi_L) - pi_L
-over every group element), the valuations through iterated norm
+the filtration from first definitions (valuations of sigma(pi_L) - pi_L,
+which are constant on each class of cyclic subgroups: measured once per
+class when the group stage has confirmed the presentation, and on every
+group element otherwise), the valuations through iterated norm
 determinants.  The one truncated step is the scaffold stage's t_top^(-1),
 taken in a series window that owns the precision retry.
 """
@@ -165,14 +167,49 @@ class FiltrationReport:
         }
 
 
-def ramification_filtration(tower: Tower, gen_data: GeneratorData,
-                            table: GroupTable) -> FiltrationReport:
-    """Measure i(sigma) = v_L(sigma(pi_L) - pi_L) for every nontrivial group
+def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The representative of the class of cyclic subgroups holding the
+    nontrivial normal-form word ``word`` of H(n) or M(n): (P / c, 0) for a
+    prefix P != 0 whose first nonzero entry is c, and (0, ..., 0, 1) for a
+    central word."""
+    prefix = word[:-1]
+    lead = next((e for e in prefix if e), 0)
+    if not lead:
+        return prefix + (1,)
+    inverse = pow(lead, -1, p)
+    return tuple(e * inverse % p for e in prefix) + (0,)
+
+
+def ramification_filtration(tower: Tower, gen_data: GeneratorData, table: GroupTable,
+                            group: GroupReport) -> FiltrationReport:
+    """Find i(sigma) = v_L(sigma(pi_L) - pi_L) for every nontrivial group
     element and derive the lower ramification multiset from the jumps.
 
     pi_L = Y^x pi^y with x vtop(Y) + y p^(2n+1) = 1 and |x| minimal; the
     filtration does not depend on this choice.  The Hilbert sum recomputed
     from the multiset must match the direct sum of the i(sigma).
+
+    When ``group.matches_expected`` holds, one element per class of cyclic
+    subgroups is measured and its value fills the class: (p^(2n) - 1)/(p - 1)
+    + 1 measurements for p^(2n+1) - 1 elements.  This is exact:
+    - i(sigma) >= m + 1 exactly when sigma is in G_m, a normal subgroup.
+      So i is a class function, i(tau sigma tau^(-1)) = i(sigma) (Serre,
+      Local Fields IV 1), and is constant on the generators of one cyclic
+      subgroup, since sigma is in G_m exactly when <sigma> is.
+    - The presentation makes G/Z = F_p^(2n), Z = <s_top> the center, with
+      the word prefix (e_1, ..., e_2n) as coordinates; in M(n), s_1^p is in
+      Z.  A noncentral sigma of prefix P has the conjugacy class sigma Z
+      (Z is the commutator subgroup and [sigma, G] = Z), and sigma^j, j
+      prime to p, has prefix jP.  So the words of prefix in F_p^* P make up
+      the classes of the generators of <sigma>, with the representative
+      (P / c, 0), c the first nonzero entry of P.  The p - 1 central words
+      generate Z and share (0, ..., 0, 1).
+    - The checks on a measurement give the same outcome across its class:
+      sigma fixes Y only if sigma = 1, since Y generates L (p does not
+      divide v_top(Y)), and v_top(sigma(Y) - Y) > v_top(Y) and i(sigma) >= 2
+      each say sigma is in G_1, which is normal.
+    Without the presentation the words carry no proved structure, and every
+    element is measured.
     """
     p = tower.p
     k = tower.nvars
@@ -180,15 +217,19 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     x, y = _uniformizer_exponents(gen_data.vtop, pk)
     y_elem = gen_data.element
 
+    measured: dict[tuple[int, ...], int] = {}
     ivals: dict[tuple[int, ...], int] = {}
-    for word, sigma in table.elements.items():
-        if all(e == 0 for e in word):
+    for word in table.elements:
+        if not any(word):
             continue
-        i_sigma = _shift_valuation(sigma, y_elem, x, y, gen_data.vtop)
-        if i_sigma < 2:
-            raise OracleMismatch(
-                f"i(sigma) = {i_sigma} < 2 for {word}; extension is not totally wild")
-        ivals[word] = i_sigma
+        rep = _cyclic_class(word, p) if group.matches_expected else word
+        if rep not in measured:
+            i_sigma = _shift_valuation(table.elements[rep], y_elem, x, y, gen_data.vtop)
+            if i_sigma < 2:
+                raise OracleMismatch(
+                    f"i(sigma) = {i_sigma} < 2 for {rep}; extension is not totally wild")
+            measured[rep] = i_sigma
+        ivals[word] = measured[rep]
 
     breaks = sorted({v - 1 for v in ivals.values()})
     sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
@@ -458,7 +499,7 @@ def verify_tower(params: TowerParams, prec: int | None = None) -> OracleReport:
     table = enumerate_group(tower, gens)
     group = group_structure(tower, gens, table)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table)
+    filtration = ramification_filtration(tower, gen_data, table, group)
     for attempt in range(3):
         try:
             scaffold = scaffold_row_check(tower, gen_data, gens, window)

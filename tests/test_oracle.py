@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -11,11 +12,12 @@ from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMisma
                           galois_generators, group_structure, lower_to_upper,
                           ramification_filtration, residue_field, ring_det,
                           scaffold_row_check, tval_valuation, verify_elementary_layers,
-                          verify_family)
+                          verify_family, verify_tower)
+from extraspecial import localfield
 from extraspecial.detval import frobenius_matrix
-from extraspecial.oracle import (_cp_break, _jump_multiset, _shift_valuation,
-                                 _uniformizer_exponents)
-from extraspecial.planner import family_params
+from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _jump_multiset,
+                                 _shift_valuation, _uniformizer_exponents)
+from extraspecial.planner import family_params, plan
 from conftest import random_elem
 from test_localfield import exact_chain, make_tower, map_key, valuation_outcome
 
@@ -26,7 +28,8 @@ def h_setup():
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table)
+    filtration = ramification_filtration(tower, gen_data, table,
+                                         group_structure(tower, gens, table))
     return tower, gens, table, gen_data, filtration
 
 
@@ -36,7 +39,8 @@ def m_setup():
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table)
+    filtration = ramification_filtration(tower, gen_data, table,
+                                         group_structure(tower, gens, table))
     return tower, gens, table, gen_data, filtration
 
 
@@ -142,6 +146,113 @@ class TestFiltration:
             assert filtration.ivals[word] == direct
 
 
+def full_filtration(tower, gen_data, table) -> FiltrationReport:
+    """Reference: the per-element loop the class shortcut replaced, which
+    measures i(sigma) on every nontrivial element."""
+    p = tower.p
+    k = tower.nvars
+    x, y = _uniformizer_exponents(gen_data.vtop, p**k)
+    ivals = {}
+    for word, sigma in table.elements.items():
+        if all(e == 0 for e in word):
+            continue
+        i_sigma = _shift_valuation(sigma, gen_data.element, x, y, gen_data.vtop)
+        if i_sigma < 2:
+            raise OracleMismatch(
+                f"i(sigma) = {i_sigma} < 2 for {word}; extension is not totally wild")
+        ivals[word] = i_sigma
+
+    breaks = sorted({v - 1 for v in ivals.values()})
+    sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
+    multiset = _jump_multiset(breaks, sizes, p, "filtration")
+    if len(multiset) != k:
+        raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
+    hilbert = 0
+    for i in range(0, max(multiset) + 1):
+        hilbert += p ** sum(1 for b in multiset if b >= i) - 1
+    return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()), hilbert, (x, y))
+
+
+def _staged(params):
+    tower = build_tower(params)
+    gens = galois_generators(tower)
+    table = enumerate_group(tower, gens)
+    return tower, table, group_structure(tower, gens, table), construct_generator(tower)
+
+
+def _count_measurements(monkeypatch, run) -> tuple:
+    """run() and the number of _shift_valuation calls it made."""
+    import extraspecial.oracle as oracle_mod
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _shift_valuation(*args)
+
+    monkeypatch.setattr(oracle_mod, "_shift_valuation", counted)
+    report = run()
+    return report, calls
+
+
+# the standard towers, and m = (0, 1, 2), whose noncentral classes have two values
+CLASS_TOWERS = [family_params(v, p, n, 1, 1, INF, None)
+                for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
+CLASS_TOWERS += [family_params("H", 3, 3, 1, 1, INF, None),
+                 dataclasses.replace(CLASS_TOWERS[0], m=(0, 1, 2))]
+
+
+def _tower_id(params) -> str:
+    return f"{params.variant}-{params.p}-{params.n}-m{''.join(map(str, params.m))}"
+
+
+class TestCyclicClasses:
+    """The filtration measures one element per class of cyclic subgroups once
+    the presentation is confirmed, and every element otherwise."""
+
+    @pytest.fixture(scope="class", params=CLASS_TOWERS, ids=_tower_id)
+    def staged(self, request):
+        return _staged(request.param)
+
+    def test_matches_full_filtration(self, staged, monkeypatch):
+        tower, table, group, gen_data = staged
+        assert group.matches_expected
+        p, n = tower.p, tower.n
+        shortcut, calls = _count_measurements(
+            monkeypatch, lambda: ramification_filtration(tower, gen_data, table, group))
+        assert calls == (p**(2 * n) - 1) // (p - 1) + 1
+        assert shortcut == full_filtration(tower, gen_data, table)
+        # on m = (0, 1, 2) the noncentral words take two values, so a class
+        # map that merged noncentral classes would show there
+        noncentral = {v for w, v in shortcut.ivals.items() if any(w[:-1])}
+        assert len(noncentral) == (2 if tower.params.m == (0, 1, 2) else 1)
+
+    @pytest.mark.parametrize("params", [t for t in CLASS_TOWERS if t.p**(2 * t.n + 1) <= 243],
+                             ids=_tower_id)
+    def test_unconfirmed_presentation_measures_every_element(self, params, monkeypatch):
+        tower, table, group, gen_data = _staged(params)
+        unconfirmed = dataclasses.replace(group, matches_expected=False)
+        report, calls = _count_measurements(
+            monkeypatch, lambda: ramification_filtration(tower, gen_data, table, unconfirmed))
+        assert calls == tower.p**tower.nvars - 1
+        assert report == ramification_filtration(tower, gen_data, table, group)
+
+    def test_class_representatives(self):
+        assert _cyclic_class((2, 4, 3), 5) == (1, 2, 0)
+        assert _cyclic_class((0, 3, 1, 4, 2), 5) == (0, 1, 2, 3, 0)
+        assert _cyclic_class((0, 0, 3), 5) == (0, 0, 1)
+        assert _cyclic_class((0, 0, 0, 0, 1), 3) == (0, 0, 0, 0, 1)
+        # each class holds the p - 1 multiples of a prefix, with any last entry
+        p, k = 3, 5
+        words = [w for w in itertools.product(range(p), repeat=k) if any(w)]
+        classes = {}
+        for w in words:
+            classes.setdefault(_cyclic_class(w, p), []).append(w)
+        assert len(classes) == (p**(k - 1) - 1) // (p - 1) + 1
+        assert len(classes[(0,) * (k - 1) + (1,)]) == p - 1
+        assert all(len(ws) == (p - 1) * p for rep, ws in classes.items() if any(rep[:-1]))
+
+
 class TestScaffold:
     def test_h_rows(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
@@ -200,8 +311,10 @@ class TestElementaryLayers:
             params = TowerParams(p=p, n=1, variant=variant, e0=INF, r=1, m=m,
                                  leads=default_leads(field, 1), field=field)
             tower = build_tower(params)
-            table = enumerate_group(tower, galois_generators(tower))
-            filtration = ramification_filtration(tower, construct_generator(tower), table)
+            gens = galois_generators(tower)
+            table = enumerate_group(tower, gens)
+            filtration = ramification_filtration(tower, construct_generator(tower), table,
+                                                 group_structure(tower, gens, table))
             fixing = [g for g in table.elements.values()
                       if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
             sizes = []
@@ -328,18 +441,56 @@ class TestVerifyFamily:
         assert rep.group.commutator_words[(2, 4)] == (0, 0, 0, 0, 1)
         assert rep.group.commutator_words[(1, 2)] == (0, 0, 0, 0, 0)
 
-    def test_n3_h_tower(self):
-        # degree 3^7 over F_729, the first tower with a residue field of degree 6
-        rep = verify_family("H", 3, 3, 1, 1)
+    @pytest.mark.parametrize("variant, p, n", [("H", 3, 3), ("M", 3, 3), ("H", 5, 2),
+                                               ("M", 5, 2)])
+    def test_large_tower_closed_forms(self, variant, p, n):
+        # orders 3^7 over F_729 (residue degree 6) and 5^5 over F_625; the
+        # closed forms of u = t = 1 are those of bench/bench_gate.py:
+        # b = (1, ..., 1, p^(4n) + 1) and the Hilbert sum of the different
+        rep = verify_family(variant, p, n, 1, 1)
         assert rep.passed
-        assert rep.group.order == 3**7
-        assert rep.filtration.lower_multiset == (1,) * 6 + (531442,)
+        assert rep.group.order == p**(2 * n + 1)
+        lower = [1] * (2 * n) + [p**(4 * n) + 1]
+        assert list(rep.filtration.lower_multiset) == lower
+        hilbert = sum(p ** sum(1 for x in lower if x >= i) - 1 for i in range(max(lower) + 1))
+        assert rep.filtration.different_val == rep.filtration.hilbert_sum == hilbert
 
     def test_n2_m_tower(self):
         rep = verify_family("M", 3, 2, 1, 1)
         assert rep.passed
         assert rep.group.gen_orders == (9, 3, 3, 3, 3)
         assert rep.group.metacyclic_w == 1
+
+
+# (p, n, residue degree d): the least field p^(2n) of each (p, n), and wider
+# fields at n = 1
+SWEEP_FIELDS = [(3, 1, 2), (3, 1, 3), (5, 1, 2), (5, 1, 3), (7, 1, 2), (7, 1, 3), (3, 2, 4)]
+SWEEP_SEED, SWEEP_COUNT = 13, 120
+
+
+def sweep_draws(seed: int, count: int):
+    """``count`` seeded TowerParams over SWEEP_FIELDS, both variants, random
+    r < 3p prime to p, m and leads; the planner decides which are certified.
+    At p = 7 and at n = 2 the floor exponents m_1..m_2n are 0 and only m_top
+    is drawn: with a nonzero one the exact valuation chain can run for
+    minutes (``test_certified_tower_needs_no_exact_fallback``)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, n, d = rng.choice(SWEEP_FIELDS)
+        field = residue_field(p, d)
+        k = 2 * n + 1
+        r = rng.choice([x for x in range(1, 3 * p) if x % p])
+        if n == 1 and p < 7:
+            m = tuple(sorted(rng.choice([0, 0, 1, 2]) for _ in range(k)))
+        else:
+            m = (0,) * (k - 1) + (rng.choice([1, 2]),)
+        leads = tuple(random_elem(field, rng, nonzero=True) for _ in range(k))
+        yield TowerParams(p=p, n=n, variant=rng.choice("HM"), e0=INF, r=r, m=m,
+                          leads=leads, field=field)
+
+
+class ExactChainFallback(Exception):
+    """Raised in place of the exact norm chain that ends elt_valuation."""
 
 
 class TestGeneralParameters:
@@ -360,30 +511,40 @@ class TestGeneralParameters:
         assert rep.passed
 
     def test_random_certified_instances(self):
-        # every certified parameter set the sweep finds must verify end to end
-        import random
-        import extraspecial as xs
-        rng = random.Random(77)
-        field = xs.residue_field(3, 2)
-        g = field.gen()
-        checked = 0
-        for _ in range(60):
-            r = rng.choice([1, 2, 4, 5, 7, 8])
-            m = tuple(sorted(rng.choice([0, 0, 1, 2]) for _ in range(3)))
-            variant = rng.choice(["H", "M"])
-            leads = (field.one() if rng.random() < 0.5 else g ** rng.randint(1, 7),
-                     g ** rng.randint(1, 7),
-                     field.one() if rng.random() < 0.5 else g ** rng.randint(1, 7))
-            try:
-                params = xs.TowerParams(p=3, n=1, variant=variant, e0=xs.INF, r=r,
-                                        m=m, leads=leads, field=field)
-            except ValueError:
+        # every certified parameter set the seeded sweep draws must verify end
+        # to end, over every (p, n) and residue field it draws from
+        seen = set()
+        for params in sweep_draws(SWEEP_SEED, SWEEP_COUNT):
+            if not plan(params).certified:
                 continue
-            if not xs.plan(params).certified:
-                continue
-            assert xs.verify_tower(params).passed
-            checked += 1
-        assert checked >= 10
+            assert verify_tower(params).passed, params
+            seen.add((params.variant, params.p, params.n, params.field.q))
+        assert {(p, n, q) for _, p, n, q in seen} == \
+            {(p, n, p**d) for p, n, d in SWEEP_FIELDS}
+        assert {v for v, *_ in seen} == {"H", "M"}
+
+    @pytest.mark.xfail(strict=True, raises=ExactChainFallback,
+                       reason="every capped valuation run of one element refuses, "
+                              "and the exact chain then takes minutes")
+    @pytest.mark.parametrize("p, n, d, r, m", [(3, 2, 4, 2, (0, 0, 1, 1, 2)),
+                                               (7, 1, 2, 3, (0, 1, 2))])
+    def test_certified_tower_needs_no_exact_fallback(self, monkeypatch, p, n, d, r, m):
+        # certified H towers with nonzero floor exponents: at (3,2) the
+        # generator stage, at (7,1) the scaffold stage falls back to the exact
+        # chain; the patched fallback raises at once instead of running it
+        real = localfield._norm_valuation
+
+        def capped_only(x, w):
+            if w is None:
+                raise ExactChainFallback
+            return real(x, w)
+
+        monkeypatch.setattr(localfield, "_norm_valuation", capped_only)
+        field = residue_field(p, d)
+        params = TowerParams(p=p, n=n, variant="H", e0=INF, r=r, m=m,
+                             leads=default_leads(field, n), field=field)
+        assert plan(params).certified
+        assert verify_tower(params).passed
 
 
 class TestPrecisionRetry:
