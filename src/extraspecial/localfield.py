@@ -22,6 +22,7 @@ and falls back to the exact chain when the cap cannot certify.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -426,7 +427,7 @@ def _level_norm(x: TowerElement, i: int) -> TowerElement:
 # The capped chain keeps CAP_START coefficients of relative precision and
 # doubles it after a PrecisionError, CAP_TRIES times, before the exact chain.
 CAP_START = 8
-CAP_TRIES = 3
+CAP_TRIES = 7
 
 
 def _cap(x: TowerElement, w: int) -> TowerElement:
@@ -550,60 +551,68 @@ def _fp_shift(x: TowerElement, y: TowerElement) -> int | None:
     return e if e < c.field.p else None
 
 
-@dataclass
 class GroupTable:
-    """All p^(2n+1) automorphisms indexed by normal-form exponent words."""
+    """The p^k automorphisms sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, k =
+    2n + 1, indexed by their normal-form words.  A map is built when its
+    word is first read, and kept: ``table[word]`` composes the map of the
+    word with its last nonzero exponent e_i set to 0 with sigma_i^e_i from
+    the kept walk ``powers[i]``.  A stage that reads only some words builds
+    only those and the words they rest on."""
 
-    elements: dict[tuple[int, ...], GaloisMap]
-    powers: list[list[GaloisMap]]     # gens[i].powers(), walked once
+    def __init__(self, powers: list[list[GaloisMap]]):
+        self.powers = powers    # gens[i].powers(), walked once
+        identity = powers[0][0]
+        p, k = identity.algebra.p, identity.algebra.nvars
+        self.words = tuple(itertools.product(range(p), repeat=k))
+        self.built: dict[tuple[int, ...], GaloisMap] = {self.words[0]: identity}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.words)
+
+    def __getitem__(self, word: tuple[int, ...]) -> GaloisMap:
+        m = self.built.get(word)
+        if m is None:
+            i = max(j for j, e in enumerate(word) if e)
+            base = self[word[:i] + (0,) * (len(word) - i)]
+            m = self.built[word] = base.compose(self.powers[i][word[i]])
+        return m
 
     def word_of(self, m: GaloisMap) -> tuple[int, ...]:
         """The word of m, read from its images: e_j = m(alpha_j) - alpha_j
         for j < k, and e_k = m(alpha_k) - T(alpha_k), T the element of word
-        (e_1, ..., e_(k-1), 0).  Each must be an exact constant of F_p and
-        the word must be in the table, or ConstructionError."""
+        (e_1, ..., e_(k-1), 0).  Each must be an exact constant of F_p, or
+        m is not in the table: ConstructionError."""
         word = tuple(_fp_shift(m.images[j], m.algebra.gen(j)) for j in range(m.algebra.nvars - 1))
-        base = self.elements.get(word + (0,))
-        word += (_fp_shift(m.images[-1], base.images[-1]) if base else None,)
-        if word not in self.elements:
+        if None not in word:
+            word += (_fp_shift(m.images[-1], self[word + (0,)].images[-1]),)
+        if None in word:
             raise ConstructionError("group is not closed under composition")
         return word
 
     def check_closed(self, gens: list[GaloisMap]) -> None:
         """Raise ConstructionError unless g m is in the table for every
-        generator g and element m: k p^k compositions.  The table holds the
-        identity and the group is finite, so this is closure under
-        composition."""
+        generator g and element m: k p^k compositions, every map built.  The
+        table holds the identity and the group is finite, so this is closure
+        under composition."""
         for g in gens:
-            for m in self.elements.values():
-                self.word_of(g.compose(m))
+            for word in self.words:
+                self.word_of(g.compose(self[word]))
 
 
 def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
-    """Build every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, once
-    each generator reads as its unit word.  :func:`group_structure` proves
-    that the products are pairwise distinct and closed under composition."""
-    p, k = tower.p, tower.nvars
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    seed = GroupTable({(0,) * k: GaloisMap.identity(tower.algebra), **dict(zip(units, gens))}, [])
+    """The table of the products sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p,
+    once each generator reads as its unit word.  It walks each generator's
+    powers once and builds no product beyond those the unit check reads;
+    the rest are built when a stage reads them.  :func:`group_structure`
+    proves that the products are pairwise distinct and closed under
+    composition, without building them."""
+    k = tower.nvars
+    table = GroupTable([g.powers() for g in gens])
     for i, g in enumerate(gens):
-        if seed.word_of(g) != units[i]:
+        if table.word_of(g) != tuple(int(i == j) for j in range(k)):
             raise ConstructionError(f"generator {i + 1} does not read as its unit word")
-    powers = [g.powers() for g in gens]
-
-    elements: dict[tuple[int, ...], GaloisMap] = {(): GaloisMap.identity(tower.algebra)}
-    for pows in powers:
-        new = {}
-        for word, m in elements.items():
-            new[word + (0,)] = m  # the e = 0 factor is the identity
-            for e in range(1, p):
-                new[word + (e,)] = m.compose(pows[e])
-        elements = new
-    return GroupTable(elements, powers)
+    return table
 
 
 @dataclass
@@ -656,15 +665,18 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
 
     Closure.  When the check passes, the maps satisfy these relations, so
     the group they generate is a quotient of the presented one (von Dyck)
-    and has at most p^k elements.  The p^k products of enumerate_group are
-    pairwise distinct, as each generator reads as its unit word: words with
-    different prefixes shift some alpha_j, j < k, by different amounts, and
-    words with one prefix differ by s_k^d, 0 < d < p, which moves alpha_k
-    by d.  So the products fill the group, and the table is closed.  When
-    the check fails, nothing is proved and table.check_closed composes
-    every element with every generator: a table that is not closed raises
-    ConstructionError, as does a commutator or sigma_1^p missing from it; a
-    closed table reports matches_expected False.
+    and has at most p^k elements.  The p^k products the table's words name
+    are pairwise distinct, as each generator reads as its unit word: words
+    with different prefixes shift some alpha_j, j < k, by different amounts,
+    and words with one prefix differ by s_k^d, 0 < d < p, which moves
+    alpha_k by d.  So the products fill the group, and the table is closed.
+    The proof reads only the generators, their walks, the commutators and
+    sigma_1^p, so it holds for a table none of whose other products is
+    ever built.  When the check fails, nothing is proved and
+    table.check_closed builds every product and composes it with every
+    generator: a map that shifts some alpha_j by anything but an exact
+    constant of F_p raises ConstructionError; a closed table reports
+    matches_expected False.
     """
     p = tower.p
     n = tower.n

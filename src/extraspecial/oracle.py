@@ -219,12 +219,12 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData, table: GroupT
 
     measured: dict[tuple[int, ...], int] = {}
     ivals: dict[tuple[int, ...], int] = {}
-    for word in table.elements:
+    for word in table.words:
         if not any(word):
             continue
         rep = _cyclic_class(word, p) if group.matches_expected else word
         if rep not in measured:
-            i_sigma = _shift_valuation(table.elements[rep], y_elem, x, y, gen_data.vtop)
+            i_sigma = _shift_valuation(table[rep], y_elem, x, y, gen_data.vtop)
             if i_sigma < 2:
                 raise OracleMismatch(
                     f"i(sigma) = {i_sigma} < 2 for {rep}; extension is not totally wild")
@@ -416,19 +416,26 @@ def verify_elementary_layers(tower: Tower, table: GroupTable,
 
     The floor multiset is read off the measured filtration through the
     quotient rule for upper numbering: the subgroup fixing the floor is
-    factored out and the surviving jumps counted."""
+    factored out and the surviving jumps counted.
+
+    That subgroup is {sigma_top^e : e < p}, the words of prefix 0, and only
+    the p powers of sigma_top are checked to fix alpha_1..alpha_2n.  The
+    rest follows from the unit words :func:`enumerate_group` checked:
+    sigma_i shifts alpha_j, j <= 2n, by 1 if i = j and by 0 otherwise, and
+    such shifts add under composition, since sigma(alpha_j + c) =
+    sigma(alpha_j) + c for a constant c.  So the map of word w shifts
+    alpha_j by e_j, and it fixes the floor exactly when the prefix of w is
+    0; no other map of the table is read."""
     p = tower.p
     n = tower.n
     k = tower.nvars
     u = tower.plan_report.u
     layers = tuple(LayerCheck(i, u[i - 1], _cp_break(tower, i)) for i in range(1, 2 * n + 1))
 
-    # the maps fixing alpha_1..alpha_2n must be exactly sigma_top^e, e < p
-    fixing = {w for w, m in table.elements.items()
-              if all(m.images[j] == m.algebra.gen(j) for j in range(k - 1))}
-    if fixing != {(0,) * (k - 1) + (e,) for e in range(p)}:
-        raise OracleMismatch(f"floor-fixing subgroup is {sorted(fixing)}, expected the "
-                             f"{p} powers of sigma_top")
+    top_walk = table.powers[-1]
+    if len(top_walk) != p or any(m.images[j] != m.algebra.gen(j)
+                                 for m in top_walk for j in range(k - 1)):
+        raise OracleMismatch(f"the floor-fixing subgroup is not the {p} powers of sigma_top")
 
     # m sigma_top^e moves only m's last exponent: m Fix is the words sharing m's prefix
     def coset_count(lower_value) -> int:

@@ -712,6 +712,9 @@ class LaurentSeries:
         # logs of the normalized unit u = self * lead^-1 * pi^-v (constant term 1)
         # and of its inverse, None for a zero coefficient; sums as in __mul__
         unit = {e - v: (log[c] + lead_inv) % m for e, c in self.coeffs.items() if e > v}
+        if not unit and w > 0:
+            # a monomial: u = 1, so every term of 1/u above the constant is 0
+            return self._of(f, {-v: exp[lead_inv]}, -v + w)
         inv: list[int | None] = [0]
         for k in range(1, w):
             acc = None

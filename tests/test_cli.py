@@ -206,19 +206,18 @@ class TestOracle:
         assert out == ""
         assert err == "verification failure: group is not closed under composition\n"
 
-    def test_missing_group_word_is_verification_failure(self, capsys, monkeypatch):
-        # a commutator missing from the group table is a ConstructionError,
-        # never a KeyError
-        import dataclasses
+    def test_shift_outside_fp_is_verification_failure(self, capsys, monkeypatch):
+        # a generator that shifts alpha_top by g, outside F_3, reads as no
+        # word of the group table: a ConstructionError, never a KeyError
         import extraspecial.oracle as oracle
-        enumerate_group = oracle.enumerate_group
+        from test_localfield import outside_fp
+        galois_generators = oracle.galois_generators
 
-        def without_center(tower, gens):
-            table = enumerate_group(tower, gens)
-            return dataclasses.replace(table, elements={
-                w: m for w, m in table.elements.items() if w != (0, 0, 1)})
+        def bent_top(tower):
+            gens = galois_generators(tower)
+            return gens[:-1] + [outside_fp(gens[-1], tower.nvars - 1, tower.field.gen())]
 
-        monkeypatch.setattr(oracle, "enumerate_group", without_center)
+        monkeypatch.setattr(oracle, "galois_generators", bent_top)
         code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
                              "--n", "1", "--u", "1", "--t", "1")
         assert code == 2

@@ -237,12 +237,14 @@ class TestCappedValuation:
             assert [valuation_outcome(real, x) for x in measured] == want
 
     @pytest.mark.parametrize("N, attempts", [(1, [8]), (2, [8, 16]), (3, [8, 16, 32]),
-                                             (4, [8, 16, 32, None])])
+                                             (5, [8, 16, 32, 64, 128, 256]),
+                                             (6, [8, 16, 32, 64, 128, 256, 512, None])])
     def test_deep_cancellation_retries(self, monkeypatch, N, attempts):
         # alpha^3 = alpha + pi and t_N = -(pi + pi^3 + ... + pi^(3^N)):
         # N(alpha - t_N) = -(t_N^3 - t_N - pi) = pi^(3^(N+1)), so v_0 = 3^N, and
-        # the cap must keep pi^(3^N) in t_N before the cancellation certifies
-        assert (localfield.CAP_START, localfield.CAP_TRIES) == (8, 3)
+        # the cap must keep pi^(3^N) in t_N before the cancellation certifies;
+        # at N = 6, 3^N > 512 outruns the seven capped tries and the exact chain decides
+        assert (localfield.CAP_START, localfield.CAP_TRIES) == (8, 7)
         f9 = residue_field(3, 2)
         algebra = TowerAlgebra(f9, 1)
         algebra.set_relation(0, algebra.from_series(LaurentSeries.monomial(f9, 1, 1)))
@@ -355,6 +357,31 @@ class TestComposition:
                 assert cubed.is_identity() == (variant == "H")
 
 
+TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
+
+
+def eager_products(tower, powers):
+    """The loop GroupTable's lazy build replaced, kept as a test reference:
+    every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, one letter at a
+    time, by normal-form word."""
+    elements = {(): GaloisMap.identity(tower.algebra)}
+    for pows in powers:
+        new = {}
+        for word, m in elements.items():
+            new[word + (0,)] = m  # the e = 0 factor is the identity
+            for e in range(1, tower.p):
+                new[word + (e,)] = m.compose(pows[e])
+        elements = new
+    return elements
+
+
+def outside_fp(m, j, c):
+    """m with its image of alpha_(j+1) shifted by the constant c."""
+    images = list(m.images)
+    images[j] = images[j] + c
+    return GaloisMap(m.algebra, images, validate=False)
+
+
 class TestGroupStructure:
     def test_h_group(self, h_tower):
         gens = galois_generators(h_tower)
@@ -376,11 +403,26 @@ class TestGroupStructure:
         for pows, g in zip(table.powers, gens):
             assert pows == g.powers()
         # every word is the product of its generator powers, e = 0 factors included
-        for word, m in table.elements.items():
+        for word in table.words:
             expected = GaloisMap.identity(tower.algebra)
             for pows, e in zip(table.powers, word):
                 expected = expected.compose(pows[e])
-            assert m == expected
+            assert table[word] == expected
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_lazy_products_match_eager_products(self, variant, p, n):
+        tower = make_tower(variant, p, n)
+        gens = galois_generators(tower)
+        table = enumerate_group(tower, gens)
+        # enumerate_group builds only the unit words its check reads
+        k = tower.nvars
+        assert set(table.built) == {tuple(int(i == j) for j in range(k))
+                                    for i in range(-1, k - 1)}
+        eager = eager_products(tower, table.powers)
+        assert list(eager) == list(table.words)
+        for word, m in eager.items():
+            assert table[word].images == m.images
+        assert len(table.built) == table.order == p**k
 
     def test_m_group(self, m_tower):
         gens = galois_generators(m_tower)
@@ -392,9 +434,6 @@ class TestGroupStructure:
         assert rep.sigma1_p_word[-1] in (1, 2)
         assert rep.metacyclic_w == rep.sigma1_p_word[-1]
         assert rep.matches_expected
-
-
-TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
 
 
 class TestGroupClosure:
@@ -414,16 +453,16 @@ class TestGroupClosure:
             assert group_structure(tower, gens, table).matches_expected
         table.check_closed(gens)
 
-    def test_missing_commutator_word_is_construction_error(self, h_tower):
+    def test_commutator_shift_outside_fp_is_construction_error(self, h_tower):
+        # sigma_top shifted by g, outside F_3: [sigma_1, sigma_top] shifts
+        # alpha_top by g - 1, which no word reads
         gens = galois_generators(h_tower)
         table = enumerate_group(h_tower, gens)
-        n = h_tower.n
-        comm = group_structure(h_tower, gens, table).commutator_words[(1, n + 1)]
-        assert comm == (0, 0, 1)
-        broken = dataclasses.replace(
-            table, elements={w: m for w, m in table.elements.items() if w != comm})
+        g = h_tower.field.gen()
+        assert not g.in_prime_field
+        bent = gens[:-1] + [outside_fp(gens[-1], 2, g - 1)]
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            group_structure(h_tower, gens, broken)
+            group_structure(h_tower, bent, table)
 
     @staticmethod
     def as_m_tower(tower):
@@ -442,13 +481,15 @@ class TestGroupClosure:
         assert runs == [1]
 
     def test_failed_presentation_on_open_table_is_construction_error(self, h_tower):
-        # (1, 1, 1) is no commutator and not sigma_1^p, so only the closure
-        # loop can see that it is missing
+        # sigma_1 in the walk of sigma_1 is shifted on alpha_top by g, outside
+        # F_3.  The presentation reads only the generators, sigma_1^3 and the
+        # last entry of each walk, so only the closure loop builds a product
+        # on that entry and finds the shift
         gens = galois_generators(h_tower)
         table = enumerate_group(h_tower, gens)
-        gone = (1, 1, 1)
-        open_table = dataclasses.replace(
-            table, elements={w: m for w, m in table.elements.items() if w != gone})
+        walk = list(table.powers[0])
+        walk[1] = outside_fp(walk[1], 2, h_tower.field.gen())
+        open_table = localfield.GroupTable([walk] + table.powers[1:])
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             group_structure(self.as_m_tower(h_tower), gens, open_table)
 
@@ -468,15 +509,16 @@ class TestWordReading:
     def test_every_element_reads_its_own_word(self, variant, p, n):
         tower = make_tower(variant, p, n)
         table = enumerate_group(tower, galois_generators(tower))
-        for word, m in table.elements.items():
-            assert table.word_of(m) == word
-        assert len({map_key(m) for m in table.elements.values()}) == p ** tower.nvars
-        # a map whose word is missing from the table is not read
-        last = (p - 1,) * tower.nvars
-        open_table = dataclasses.replace(
-            table, elements={w: m for w, m in table.elements.items() if w != last})
+        for word in table.words:
+            assert table.word_of(table[word]) == word
+        assert len({map_key(m) for m in table.built.values()}) == p ** tower.nvars
+        # a map that shifts alpha_top past a word's map by a constant outside
+        # F_p is in no word
+        last = table[(p - 1,) * tower.nvars]
+        g = tower.field.gen()
+        assert not g.in_prime_field
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            open_table.word_of(table.elements[last])
+            table.word_of(outside_fp(last, tower.nvars - 1, g))
 
     @pytest.mark.parametrize("variant", ["H", "M"])
     @pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0), (0, 2, 1)])
@@ -692,8 +734,8 @@ class TestCollectAgainstDeletedAccumulators:
         table = enumerate_group(h_tower, galois_generators(h_tower))
         y = construct_generator(h_tower).element
         xs = [y] + mixed_elements(h_tower.algebra, random.Random(105), 6)
-        assert len(table.elements) == 27
-        for sigma in table.elements.values():
+        assert table.order == 27
+        for sigma in map(table.__getitem__, table.words):
             for x in xs:
                 assert same(sigma.apply(x), reference_apply(sigma, x))
 

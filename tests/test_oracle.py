@@ -14,12 +14,14 @@ from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMisma
                           scaffold_row_check, tval_valuation, verify_elementary_layers,
                           verify_family, verify_tower)
 from extraspecial import localfield
+from extraspecial.localfield import GroupTable
 from extraspecial.detval import frobenius_matrix
 from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _jump_multiset,
                                  _shift_valuation, _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
 from conftest import random_elem
-from test_localfield import exact_chain, make_tower, map_key, valuation_outcome
+from test_localfield import (TIER1_TOWERS, eager_products, exact_chain, make_tower, map_key,
+                            valuation_outcome)
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +139,8 @@ class TestFiltration:
         pk = 27
         x, y = _uniformizer_exponents(gen_data.vtop, pk)
         assert x == -1
-        for word, sigma in table.elements.items():
-            if all(e == 0 for e in word):
-                continue
-            sy = sigma.apply(gen_data.element)
+        for word in table.words[1:]:
+            sy = table[word].apply(gen_data.element)
             direct = y * pk + elt_valuation_top(gen_data.element - sy) \
                 - 2 * gen_data.vtop
             assert filtration.ivals[word] == direct
@@ -153,10 +153,8 @@ def full_filtration(tower, gen_data, table) -> FiltrationReport:
     k = tower.nvars
     x, y = _uniformizer_exponents(gen_data.vtop, p**k)
     ivals = {}
-    for word, sigma in table.elements.items():
-        if all(e == 0 for e in word):
-            continue
-        i_sigma = _shift_valuation(sigma, gen_data.element, x, y, gen_data.vtop)
+    for word in table.words[1:]:
+        i_sigma = _shift_valuation(table[word], gen_data.element, x, y, gen_data.vtop)
         if i_sigma < 2:
             raise OracleMismatch(
                 f"i(sigma) = {i_sigma} < 2 for {word}; extension is not totally wild")
@@ -237,6 +235,43 @@ class TestCyclicClasses:
         assert calls == tower.p**tower.nvars - 1
         assert report == ramification_filtration(tower, gen_data, table, group)
 
+    @staticmethod
+    def _tables(monkeypatch) -> list:
+        """The group tables verify_tower builds, in order."""
+        import extraspecial.oracle as oracle_mod
+        tables = []
+        real = oracle_mod.enumerate_group
+        monkeypatch.setattr(oracle_mod, "enumerate_group",
+                            lambda *args: tables.append(real(*args)) or tables[-1])
+        return tables
+
+    @pytest.mark.parametrize("params", CLASS_TOWERS[:8], ids=_tower_id)
+    def test_confirmed_verify_builds_the_class_representatives(self, params, monkeypatch):
+        tables = self._tables(monkeypatch)
+        assert verify_tower(params).passed
+        (table,) = tables
+        p, k = params.p, 2 * params.n + 1
+        reps = {_cyclic_class(w, p) for w in table.words[1:]}
+        assert len(reps) == (p**(k - 1) - 1) // (p - 1) + 1
+        assert set(table.built) == reps | {table.words[0]}
+
+    @pytest.mark.parametrize("params", [t for t in CLASS_TOWERS[:8] if t.p**(2 * t.n + 1) <= 243],
+                             ids=_tower_id)
+    def test_unconfirmed_verify_builds_every_product(self, params, monkeypatch):
+        import extraspecial.oracle as oracle_mod
+        want = verify_tower(params).to_dict()
+        tables = self._tables(monkeypatch)
+        real = oracle_mod.group_structure
+        monkeypatch.setattr(oracle_mod, "group_structure", lambda *args: dataclasses.replace(
+            real(*args), matches_expected=False))
+        got = verify_tower(params).to_dict()
+        (table,) = tables
+        assert len(table.built) == table.order == params.p**(2 * params.n + 1)
+        # the forced flag fails the verify; every other field is unchanged
+        assert (got["group"]["matches_expected"], got["passed"]) == (False, False)
+        got["group"]["matches_expected"] = got["passed"] = True
+        assert got == want
+
     def test_class_representatives(self):
         assert _cyclic_class((2, 4, 3), 5) == (1, 2, 0)
         assert _cyclic_class((0, 3, 1, 4, 2), 5) == (0, 1, 2, 3, 0)
@@ -315,11 +350,11 @@ class TestElementaryLayers:
             table = enumerate_group(tower, gens)
             filtration = ramification_filtration(tower, construct_generator(tower), table,
                                                  group_structure(tower, gens, table))
-            fixing = [g for g in table.elements.values()
+            fixing = [g for g in map(table.__getitem__, table.words)
                       if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
             sizes = []
             for b in sorted(set(filtration.lower_multiset)):
-                group = [table.elements[w] for w, v in filtration.ivals.items() if v - 1 >= b]
+                group = [table[w] for w, v in filtration.ivals.items() if v - 1 >= b]
                 group.append(GaloisMap.identity(tower.algebra))
                 sizes.append(len({frozenset(map_key(g.compose(h)) for h in fixing)
                                   for g in group}))
@@ -351,25 +386,35 @@ class TestElementaryLayers:
         calls["powers"] = 0
         assert group_structure(tower, gens, table).matches_expected
         assert calls["powers"] == 0
-        # enumerate_group: one walk per generator and no compose for an e = 0
-        # factor; closure is proved by the presentation, not composed
+        # enumerate_group: one walk per generator, and one product for each
+        # unit word sigma_1..sigma_2n its check reads; closure is proved by
+        # the presentation, not composed, and no other product is built
         calls["compose"] = 0
         rebuilt = enumerate_group(tower, gens)
-        p, k = tower.p, tower.nvars
         walks = sum(len(pw) - 1 for pw in rebuilt.powers)
-        products = sum((p - 1) * p**i for i in range(k))
-        assert calls["compose"] == walks + products
+        assert calls["compose"] == walks + tower.nvars - 1
+        assert len(rebuilt.built) == tower.nvars
 
     def test_floor_fixing_maps_must_be_top_powers(self, h_setup):
-        # a table whose top words are swapped with sigma_1's no longer has
-        # Fix = {(0, 0, e)}
+        # a table whose walks of sigma_1 and sigma_top are swapped has words
+        # (0, 0, e) that move alpha_1: Fix is no longer {(0, 0, e)}
         tower, _, table, _, filtration = h_setup
-        elements = dict(table.elements)
-        for e in range(1, 3):
-            elements[(0, 0, e)], elements[(e, 0, 0)] = elements[(e, 0, 0)], elements[(0, 0, e)]
-        swapped = dataclasses.replace(table, elements=elements)
+        swapped = GroupTable(table.powers[::-1])
         with pytest.raises(OracleMismatch, match="floor-fixing"):
             verify_elementary_layers(tower, swapped, filtration)
+        assert len(swapped.built) == 1
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_floor_fixing_set_from_every_image(self, variant, p, n):
+        # reference for the walk check: the words whose maps fix alpha_1..alpha_2n,
+        # read from the images of every product, are the p powers of sigma_top
+        tower = make_tower(variant, p, n)
+        gens = galois_generators(tower)
+        k = tower.nvars
+        eager = eager_products(tower, enumerate_group(tower, gens).powers)
+        fixing = {w for w, m in eager.items()
+                  if all(m.images[j] == m.algebra.gen(j) for j in range(k - 1))}
+        assert fixing == {(0,) * (k - 1) + (e,) for e in range(p)}
 
     def test_layer_break_is_read_from_the_algebra(self, h_setup):
         # alpha^3 - alpha = pi^-2 has break 2, whatever the plan says
@@ -472,8 +517,9 @@ def sweep_draws(seed: int, count: int):
     """``count`` seeded TowerParams over SWEEP_FIELDS, both variants, random
     r < 3p prime to p, m and leads; the planner decides which are certified.
     At p = 7 and at n = 2 the floor exponents m_1..m_2n are 0 and only m_top
-    is drawn: with a nonzero one the exact valuation chain can run for
-    minutes (``test_certified_tower_needs_no_exact_fallback``)."""
+    is drawn: a nonzero one could send a valuation to the exact chain for
+    minutes before the capped chain had seven tries
+    (``test_certified_tower_needs_no_exact_fallback``)."""
     rng = random.Random(seed)
     for _ in range(count):
         p, n, d = rng.choice(SWEEP_FIELDS)
@@ -523,15 +569,13 @@ class TestGeneralParameters:
             {(p, n, p**d) for p, n, d in SWEEP_FIELDS}
         assert {v for v, *_ in seen} == {"H", "M"}
 
-    @pytest.mark.xfail(strict=True, raises=ExactChainFallback,
-                       reason="every capped valuation run of one element refuses, "
-                              "and the exact chain then takes minutes")
     @pytest.mark.parametrize("p, n, d, r, m", [(3, 2, 4, 2, (0, 0, 1, 1, 2)),
                                                (7, 1, 2, 3, (0, 1, 2))])
     def test_certified_tower_needs_no_exact_fallback(self, monkeypatch, p, n, d, r, m):
-        # certified H towers with nonzero floor exponents: at (3,2) the
-        # generator stage, at (7,1) the scaffold stage falls back to the exact
-        # chain; the patched fallback raises at once instead of running it
+        # certified H towers with nonzero floor exponents, whose generator
+        # stage (3,2) and scaffold stage (7,1) need more than three capped
+        # tries; the exact chain would take minutes there, so the patched
+        # fallback raises at once instead of running it
         real = localfield._norm_valuation
 
         def capped_only(x, w):
@@ -644,7 +688,7 @@ class TestExactness:
         tower, _, table, gen_data, _ = request.getfixturevalue(setup)
         y = gen_data.element
         elements = [rel for rel in tower.algebra.relations] + [y]
-        elements += [sigma.apply(y) - y for sigma in table.elements.values()]
+        elements += [table[w].apply(y) - y for w in table.words]
         series = [c for x in elements for c in x.coeffs.values()]
         series += list(gen_data.cofactors) + list(tower.omegas) + list(tower.a)
         assert series

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from extraspecial import (INF, ExtRational, LaurentSeries, PrecisionError, ResidueField,
                           residue_field)
 from extraspecial.valuation import _idx_to_poly, _poly_mod, _poly_mul
-from conftest import elem_from_index, random_series
+from conftest import elem_from_index, random_elem, random_series
 
 
 class TestExtRational:
@@ -446,6 +446,24 @@ class TestSeriesAgainstReference:
             assert outcome(lambda: a * c) == outcome(lambda: ra.scale(c))
             assert outcome(lambda: a.inverse(w)) == outcome(lambda: ra.inverse(w))
             assert outcome(lambda: a.frobenius()) == outcome(lambda: ra.frobenius())
+
+    @pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 1), (3, 4)])
+    def test_monomial_inverse_matches_the_loop(self, p, d):
+        # a monomial returns before the inverse loop; RefSeries.inverse runs
+        # it, and both must give the same coefficients and prec
+        field = residue_field(p, d)
+        rng = random.Random(17 * p + d)
+        for v in (-82, -1, 0, 1, 5):
+            for c in [field.one(), field.gen()] + [random_elem(field, rng, nonzero=True)
+                                                   for _ in range(3)]:
+                for prec in (math.inf, v + 1, v + 9):
+                    a = LaurentSeries(field, {v: c}, prec)
+                    for w in (None, 0, 1, 2, 7, 300):
+                        assert outcome(lambda: a.inverse(w)) == \
+                            outcome(lambda: RefSeries.of(a).inverse(w))
+        # a window as wide as the default of the H/M(3,2) towers
+        a = LaurentSeries.monomial(field, field.gen(), -82)
+        assert outcome(lambda: a.inverse(26248)) == outcome(lambda: RefSeries.of(a).inverse(26248))
 
     @pytest.mark.parametrize("p,d", SUPPORTED_FIELDS)
     def test_product_of_top_logs(self, p, d):
