@@ -5,12 +5,12 @@ out a totally ramified elementary abelian tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import comb
-from typing import Sequence
 
+from .record import Record
 from .valuation import ExtRational, FFElem, ResidueField
 
 
@@ -41,8 +41,7 @@ def witt_second_component(x0, x1, y0, y1, p: int):
     return x1 + y1 + witt_carry(x0, y0, p)
 
 
-@dataclass(frozen=True)
-class ASConstantSpec:
+class ASConstantSpec(Record, frozen=True):
     """Constants a_1..a_k described by valuation and leading residue
     coefficient relative to a fixed uniformizer.
 
@@ -120,8 +119,7 @@ def first_dependent_run(field: ResidueField, vals: Sequence,
     return None
 
 
-@dataclass(frozen=True)
-class ASReport:
+class ASReport(Record, frozen=True):
     """Outcome of the four named conditions on reduced constants.
 
     ``range_ok`` also covers the ordering of the valuations; its lower bound

@@ -8,9 +8,9 @@ commutation check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .artin_schreier import first_dependent_run
+from .record import Record
 from .valuation import ExtRational, FFElem, LaurentSeries
 
 
@@ -80,8 +80,7 @@ def frobenius_matrix(betas: list) -> list[list]:
     return out
 
 
-@dataclass(frozen=True)
-class FrobMatrix:
+class FrobMatrix(Record, frozen=True):
     """Rows beta_1..beta_k with r_i = -val(beta_i) nondecreasing and, within
     each run of equal r_i, F_p-independent leading coefficients."""
 
@@ -141,8 +140,7 @@ def moore_det(mus: "list[FFElem]") -> FFElem:
     return ring_det(frobenius_matrix(mus))
 
 
-@dataclass(frozen=True)
-class TiValuations:
+class TiValuations(Record, frozen=True):
     """Cofactor valuations of the tower generator determinant.
 
     v0[i-1] = v_0(t_i) = -(m_1 + p m_2 + ... + p^(i-2) m_(i-1)
@@ -188,8 +186,7 @@ def ti_valuations(p: int, n: int, m) -> TiValuations:
     return TiValuations(p, n, m, v0)
 
 
-@dataclass(frozen=True)
-class PhidetReport:
+class PhidetReport(Record, frozen=True):
     k: int
     equal: bool
     det_valuation: ExtRational

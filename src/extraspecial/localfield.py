@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .artin_schreier import witt_carry
 from .detval import ring_det
 from .planner import PlanReport, TowerParams, plan
+from .record import Record
 from .valuation import INF, ExtRational, FFElem, LaurentSeries, PrecisionError, ResidueField
 
 
@@ -309,8 +309,7 @@ class GaloisMap:
         return isinstance(other, GaloisMap) and self.images == other.images
 
 
-@dataclass
-class Tower:
+class Tower(Record):
     """A built tower: the algebra, the concrete constants, and the report
     that certified them."""
 
@@ -615,8 +614,7 @@ def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
     return table
 
 
-@dataclass
-class GroupReport:
+class GroupReport(Record):
     variant: str
     order: int
     gen_orders: tuple[int, ...]

@@ -13,14 +13,13 @@ taken in a series window that owns the precision retry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .detval import frobenius_matrix, ring_det, ti_valuations
 from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra,
                          TowerElement, TowerParams, build_tower, elt_valuation_top,
                          enumerate_group, galois_generators, group_structure)
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
+from .record import Record
 from .valuation import INF, ExtRational, LaurentSeries, PrecisionError, exact_log
 
 
@@ -53,8 +52,7 @@ def _jump_multiset(jumps: list, sizes: list[int], p: int, what: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GeneratorData:
+class GeneratorData(Record):
     """The tower generator sum(t_i alpha_i) built from the twist determinant
     of the alpha column against Frobenius powers of the omega column."""
 
@@ -144,8 +142,7 @@ def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, x: int, y: int,
     return y * algebra.p**algebra.nvars + v_delta + (x - 1) * vtop
 
 
-@dataclass
-class FiltrationReport:
+class FiltrationReport(Record):
     ivals: dict
     lower_multiset: tuple[int, ...]
     different_val: int
@@ -238,10 +235,21 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData, table: GroupT
         raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
 
     different_val = sum(ivals.values())
-    hilbert = 0
-    for i in range(0, max(multiset) + 1):
-        hilbert += p ** sum(1 for b in multiset if b >= i) - 1
+    hilbert = _hilbert_sum(p, multiset)
     return FiltrationReport(ivals, tuple(multiset), different_val, hilbert, (x, y))
+
+
+def _hilbert_sum(p: int, multiset) -> int:
+    """Hilbert's formula for the different exponent from the lower breaks:
+    sum over i = 0..max(b) of p^#{b >= i} - 1.  The count is constant for i
+    in (d', d], d' < d consecutive distinct breaks (d' = -1 below the
+    first), so each run adds its length times one term.  Breaks are >= 0.
+    """
+    total, prev = 0, -1
+    for d in sorted(set(multiset)):
+        total += (d - prev) * (p ** sum(1 for b in multiset if b >= d) - 1)
+        prev = d
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +257,7 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData, table: GroupT
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScaffoldRow:
+class ScaffoldRow(Record):
     index: int                # generator number, 1-based
     mu_vtop: int              # = b_i - b_top
     eps_gap: ExtRational      # v(eps) - v(mu); inf when eps = 0 exactly
@@ -269,8 +276,7 @@ class ScaffoldRow:
         }
 
 
-@dataclass
-class ScaffoldReport:
+class ScaffoldReport(Record):
     x_vtop: int
     rows: tuple[ScaffoldRow, ...]
     min_contribution: ExtRational
@@ -361,8 +367,7 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LayerCheck:
+class LayerCheck(Record):
     index: int
     expected_break: int
     measured_break: int
@@ -376,8 +381,7 @@ class LayerCheck:
                 "measured": self.measured_break, "ok": self.ok}
 
 
-@dataclass
-class LayersReport:
+class LayersReport(Record):
     layers: tuple[LayerCheck, ...]
     sub_upper_expected: tuple[int, ...]
     sub_upper_measured: tuple[int, ...]
@@ -459,8 +463,7 @@ def verify_elementary_layers(tower: Tower, table: GroupTable,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OracleReport:
+class OracleReport(Record):
     params: TowerParams
     prec: int
     plan: PlanReport

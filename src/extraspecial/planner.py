@@ -10,11 +10,11 @@ minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .artin_schreier import ASConstantSpec, ASReport, validate_reduced_AS
 from .ramification import upper_to_lower
+from .record import Record
 from .valuation import ExtRational, FFElem, ResidueField, field_degree, residue_field
 
 _VARIANTS = ("H", "M")
@@ -26,8 +26,7 @@ def _is_odd_prime(p: int) -> bool:
     return all(p % f for f in range(3, int(p**0.5) + 1, 2))
 
 
-@dataclass(frozen=True)
-class TowerParams:
+class TowerParams(Record, frozen=True):
     """Input data for one tower: a_i = c * omega_i^(p^(2n)) with
     r = -v_0(c), m_i = -v_0(omega_i), and the residue leading coefficients
     of the omega_i.  Then u_i = -v_0(a_i) = r + p^(2n) m_i."""
@@ -95,8 +94,7 @@ class TowerParams:
         }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record, frozen=True):
     """One hypothesis inequality with its slack (rhs - lhs)."""
 
     id: str
@@ -115,8 +113,7 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(Record, frozen=True):
     params: TowerParams
     mode: str
     u: tuple[int, ...]

@@ -11,11 +11,15 @@ here rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from .record import Record
 from .valuation import ExtRational, _idx_to_poly
+
+# the largest group order the oracle builds, 7^7: larger shift tables are
+# refused before they are built, since each lists 2 p^n numbers
+MAX_TABLE_ORDER = 7**7
 
 
 def _as_fractions(seq: Sequence, what: str) -> tuple[Fraction, ...]:
@@ -51,8 +55,7 @@ def upper_to_lower(p: int, upper: Sequence) -> tuple[Fraction, ...]:
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class RamSequence:
+class RamSequence(Record, frozen=True):
     """Matched lower/upper ramification sequences for one extension."""
 
     p: int
@@ -93,8 +96,7 @@ class RamSequence:
         }
 
 
-@dataclass(frozen=True)
-class ShiftTables:
+class ShiftTables(Record, frozen=True):
     """Digit-weighted shift function and its inverse on S = {0..p^n - 1}.
 
     ``shift_values[s]`` is the sum over base-p digits of s (most significant
@@ -137,16 +139,18 @@ def build_shift_tables(p: int, n: int, b: Sequence[int]) -> ShiftTables:
 
     Requires integer lower ramification numbers with p not dividing b_i and
     b_i = b_1 mod p^n, which is what makes s -> (-shift(s)) mod p^n a
-    bijection.
+    bijection, and p^n <= MAX_TABLE_ORDER.
     """
     b = tuple(int(x) for x in b)
     if len(b) != n:
         raise ValueError(f"need {n} lower ramification numbers, got {len(b)}")
+    pn = p**n
+    if pn > MAX_TABLE_ORDER:
+        raise ValueError(f"p^n = {pn} is above {MAX_TABLE_ORDER} = 7^7, the largest table built")
     if any(x <= 0 for x in b) or any(b[i] > b[i + 1] for i in range(n - 1)):
         raise ValueError("lower ramification numbers must be positive and nondecreasing")
     if any(x % p == 0 for x in b):
         raise ValueError(f"p = {p} divides a lower ramification number")
-    pn = p**n
     if any((x - b[0]) % pn for x in b):
         raise ValueError(f"lower ramification numbers must be congruent mod p^n = {pn}")
 
@@ -165,8 +169,7 @@ def build_shift_tables(p: int, n: int, b: Sequence[int]) -> ShiftTables:
     return ShiftTables(p, n, b, tuple(shift), tuple(inverse))
 
 
-@dataclass(frozen=True)
-class RamCheck:
+class RamCheck(Record, frozen=True):
     name: str
     holds: bool
     slack: ExtRational
@@ -181,8 +184,7 @@ class RamCheck:
         }
 
 
-@dataclass(frozen=True)
-class RamCheckReport:
+class RamCheckReport(Record, frozen=True):
     p: int
     checks: tuple[RamCheck, ...]
 

@@ -147,6 +147,11 @@ class TestRam:
         code, _, err = run(capsys, "ram", "tables", "--p", "3", "--n", "1", "--b", "3")
         assert code == 1
         assert "divides" in err
+        # 3^30 residues: refused before any table is built
+        code, out, err = run(capsys, "ram", "tables", "--p", "3", "--n", "30",
+                             "--b", ",".join(["1"] * 30))
+        assert (code, out) == (1, "")
+        assert f"p^n = {3**30}" in err
 
 
 class TestOracle:

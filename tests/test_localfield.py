@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -467,7 +466,7 @@ class TestGroupClosure:
     @staticmethod
     def as_m_tower(tower):
         """The H tower read against the M(n) presentation, which it fails."""
-        return dataclasses.replace(tower, params=dataclasses.replace(tower.params, variant="M"))
+        return tower.replace(params=tower.params.replace(variant="M"))
 
     def test_failed_presentation_on_closed_table_reports_mismatch(self, h_tower, monkeypatch):
         gens = galois_generators(h_tower)

@@ -1,9 +1,10 @@
-import dataclasses
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMismatch,
                           PrecisionError, TowerAlgebra, TowerElement, TowerParams,
@@ -16,8 +17,8 @@ from extraspecial import (INF, FrobMatrix, GaloisMap, LaurentSeries, OracleMisma
 from extraspecial import localfield
 from extraspecial.localfield import GroupTable
 from extraspecial.detval import frobenius_matrix
-from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _jump_multiset,
-                                 _shift_valuation, _uniformizer_exponents)
+from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _hilbert_sum,
+                                 _jump_multiset, _shift_valuation, _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
 from conftest import random_elem
 from test_localfield import (TIER1_TOWERS, eager_products, exact_chain, make_tower, map_key,
@@ -165,10 +166,33 @@ def full_filtration(tower, gen_data, table) -> FiltrationReport:
     multiset = _jump_multiset(breaks, sizes, p, "filtration")
     if len(multiset) != k:
         raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
+    hilbert = loop_hilbert_sum(p, multiset)
+    return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()), hilbert, (x, y))
+
+
+def loop_hilbert_sum(p, multiset) -> int:
+    """Reference: the loop over every i = 0..max(b) that _hilbert_sum's
+    run-by-run sum replaced."""
     hilbert = 0
     for i in range(0, max(multiset) + 1):
         hilbert += p ** sum(1 for b in multiset if b >= i) - 1
-    return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()), hilbert, (x, y))
+    return hilbert
+
+
+LADDER = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)] for v in "HM"]
+
+
+class TestHilbertSum:
+    @pytest.mark.parametrize("variant, p, n", LADDER)
+    def test_matches_the_loop_on_the_ladder(self, variant, p, n):
+        lower = plan(family_params(variant, p, n, 1, 1, INF, None)).b
+        assert _hilbert_sum(p, lower) == loop_hilbert_sum(p, lower)
+
+    @given(st.sampled_from([3, 5, 7]),
+           st.lists(st.integers(0, 300), min_size=1, max_size=7).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop(self, p, lower):
+        assert _hilbert_sum(p, lower) == loop_hilbert_sum(p, lower)
 
 
 def _staged(params):
@@ -197,7 +221,7 @@ def _count_measurements(monkeypatch, run) -> tuple:
 CLASS_TOWERS = [family_params(v, p, n, 1, 1, INF, None)
                 for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
 CLASS_TOWERS += [family_params("H", 3, 3, 1, 1, INF, None),
-                 dataclasses.replace(CLASS_TOWERS[0], m=(0, 1, 2))]
+                 CLASS_TOWERS[0].replace(m=(0, 1, 2))]
 
 
 def _tower_id(params) -> str:
@@ -229,7 +253,7 @@ class TestCyclicClasses:
                              ids=_tower_id)
     def test_unconfirmed_presentation_measures_every_element(self, params, monkeypatch):
         tower, table, group, gen_data = _staged(params)
-        unconfirmed = dataclasses.replace(group, matches_expected=False)
+        unconfirmed = group.replace(matches_expected=False)
         report, calls = _count_measurements(
             monkeypatch, lambda: ramification_filtration(tower, gen_data, table, unconfirmed))
         assert calls == tower.p**tower.nvars - 1
@@ -262,8 +286,8 @@ class TestCyclicClasses:
         want = verify_tower(params).to_dict()
         tables = self._tables(monkeypatch)
         real = oracle_mod.group_structure
-        monkeypatch.setattr(oracle_mod, "group_structure", lambda *args: dataclasses.replace(
-            real(*args), matches_expected=False))
+        monkeypatch.setattr(oracle_mod, "group_structure",
+                            lambda *args: real(*args).replace(matches_expected=False))
         got = verify_tower(params).to_dict()
         (table,) = tables
         assert len(table.built) == table.order == params.p**(2 * params.n + 1)
@@ -421,7 +445,7 @@ class TestElementaryLayers:
         tower = h_setup[0]
         assert tower.plan_report.u[0] == 1
         steeper = LaurentSeries.monomial(tower.field, 1, -2)
-        changed = dataclasses.replace(tower, a=(steeper,) + tower.a[1:])
+        changed = tower.replace(a=(steeper,) + tower.a[1:])
         assert _cp_break(tower, 1) == 1
         assert _cp_break(changed, 1) == 2
 
@@ -497,8 +521,8 @@ class TestVerifyFamily:
         assert rep.group.order == p**(2 * n + 1)
         lower = [1] * (2 * n) + [p**(4 * n) + 1]
         assert list(rep.filtration.lower_multiset) == lower
-        hilbert = sum(p ** sum(1 for x in lower if x >= i) - 1 for i in range(max(lower) + 1))
-        assert rep.filtration.different_val == rep.filtration.hilbert_sum == hilbert
+        assert rep.filtration.different_val == rep.filtration.hilbert_sum \
+            == loop_hilbert_sum(p, lower)
 
     def test_n2_m_tower(self):
         rep = verify_family("M", 3, 2, 1, 1)
