@@ -2,9 +2,8 @@
 ramified extraspecial p-group extensions of local fields."""
 
 from .artin_schreier import (ASConstantSpec, ASReport, validate_reduced_AS, witt_carry,
-                             witt_carry_coeffs, witt_second_component, wp_eval)
-from .detval import (FrobMatrix, PhidetReport, TiValuations, moore_det, phidet_check,
-                     ring_det, ti_valuations, tval_valuation)
+                             witt_carry_coeffs)
+from .detval import ring_det, ti_valuations
 from .localfield import (ConstructionError, GaloisMap, PlanRejection, Tower,
                          TowerAlgebra, TowerElement, build_tower, elt_valuation,
                          elt_valuation_top, enumerate_group, galois_generators,

@@ -14,11 +14,6 @@ from .record import Record
 from .valuation import ExtRational, FFElem, ResidueField
 
 
-def wp_eval(x, p: int):
-    """x^p - x.  Additive in characteristic p."""
-    return x**p - x
-
-
 def witt_carry_coeffs(p: int) -> dict[int, int]:
     """Integer coefficients c_i of the carry polynomial sum c_i X^i Y^(p-i),
     where c_i = -binom(p, i)/p.  The divisions are exact over the integers."""
@@ -34,11 +29,6 @@ def witt_carry(x, y, p: int):
         term = c * (x**i * y ** (p - i))
         total = term if total is None else total + term
     return total
-
-
-def witt_second_component(x0, x1, y0, y1, p: int):
-    """Second component of Witt vector addition: X1 + Y1 + D(X0, Y0)."""
-    return x1 + y1 + witt_carry(x0, y0, p)
 
 
 class ASConstantSpec(Record, frozen=True):
@@ -65,22 +55,6 @@ class ASConstantSpec(Record, frozen=True):
     @property
     def p(self) -> int:
         return self.field.p
-
-    @classmethod
-    def from_json(cls, field: ResidueField, e0, constants) -> "ASConstantSpec":
-        consts = tuple((int(c["val"]), field.parse_element(c["lead"])) for c in constants)
-        return cls(field, ExtRational.from_json(e0), consts)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.field.q,
-            "e0": self.e0.to_json(),
-            "constants": [
-                {"val": v, "lead": self.field.format_element(lead)}
-                for v, lead in self.constants
-            ],
-        }
 
 
 def fp_rank(field: ResidueField, elems: Sequence[FFElem]) -> int:

@@ -341,10 +341,6 @@ class Tower(Record):
         """Generator alpha_i, 1-based."""
         return self.algebra.gen(i - 1)
 
-    @property
-    def degree(self) -> int:
-        return self.p ** self.nvars
-
 
 def build_tower(params: TowerParams) -> Tower:
     """Construct the tower algebra for certified characteristic-p parameters.

@@ -112,18 +112,6 @@ class ShiftTables(Record, frozen=True):
     shift_values: tuple[int, ...]
     inverse_values: tuple[int, ...]
 
-    def shift_at(self, s: int) -> int:
-        if not 0 <= s < self.p**self.n:
-            raise ValueError(f"{s} outside S_(p^n)")
-        return self.shift_values[s]
-
-    def inverse_at(self, t: int) -> int:
-        return self.inverse_values[t % self.p**self.n]
-
-    def digits(self, s: int) -> tuple[int, ...]:
-        """Base-p digits (s_(0), ..., s_(n-1))."""
-        return _idx_to_poly(s, self.n, self.p)
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,

@@ -169,12 +169,6 @@ class ExtRational:
             return int(self._v)
         return str(self._v)
 
-    @classmethod
-    def from_json(cls, value) -> "ExtRational":
-        if isinstance(value, str):
-            return cls.parse(value)
-        return cls(value)
-
 
 INF = ExtRational.infinity()
 
@@ -448,9 +442,6 @@ class ResidueField:
         """A fixed multiplicative generator of F_q^x."""
         return FFElem(self, self._gen_idx)
 
-    def elements(self):
-        return (FFElem(self, i) for i in range(self.q))
-
     def discrete_log(self, x: FFElem) -> int:
         """Exponent j with x = g^j, 0 <= j < q-1."""
         if x.idx == 0:
@@ -527,8 +518,8 @@ class LaurentSeries:
     in a product it counts as valuation >= N.  No operation picks a window:
     :meth:`inverse` of an exact series takes the caller's.
     :class:`FFElem` appears only at the edge: the constructor (FFElem or
-    int mod p), ``monomial``, ``parse`` and scalar operands take elements
-    in; ``leading``, ``coefficient`` and ``str`` hand them out.
+    int mod p), ``monomial`` and scalar operands take elements in; ``str``
+    hands them out.
     """
 
     __slots__ = ("field", "coeffs", "prec")
@@ -579,14 +570,6 @@ class LaurentSeries:
         if self.is_exact:
             return math.inf
         raise PrecisionError("insufficient precision: valuation of imprecise zero")
-
-    def leading(self) -> FFElem:
-        return FFElem(self.field, self.coeffs[self.valuation()])
-
-    def coefficient(self, e: int) -> FFElem:
-        if e >= self.prec:
-            raise PrecisionError(f"coefficient of pi^{e} beyond precision O(pi^{self.prec})")
-        return FFElem(self.field, self.coeffs.get(e, 0))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -756,13 +739,6 @@ class LaurentSeries:
         return (self.field.key == other.field.key and self.coeffs == other.coeffs
                 and self.prec == other.prec)
 
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality of all coefficients on the common precision window."""
-        o = self._coerce(other)
-        prec = min(self.prec, o.prec)
-        exps = {e for e in self.coeffs if e < prec} | {e for e in o.coeffs if e < prec}
-        return all(self.coeffs.get(e, 0) == o.coeffs.get(e, 0) for e in exps)
-
     def __str__(self):
         if not self.coeffs:
             body = "0"
@@ -783,38 +759,3 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"<{self}>"
-
-    @classmethod
-    def parse(cls, field: ResidueField, text: str) -> "LaurentSeries":
-        """Inverse of ``str``: 'c*pi^k + ... [+ O(pi^N)]'."""
-        text = text.strip()
-        prec: float = math.inf
-        coeffs: dict[int, FFElem] = {}
-        for raw in text.split("+"):
-            term = raw.strip()
-            if not term or term == "0":
-                continue
-            if term.startswith("O(") and term.endswith(")"):
-                inner = term[2:-1].strip()
-                if not inner.startswith("pi^"):
-                    raise ValueError(f"bad precision term {term!r}")
-                prec = int(inner[3:])
-                continue
-            if "*" in term:
-                cs, ps = term.split("*", 1)
-                coeff = field.parse_element(cs.strip())
-                ps = ps.strip()
-            elif term.startswith("pi^"):
-                coeff = field.one()
-                ps = term
-            else:
-                coeff = field.parse_element(term)
-                ps = "pi^0"
-            if not ps.startswith("pi^"):
-                raise ValueError(f"cannot parse series term {term!r}")
-            e = int(ps[3:])
-            if e in coeffs:
-                coeffs[e] = coeffs[e] + coeff
-            else:
-                coeffs[e] = coeff
-        return cls(field, coeffs, prec)

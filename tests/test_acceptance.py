@@ -8,9 +8,10 @@ import time
 
 from extraspecial import (INF, ExtRational, build_shift_tables,
                           check_ram_inequalities, example_family, lower_to_upper,
-                          phidet_check, residue_field, tval_valuation,
-                          upper_to_lower, validate_reduced_AS, verify_family)
+                          residue_field, ring_det, upper_to_lower, validate_reduced_AS,
+                          verify_family)
 from extraspecial.artin_schreier import ASConstantSpec
+from extraspecial.detval import _twist_valuation, frobenius_matrix
 from conftest import random_elem, random_series
 from test_detval import random_frob_matrix
 
@@ -92,8 +93,9 @@ def test_criterion_5_twist_valuation_oracle_equivalence():
     rng = random.Random(20240817)
     count = 0
     while count < 200:
-        fm = random_frob_matrix(rng)
-        tval_valuation(fm, cross_check=True)  # raises on any mismatch
+        betas = random_frob_matrix(rng)
+        assert ring_det(frobenius_matrix(list(betas))).valuation() == \
+            _twist_valuation(betas[0].field.p, [-b.valuation() for b in betas])
         count += 1
     _report(5, "200 random twist matrices: formula = brute-force determinant")
 
@@ -123,8 +125,8 @@ def test_criterion_6_ramification_machinery():
             pn = p**n
             seen = set()
             for t in range(pn):
-                s = tables.inverse_at(t)
-                assert (-tables.shift_at(s)) % pn == t % pn
+                s = tables.inverse_values[t % pn]
+                assert (-tables.shift_values[s]) % pn == t % pn
                 seen.add(s)
             assert len(seen) == pn
             checked += 1
@@ -142,7 +144,8 @@ def test_criterion_7_char_p_degeneracies():
         k = rng.randint(1, 3)
         rows = [[random_series(field, rng, min_exp=-4, max_exp=4) for _ in range(k)]
                 for _ in range(k)]
-        assert phidet_check(rows).equal
+        assert ring_det([[x.frobenius() for x in r] for r in rows]) == \
+            ring_det(rows).frobenius()
 
     # e0 = inf marks the depth bound and tail condition vacuous
     spec_inf = ASConstantSpec(f9, INF, ((-1, f9.one()), (-1, f9.gen())))

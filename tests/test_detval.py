@@ -4,10 +4,10 @@ import random
 import pytest
 
 import extraspecial
-from extraspecial import (FrobMatrix, LaurentSeries, moore_det, phidet_check,
-                          residue_field, ring_det, ti_valuations, tval_valuation)
+from extraspecial import (INF, LaurentSeries, TowerParams, default_leads, residue_field,
+                          ring_det, ti_valuations)
 from extraspecial import detval, localfield, oracle
-from extraspecial.detval import TwistHypothesisError, frobenius_matrix
+from extraspecial.detval import _twist_valuation, frobenius_matrix
 from extraspecial.artin_schreier import fp_rank
 from conftest import elem_from_index, random_elem, random_series
 from test_localfield import make_tower
@@ -252,67 +252,63 @@ class TestExpansionCost:
 
 
 class TestMooreDet:
+    """det(mu_i^(p^(j-1))) over F_q is nonzero exactly when the mu_i are
+    F_p-independent."""
+
     def test_empty_refused(self):
         with pytest.raises(ValueError):
-            moore_det([])
+            ring_det(frobenius_matrix([]))
 
     def test_1x1(self, f9):
         g = f9.gen()
-        assert moore_det([g]) == g
+        assert ring_det(frobenius_matrix([g])) == g
 
     def test_independent_pair_nonzero(self, f9):
         g = f9.gen()
-        det = moore_det([f9.one(), g])
+        det = ring_det(frobenius_matrix([f9.one(), g]))
         assert det == g**3 - g
         assert det
 
     def test_dependent_pair_zero(self, f9):
-        assert not moore_det([f9.one(), f9(2)])
+        assert not ring_det(frobenius_matrix([f9.one(), f9(2)]))
 
     def test_exhaustive_rank_equivalence_k2(self, f9):
         for i, j in itertools.product(range(1, 9), range(1, 9)):
             mus = [elem_from_index(f9, i), elem_from_index(f9, j)]
-            assert bool(moore_det(mus)) == (fp_rank(f9, mus) == 2)
+            assert bool(ring_det(frobenius_matrix(mus))) == (fp_rank(f9, mus) == 2)
 
     def test_sampled_rank_equivalence_k3(self, f27):
         rng = random.Random(23)
         for _ in range(150):
             mus = [random_elem(f27, rng, nonzero=True) for _ in range(3)]
-            assert bool(moore_det(mus)) == (fp_rank(f27, mus) == 3)
+            assert bool(ring_det(frobenius_matrix(mus))) == (fp_rank(f27, mus) == 3)
 
 
 class TestTval:
+    """The expanded twist determinant det(phi^(j-1)(beta_i)) has valuation
+    -(r_1 + p r_2 + ... + p^(k-1) r_k), r_i = -val(beta_i)."""
+
     def test_distinct_valuations(self, f9):
-        fm = FrobMatrix((LaurentSeries.monomial(f9, 1, -1),
-                         LaurentSeries.monomial(f9, 1, -2)))
-        assert tval_valuation(fm, cross_check=True) == -7
+        betas = [LaurentSeries.monomial(f9, 1, -1), LaurentSeries.monomial(f9, 1, -2)]
+        assert _twist_valuation(3, [1, 2]) == -7
+        assert ring_det(frobenius_matrix(betas)).valuation() == -7
 
     def test_equal_run_with_independent_leads(self, f9):
         g = f9.gen()
-        fm = FrobMatrix((LaurentSeries.monomial(f9, 1, -1),
-                         LaurentSeries.monomial(f9, g, -1)))
-        assert tval_valuation(fm, cross_check=True) == -4
-        det = ring_det(fm.matrix())
+        betas = [LaurentSeries.monomial(f9, 1, -1), LaurentSeries.monomial(f9, g, -1)]
+        assert _twist_valuation(3, [1, 1]) == -4
+        det = ring_det(frobenius_matrix(betas))
         assert det == LaurentSeries.monomial(f9, g**3 - g, -4)
 
     def test_singleton(self, f9):
-        fm = FrobMatrix((LaurentSeries.monomial(f9, 1, -5),))
-        assert tval_valuation(fm, cross_check=True) == -5
-
-    def test_dependent_run_refused(self, f9):
-        with pytest.raises(TwistHypothesisError):
-            FrobMatrix((LaurentSeries.monomial(f9, 1, -1),
-                        LaurentSeries.monomial(f9, 2, -1)))
-
-    def test_unsorted_refused(self, f9):
-        with pytest.raises(TwistHypothesisError):
-            FrobMatrix((LaurentSeries.monomial(f9, 1, -2),
-                        LaurentSeries.monomial(f9, 1, -1)))
+        assert _twist_valuation(3, [5]) == -5
+        assert ring_det(frobenius_matrix([LaurentSeries.monomial(f9, 1, -5)])).valuation() == -5
 
 
 def random_frob_matrix(rng):
-    """A FrobMatrix over a random small field satisfying the hypothesis,
-    with noise above the leading terms."""
+    """Rows beta_1..beta_k over a random small field with -val(beta_i)
+    nondecreasing and F_p-independent leading coefficients within each run
+    of equal valuations, with noise above the leading terms."""
     p, d = rng.choice([(3, 2), (5, 2), (3, 3)])
     field = residue_field(p, d)
     k = rng.randint(1, 4)
@@ -338,71 +334,66 @@ def random_frob_matrix(rng):
                 coeffs[rng.randint(-rs[i + offset] + 1, 3)] = random_elem(field, rng)
             betas.append(LaurentSeries(field, coeffs))
         i = j + 1
-    return FrobMatrix(tuple(betas))
+    return tuple(betas)
 
 
 class TestTvalRandomEquivalence:
     def test_formula_matches_brute_force(self):
         rng = random.Random(2024)
         for _ in range(60):
-            fm = random_frob_matrix(rng)
-            tval_valuation(fm, cross_check=True)  # raises on mismatch
+            betas = random_frob_matrix(rng)
+            assert ring_det(frobenius_matrix(list(betas))).valuation() == \
+                _twist_valuation(betas[0].field.p, [-b.valuation() for b in betas])
 
 
 class TestTiValuations:
     def test_example_family(self):
-        tv = ti_valuations(3, 1, (0, 0, 1))
-        assert tv.v0 == (-3, -3, 0)
+        assert ti_valuations(3, 1, (0, 0, 1)) == (-3, -3, 0)
 
     def test_all_zero(self):
-        assert ti_valuations(3, 1, (0, 0, 0)).v0 == (0, 0, 0)
+        assert ti_valuations(3, 1, (0, 0, 0)) == (0, 0, 0)
 
     def test_b_difference_identity(self):
-        tv = ti_valuations(3, 1, (0, 0, 1))
+        v0 = ti_valuations(3, 1, (0, 0, 1))
         # v3(t3) - v3(t1) = 27 * 3 = 81 = b3 - b1 = 82 - 1
-        assert tv.vtop_difference(3, 1) == 81
+        assert 3**3 * (v0[2] - v0[0]) == 81
 
     def test_telescoping(self):
         for p, n, m in ((3, 1, (0, 1, 2)), (5, 2, (0, 0, 1, 1, 3)), (3, 2, (1, 1, 1, 2, 2))):
-            tv = ti_valuations(p, n, m)
+            v0 = ti_valuations(p, n, m)
             for i in range(1, 2 * n + 1):
-                assert tv.v0[i] - tv.v0[i - 1] == p ** (i - 1) * (m[i] - m[i - 1])
+                assert v0[i] - v0[i - 1] == p ** (i - 1) * (m[i] - m[i - 1])
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            ti_valuations(3, 1, (0, 1))
+        # ti_valuations trusts its caller: TowerParams refuses a wrong-length
+        # m before any tower, and so any ti_valuations call, is built
+        field = residue_field(3, 2)
+        with pytest.raises(ValueError, match="need 3 exponents m_i, got 2"):
+            TowerParams(p=3, n=1, variant="H", e0=INF, r=1, m=(0, 1),
+                        leads=default_leads(field, 1), field=field)
 
 
 class TestPhidet:
+    """det(phi(A)) = phi(det(A)) on the nose: in characteristic p the
+    Frobenius is a ring homomorphism."""
+
     def test_1x1(self, f9):
-        rep = phidet_check([[LaurentSeries.parse(f9, "g*pi^-2 + pi^1")]])
-        assert rep.equal
+        rows = [[LaurentSeries(f9, {-2: f9.gen(), 1: 1})]]
+        assert ring_det([[x.frobenius() for x in r] for r in rows]) == ring_det(rows).frobenius()
 
     def test_identity_matrix(self, f9):
         one = LaurentSeries.one(f9)
         zero = LaurentSeries.zero(f9)
-        rep = phidet_check([[one, zero], [zero, one]])
-        assert rep.equal and rep.det_valuation == 0
+        rows = [[one, zero], [zero, one]]
+        assert ring_det([[x.frobenius() for x in r] for r in rows]) == ring_det(rows).frobenius()
+        assert ring_det(rows).valuation() == 0
 
     def test_random_2x2(self, f9):
         rng = random.Random(31)
         for _ in range(20):
             rows = [[random_series(f9, rng) for _ in range(2)] for _ in range(2)]
-            assert phidet_check(rows).equal
-
-    def test_gamma_is_min_leibniz_term(self, f9):
-        a = LaurentSeries.monomial(f9, 1, -3)
-        b = LaurentSeries.monomial(f9, 1, 0)
-        c = LaurentSeries.monomial(f9, 1, 1)
-        d = LaurentSeries.monomial(f9, 1, 2)
-        rep = phidet_check([[a, b], [c, d]])
-        assert rep.gamma_valuation == -1  # a*d term
-        assert rep.gamma_permutation == (0, 1)
-
-    def test_size_limit(self, f9):
-        one = LaurentSeries.one(f9)
-        with pytest.raises(ValueError):
-            phidet_check([[one] * 5 for _ in range(5)])
+            assert ring_det([[x.frobenius() for x in r] for r in rows]) == \
+                ring_det(rows).frobenius()
 
 
 class TestFrobeniusMatrixShape:

@@ -1,10 +1,12 @@
-"""Source hygiene: every name a package module imports is used in it, no
-package module imports ``dataclasses`` or ``inspect`` (whose import, with
+"""Source hygiene: every name a package module imports is used in it, every
+function, class and method of the package is named by other package code,
+no package module imports ``dataclasses`` or ``inspect`` (whose import, with
 what it pulls in, is a large part of a CLI process's start-up), and every
 source file parses at the Python floor that pyproject.toml declares.
 
-``__init__.py`` imports to re-export, so it is exempt.  Names that occur
-only inside string annotations (``-> "TowerElement"``) count as used.
+``__init__.py`` imports to re-export, so it is exempt from the import check,
+and its re-exports do not reach a definition.  Names that occur only inside
+string annotations (``-> "TowerElement"``) count as used imports.
 """
 
 import ast
@@ -66,6 +68,67 @@ def test_check_sees_an_unused_import():
     tree = ast.parse("from .x import a, b\nimport os.path\n"
                      "def f(y: 'list[b]'):\n    return y")
     assert {n for n in _imported_names(tree) if n not in _used_names(tree)} == {"a", "os"}
+
+
+# definitions no package code names, each with the reason it stays
+UNREACHED_ALLOWED = {
+    "record.py:Record.replace": "the record API that tests use to build variants",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class and each
+    non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _named(node: ast.AST) -> list[str]:
+    """Every ``ast.Name`` and ``ast.Attribute.attr`` under ``node``."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _unreached(trees: dict[str, ast.Module]) -> set[str]:
+    """``file:qualname`` of the definitions that code outside their own body
+    never names; a name shared by two definitions reaches both."""
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _named(tree):
+            counts[name] = counts.get(name, 0) + 1
+    out = set()
+    for file, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = node.name
+            if counts.get(name, 0) == _named(node).count(name):
+                out.add(f"{file}:{qual}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_reached(path):
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    allowed = {d for d in UNREACHED_ALLOWED if d.startswith(f"{path.name}:")}
+    assert {d for d in _unreached(trees) if d.startswith(f"{path.name}:")} == allowed
+
+
+def test_check_sees_a_dead_helper():
+    live = ("def used():\n    return 1\n"
+            "class Box:\n    def __init__(self):\n        self.v = used()\n"
+            "    def get(self):\n        return self.v\n"
+            "def main():\n    return Box().get()\nmain()\n")
+    assert _unreached({"m.py": ast.parse(live)}) == set()
+    dead = live + "def helper(n):\n    return helper(n - 1) if n else Box()\n"
+    assert _unreached({"m.py": ast.parse(dead)}) == {"m.py:helper"}
+    assert _unreached({"m.py": ast.parse(live.replace("Box().get()", "Box()"))}) == \
+        {"m.py:Box.get"}
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -5,8 +5,7 @@ import dataclasses
 
 import pytest
 
-from extraspecial import INF, OracleReport, TowerParams, Tower, verify_family
-from extraspecial.detval import PhidetReport
+from extraspecial import ASReport, INF, OracleReport, TowerParams, Tower, verify_family
 from extraspecial.planner import Check, PlanReport, family_params
 from extraspecial.ramification import RamCheck
 from extraspecial.record import Record
@@ -133,7 +132,7 @@ class TestFrozen:
 
     @pytest.mark.parametrize("cls, frozen", [
         (TowerParams, True), (PlanReport, True), (Check, True), (RamCheck, True),
-        (PhidetReport, True), (Tower, False), (OracleReport, False)])
+        (ASReport, True), (Tower, False), (OracleReport, False)])
     def test_package_records_keep_their_kind(self, cls, frozen):
         assert (cls.__hash__ is not None) == frozen
 
