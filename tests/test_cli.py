@@ -229,6 +229,23 @@ class TestOracle:
         assert out == ""
         assert err == "verification failure: group is not closed under composition\n"
 
+    def test_failed_presentation_is_verification_failure(self, capsys, monkeypatch):
+        # the H tower read against the M(1) presentation stops the verify
+        import extraspecial.oracle as oracle
+        from test_localfield import as_m_tower
+        group_structure = oracle.group_structure
+
+        def read_as_m(tower, gens, table):
+            return group_structure(as_m_tower(tower), gens, table)
+
+        monkeypatch.setattr(oracle, "group_structure", read_as_m)
+        code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
+                             "--n", "1", "--u", "1", "--t", "1", "--output", "json")
+        assert code == 2
+        assert out == ""
+        assert err == ("verification failure: the order of sigma_1 is 3, "
+                       "the presentation of M(1) needs 9\n")
+
     def test_composite_p_rejected(self, capsys):
         code, _, err = run(capsys, "ram", "convert", "--p", "4", "--lower", "1,2")
         assert code == 1

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
 function, class and method of the package is named by other package code,
+every field of a package ``Record`` is read as an attribute by package code,
 no package module imports ``dataclasses`` or ``inspect`` (whose import, with
 what it pulls in, is a large part of a CLI process's start-up), and every
 source file parses at the Python floor that pyproject.toml declares.
@@ -129,6 +130,37 @@ def test_check_sees_a_dead_helper():
     assert _unreached({"m.py": ast.parse(dead)}) == {"m.py:helper"}
     assert _unreached({"m.py": ast.parse(live.replace("Box().get()", "Box()"))}) == \
         {"m.py:Box.get"}
+
+
+def _unread_fields(trees: dict[str, ast.Module]) -> set[str]:
+    """``file:Class.field`` of each annotated field of a ``Record`` subclass
+    that no code reads as an attribute (``x.field`` in a load)."""
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in node.bases):
+                out |= {f"{file}:{node.name}.{sub.target.id}" for sub in node.body
+                        if isinstance(sub, ast.AnnAssign) and sub.target.id not in read}
+    return out
+
+
+def test_every_record_field_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_fields(trees) == set()
+
+
+def test_check_sees_an_unread_field():
+    live = ("class Box(Record, frozen=True):\n    v: int\n    w: int = 0\n"
+            "def get(box):\n    return box.v + box.w\n")
+    assert _unread_fields({"m.py": ast.parse(live)}) == set()
+    # assignment and keyword construction are not reads
+    dead = live.replace("box.v + box.w", "box.v") + "Box(1, w=2).w = 3\n"
+    assert _unread_fields({"m.py": ast.parse(dead)}) == {"m.py:Box.w"}
+    assert _unread_fields({"m.py": ast.parse(live.replace("(Record, ", "("))}) == set()
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -7,7 +7,7 @@ from extraspecial import (ExtRational, INF, LaurentSeries, PrecisionError, Tower
                           TowerElement, TowerParams, build_tower, construct_generator,
                           elt_valuation, elt_valuation_top, enumerate_group,
                           galois_generators, group_structure, localfield, oracle,
-                          residue_field, verify_family)
+                          residue_field, verify_family, witt_carry)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
 from conftest import random_elem, random_series
@@ -29,6 +29,20 @@ def h_tower():
 @pytest.fixture(scope="module")
 def m_tower():
     return make_tower("M")
+
+
+def top_relation(tower):
+    """alpha_top^p - alpha_top as the variant defines it, built apart from
+    build_tower: the cross term a_1 alpha_(n+1) + ... + a_n alpha_(2n), plus
+    a_top, plus the carry D(alpha_1, a_1) in M(n)."""
+    n = tower.n
+    rhs = tower.algebra.from_series(tower.a[-1])
+    for i in range(1, n + 1):
+        rhs = rhs + tower.alpha(n + i) * tower.a[i - 1]
+    if tower.params.variant == "M":
+        a1 = tower.algebra.from_series(tower.a[0])
+        rhs = rhs + witt_carry(tower.alpha(1), a1, tower.p)
+    return rhs
 
 
 def random_element(tower, rng, max_terms=3):
@@ -67,12 +81,16 @@ class TestBuildTower:
 
     def test_top_relation_holds(self, h_tower):
         top = h_tower.alpha(3)
-        rhs = h_tower.cross_term + h_tower.a[2]
+        rhs = h_tower.alpha(2) * h_tower.a[0] + h_tower.a[2]
+        assert rhs == top_relation(h_tower)
         assert (top**3 - top - rhs).is_zero()
 
     def test_m_variant_carry_term(self, m_tower):
         top = m_tower.alpha(3)
-        rhs = m_tower.cross_term + m_tower.carry_term + m_tower.a[2]
+        carry = witt_carry(m_tower.alpha(1), m_tower.algebra.from_series(m_tower.a[0]), 3)
+        assert not carry.is_zero()
+        rhs = m_tower.alpha(2) * m_tower.a[0] + carry + m_tower.a[2]
+        assert rhs == top_relation(m_tower)
         assert (top**3 - top - rhs).is_zero()
 
     def test_rejects_finite_e0(self):
@@ -284,7 +302,6 @@ class TestGaloisGenerators:
         assert s3.images == (a1, a2, a3 + one)
 
     def test_m_sigma1_carry_image(self, m_tower):
-        from extraspecial import witt_carry
         s1 = galois_generators(m_tower)[0]
         a1 = m_tower.alpha(1)
         a3 = m_tower.alpha(3)
@@ -292,7 +309,7 @@ class TestGaloisGenerators:
         assert s1.images[2] == a3 + delta
         # the translate solves the twisted relation: wp(delta) equals the
         # shift of the defining right-hand side
-        rhs = m_tower.cross_term + m_tower.carry_term + m_tower.a[2]
+        rhs = top_relation(m_tower)
         image = s1.images[2]
         assert image**3 - image == s1.apply(rhs)
         # equivalently, wp(delta) = D(alpha_1 + 1, a_1) - D(alpha_1, a_1)
@@ -389,7 +406,7 @@ class TestGroupStructure:
         assert table.order == 27
         rep = group_structure(h_tower, gens, table)
         assert rep.gen_orders == (3, 3, 3)
-        assert rep.matches_expected
+        assert rep.metacyclic_w is None
         assert rep.commutator_words[(1, 2)] == (0, 0, 1)
         assert rep.commutator_words[(1, 3)] == (0, 0, 0)
         assert rep.commutator_words[(2, 3)] == (0, 0, 0)
@@ -433,25 +450,39 @@ class TestGroupStructure:
         assert rep.sigma1_p_word[:-1] == (0, 0)
         assert rep.sigma1_p_word[-1] in (1, 2)
         assert rep.metacyclic_w == rep.sigma1_p_word[-1]
-        assert rep.matches_expected
+
+
+def closure_loop(table, gens):
+    """The closure check group_structure's presentation proof replaced,
+    kept as a test reference: word_of(g m) for every generator g and table
+    element m, k p^k compositions and every product built.  The table holds
+    the identity and the group is finite, so passing is closure under
+    composition; a map outside the table raises ConstructionError."""
+    for g in gens:
+        for word in table.words:
+            table.word_of(g.compose(table[word]))
+
+
+def as_m_tower(tower):
+    """The H tower read against the M(n) presentation, which it fails."""
+    return tower.replace(params=tower.params.replace(variant="M"))
 
 
 class TestGroupClosure:
-    """group_structure proves closure from the presentation; the k p^k
-    closure loop, GroupTable.check_closed, is the oracle."""
+    """group_structure proves closure from the presentation, and stops on a
+    relation that fails; the k p^k closure loop is the reference."""
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
-    def test_presentation_proves_closure(self, variant, p, n, monkeypatch):
+    def test_presentation_proves_closure(self, variant, p, n):
         tower = make_tower(variant, p, n)
         gens = galois_generators(tower)
         table = enumerate_group(tower, gens)
         assert table.order == p ** tower.nvars
-        with monkeypatch.context() as m:
-            def unexpected(self, gens):
-                raise AssertionError("closure loop run on a passing presentation")
-            m.setattr(localfield.GroupTable, "check_closed", unexpected)
-            assert group_structure(tower, gens, table).matches_expected
-        table.check_closed(gens)
+        built = set(table.built)
+        group_structure(tower, gens, table)
+        # the proof builds no product of the table
+        assert set(table.built) == built
+        closure_loop(table, gens)
 
     def test_commutator_shift_outside_fp_is_construction_error(self, h_tower):
         # sigma_top shifted by g, outside F_3: [sigma_1, sigma_top] shifts
@@ -464,34 +495,46 @@ class TestGroupClosure:
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             group_structure(h_tower, bent, table)
 
-    @staticmethod
-    def as_m_tower(tower):
-        """The H tower read against the M(n) presentation, which it fails."""
-        return tower.replace(params=tower.params.replace(variant="M"))
-
-    def test_failed_presentation_on_closed_table_reports_mismatch(self, h_tower, monkeypatch):
+    def test_failed_presentation_names_the_relation(self, h_tower, m_tower):
         gens = galois_generators(h_tower)
         table = enumerate_group(h_tower, gens)
-        runs = []
-        check_closed = localfield.GroupTable.check_closed
-        monkeypatch.setattr(localfield.GroupTable, "check_closed",
-                            lambda self, gens: runs.append(1) or check_closed(self, gens))
-        rep = group_structure(self.as_m_tower(h_tower), gens, table)
-        assert not rep.matches_expected
-        assert runs == [1]
+        with pytest.raises(ConstructionError,
+                           match=r"^the order of sigma_1 is 3, the presentation of M\(1\) "
+                                 r"needs 9$"):
+            group_structure(as_m_tower(h_tower), gens, table)
+        m_gens = galois_generators(m_tower)
+        m_table = enumerate_group(m_tower, m_gens)
+        as_h = m_tower.replace(params=m_tower.params.replace(variant="H"))
+        with pytest.raises(ConstructionError,
+                           match=r"^the order of sigma_1 is 9, the presentation of H\(1\) "
+                                 r"needs 3$"):
+            group_structure(as_h, m_gens, m_table)
+
+    def test_failed_commutator_names_the_relation(self, h_tower):
+        # sigma_1 and sigma_2 swapped: their commutator is sigma_top^-1
+        s1, s2, s3 = galois_generators(h_tower)
+        swapped = [s2, s1, s3]
+        table = localfield.GroupTable([g.powers() for g in swapped])
+        with pytest.raises(ConstructionError,
+                           match=r"^the word of \[sigma_1, sigma_2\] is \(0, 0, 2\), "
+                                 r"the presentation of H\(1\) needs \(0, 0, 1\)$"):
+            group_structure(h_tower, swapped, table)
 
     def test_failed_presentation_on_open_table_is_construction_error(self, h_tower):
         # sigma_1 in the walk of sigma_1 is shifted on alpha_top by g, outside
         # F_3.  The presentation reads only the generators, sigma_1^3 and the
-        # last entry of each walk, so only the closure loop builds a product
-        # on that entry and finds the shift
+        # last entry of each walk, so it stops at the order of sigma_1 without
+        # reading that entry; the closure loop builds a product on it and
+        # finds the shift
         gens = galois_generators(h_tower)
         table = enumerate_group(h_tower, gens)
         walk = list(table.powers[0])
         walk[1] = outside_fp(walk[1], 2, h_tower.field.gen())
         open_table = localfield.GroupTable([walk] + table.powers[1:])
+        with pytest.raises(ConstructionError, match="^the order of sigma_1 is 3, "):
+            group_structure(as_m_tower(h_tower), gens, open_table)
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            group_structure(self.as_m_tower(h_tower), gens, open_table)
+            closure_loop(open_table, gens)
 
 
 def map_key(m):

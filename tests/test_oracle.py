@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extraspecial import (INF, GaloisMap, LaurentSeries, OracleMismatch,
+from extraspecial import (INF, ConstructionError, GaloisMap, LaurentSeries, OracleMismatch,
                           PrecisionError, TowerAlgebra, TowerElement, TowerParams,
                           build_tower, construct_generator, default_leads, default_window,
                           elt_valuation, elt_valuation_top, enumerate_group,
@@ -20,8 +20,8 @@ from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _hi
                                  _jump_multiset, _shift_valuation, _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
 from conftest import random_elem
-from test_localfield import (TIER1_TOWERS, eager_products, exact_chain, make_tower, map_key,
-                            valuation_outcome)
+from test_localfield import (TIER1_TOWERS, as_m_tower, eager_products, exact_chain,
+                             make_tower, map_key, valuation_outcome)
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +29,9 @@ def h_setup():
     tower = make_tower("H")
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
+    group_structure(tower, gens, table)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table,
-                                         group_structure(tower, gens, table))
+    filtration = ramification_filtration(tower, gen_data, table)
     return tower, gens, table, gen_data, filtration
 
 
@@ -40,9 +40,9 @@ def m_setup():
     tower = make_tower("M")
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
+    group_structure(tower, gens, table)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table,
-                                         group_structure(tower, gens, table))
+    filtration = ramification_filtration(tower, gen_data, table)
     return tower, gens, table, gen_data, filtration
 
 
@@ -155,11 +155,8 @@ def full_filtration(tower, gen_data, table) -> FiltrationReport:
     x, y = _uniformizer_exponents(gen_data.vtop, p**k)
     ivals = {}
     for word in table.words[1:]:
-        i_sigma = _shift_valuation(table[word], gen_data.element, x, y, gen_data.vtop)
-        if i_sigma < 2:
-            raise OracleMismatch(
-                f"i(sigma) = {i_sigma} < 2 for {word}; extension is not totally wild")
-        ivals[word] = i_sigma
+        ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)
+        assert ivals[word] >= 2
 
     breaks = sorted({v - 1 for v in ivals.values()})
     sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
@@ -199,7 +196,8 @@ def _staged(params):
     tower = build_tower(params)
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
-    return tower, table, group_structure(tower, gens, table), construct_generator(tower)
+    group_structure(tower, gens, table)
+    return tower, table, construct_generator(tower)
 
 
 def _count_measurements(monkeypatch, run) -> tuple:
@@ -229,35 +227,24 @@ def _tower_id(params) -> str:
 
 
 class TestCyclicClasses:
-    """The filtration measures one element per class of cyclic subgroups once
-    the presentation is confirmed, and every element otherwise."""
+    """The filtration measures one element per class of cyclic subgroups of
+    the group whose presentation group_structure confirmed."""
 
     @pytest.fixture(scope="class", params=CLASS_TOWERS, ids=_tower_id)
     def staged(self, request):
         return _staged(request.param)
 
     def test_matches_full_filtration(self, staged, monkeypatch):
-        tower, table, group, gen_data = staged
-        assert group.matches_expected
+        tower, table, gen_data = staged
         p, n = tower.p, tower.n
         shortcut, calls = _count_measurements(
-            monkeypatch, lambda: ramification_filtration(tower, gen_data, table, group))
+            monkeypatch, lambda: ramification_filtration(tower, gen_data, table))
         assert calls == (p**(2 * n) - 1) // (p - 1) + 1
         assert shortcut == full_filtration(tower, gen_data, table)
         # on m = (0, 1, 2) the noncentral words take two values, so a class
         # map that merged noncentral classes would show there
         noncentral = {v for w, v in shortcut.ivals.items() if any(w[:-1])}
         assert len(noncentral) == (2 if tower.params.m == (0, 1, 2) else 1)
-
-    @pytest.mark.parametrize("params", [t for t in CLASS_TOWERS if t.p**(2 * t.n + 1) <= 243],
-                             ids=_tower_id)
-    def test_unconfirmed_presentation_measures_every_element(self, params, monkeypatch):
-        tower, table, group, gen_data = _staged(params)
-        unconfirmed = group.replace(matches_expected=False)
-        report, calls = _count_measurements(
-            monkeypatch, lambda: ramification_filtration(tower, gen_data, table, unconfirmed))
-        assert calls == tower.p**tower.nvars - 1
-        assert report == ramification_filtration(tower, gen_data, table, group)
 
     @staticmethod
     def _tables(monkeypatch) -> list:
@@ -279,22 +266,28 @@ class TestCyclicClasses:
         assert len(reps) == (p**(k - 1) - 1) // (p - 1) + 1
         assert set(table.built) == reps | {table.words[0]}
 
-    @pytest.mark.parametrize("params", [t for t in CLASS_TOWERS[:8] if t.p**(2 * t.n + 1) <= 243],
+    @pytest.mark.parametrize("params", [t for t in CLASS_TOWERS[:8] if t.variant == "H"],
                              ids=_tower_id)
-    def test_unconfirmed_verify_builds_every_product(self, params, monkeypatch):
+    def test_failed_presentation_stops_verify(self, params, monkeypatch):
+        # an H tower read against the M(n) presentation: verify_tower raises
+        # before the filtration measures a class or builds a product
         import extraspecial.oracle as oracle_mod
-        want = verify_tower(params).to_dict()
         tables = self._tables(monkeypatch)
         real = oracle_mod.group_structure
-        monkeypatch.setattr(oracle_mod, "group_structure",
-                            lambda *args: real(*args).replace(matches_expected=False))
-        got = verify_tower(params).to_dict()
+
+        def read_as_m(tower, gens, table):
+            return real(as_m_tower(tower), gens, table)
+
+        measured = []
+        monkeypatch.setattr(oracle_mod, "group_structure", read_as_m)
+        monkeypatch.setattr(oracle_mod, "_shift_valuation", lambda *args: measured.append(args))
+        with pytest.raises(ConstructionError, match="^the order of sigma_1 is "):
+            verify_tower(params)
+        assert measured == []
         (table,) = tables
-        assert len(table.built) == table.order == params.p**(2 * params.n + 1)
-        # the forced flag fails the verify; every other field is unchanged
-        assert (got["group"]["matches_expected"], got["passed"]) == (False, False)
-        got["group"]["matches_expected"] = got["passed"] = True
-        assert got == want
+        k = 2 * params.n + 1
+        assert set(table.built) == {tuple(int(i == j) for j in range(k))
+                                    for i in range(-1, k - 1)}
 
     def test_class_representatives(self):
         assert _cyclic_class((2, 4, 3), 5) == (1, 2, 0)
@@ -372,8 +365,8 @@ class TestElementaryLayers:
             tower = build_tower(params)
             gens = galois_generators(tower)
             table = enumerate_group(tower, gens)
-            filtration = ramification_filtration(tower, construct_generator(tower), table,
-                                                 group_structure(tower, gens, table))
+            group_structure(tower, gens, table)
+            filtration = ramification_filtration(tower, construct_generator(tower), table)
             fixing = [g for g in map(table.__getitem__, table.words)
                       if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
             sizes = []
@@ -408,7 +401,7 @@ class TestElementaryLayers:
         assert verify_elementary_layers(tower, filtration).ok
         assert calls["compose"] == 0
         calls["powers"] = 0
-        assert group_structure(tower, gens, table).matches_expected
+        group_structure(tower, gens, table)
         assert calls["powers"] == 0
         # enumerate_group: one walk per generator, and one product for each
         # unit word sigma_1..sigma_2n its check reads; closure is proved by
@@ -451,7 +444,7 @@ class TestElementaryLayers:
         sigma = GaloisMap(algebra, [alpha + algebra.one()])
         assert elt_valuation_top(alpha) == 0
         with pytest.raises(OracleMismatch, match="not in G_1"):
-            _shift_valuation(sigma, alpha, 1, 0, 0)
+            _shift_valuation(sigma, alpha, 0)
 
 
 class TestVerifyFamily:
@@ -459,7 +452,7 @@ class TestVerifyFamily:
         rep = verify_family("H", 3, 1, 1, 1)
         assert rep.passed
         assert rep.b_match
-        assert rep.group.matches_expected
+        assert rep.to_dict()["group"]["matches_expected"] is True
 
     def test_m_full_run(self):
         rep = verify_family("M", 3, 1, 1, 1)
