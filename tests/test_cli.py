@@ -229,22 +229,25 @@ class TestOracle:
         assert out == ""
         assert err == "verification failure: group is not closed under composition\n"
 
-    def test_failed_presentation_is_verification_failure(self, capsys, monkeypatch):
-        # the H tower read against the M(1) presentation stops the verify
+    @pytest.mark.parametrize("variant, other, order, needs", [("H", "M", 3, 9),
+                                                              ("M", "H", 9, 3)])
+    def test_failed_presentation_is_verification_failure(self, capsys, monkeypatch,
+                                                         variant, other, order, needs):
+        # the tower read against the other variant's presentation stops the verify
         import extraspecial.oracle as oracle
-        from test_localfield import as_m_tower
+        from test_localfield import as_other_variant
         group_structure = oracle.group_structure
 
-        def read_as_m(tower, gens, table):
-            return group_structure(as_m_tower(tower), gens, table)
+        def read_as_other(tower, gens, table):
+            return group_structure(as_other_variant(tower), gens, table)
 
-        monkeypatch.setattr(oracle, "group_structure", read_as_m)
-        code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
+        monkeypatch.setattr(oracle, "group_structure", read_as_other)
+        code, out, err = run(capsys, "oracle", "verify", "--variant", variant, "--p", "3",
                              "--n", "1", "--u", "1", "--t", "1", "--output", "json")
         assert code == 2
         assert out == ""
-        assert err == ("verification failure: the order of sigma_1 is 3, "
-                       "the presentation of M(1) needs 9\n")
+        assert err == (f"verification failure: the order of sigma_1 is {order}, "
+                       f"the presentation of {other}(1) needs {needs}\n")
 
     def test_composite_p_rejected(self, capsys):
         code, _, err = run(capsys, "ram", "convert", "--p", "4", "--lower", "1,2")

@@ -463,9 +463,11 @@ def closure_loop(table, gens):
             table.word_of(g.compose(table[word]))
 
 
-def as_m_tower(tower):
-    """The H tower read against the M(n) presentation, which it fails."""
-    return tower.replace(params=tower.params.replace(variant="M"))
+def as_other_variant(tower):
+    """The tower read against the presentation of the other variant, which
+    it fails: H(n) against M(n), M(n) against H(n)."""
+    other = "M" if tower.params.variant == "H" else "H"
+    return tower.replace(params=tower.params.replace(variant=other))
 
 
 class TestGroupClosure:
@@ -495,20 +497,19 @@ class TestGroupClosure:
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             group_structure(h_tower, bent, table)
 
-    def test_failed_presentation_names_the_relation(self, h_tower, m_tower):
-        gens = galois_generators(h_tower)
-        table = enumerate_group(h_tower, gens)
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_failed_presentation_names_the_relation(self, variant, p, n):
+        # sigma_1 has order p in H(n) and p^2 in M(n), so each variant read
+        # against the other's presentation stops at the order of sigma_1
+        tower = make_tower(variant, p, n)
+        gens = galois_generators(tower)
+        table = enumerate_group(tower, gens)
+        order, needs = (p, p**2) if variant == "H" else (p**2, p)
+        other = as_other_variant(tower)
         with pytest.raises(ConstructionError,
-                           match=r"^the order of sigma_1 is 3, the presentation of M\(1\) "
-                                 r"needs 9$"):
-            group_structure(as_m_tower(h_tower), gens, table)
-        m_gens = galois_generators(m_tower)
-        m_table = enumerate_group(m_tower, m_gens)
-        as_h = m_tower.replace(params=m_tower.params.replace(variant="H"))
-        with pytest.raises(ConstructionError,
-                           match=r"^the order of sigma_1 is 9, the presentation of H\(1\) "
-                                 r"needs 3$"):
-            group_structure(as_h, m_gens, m_table)
+                           match=rf"^the order of sigma_1 is {order}, the presentation of "
+                                 rf"{other.params.variant}\({n}\) needs {needs}$"):
+            group_structure(other, gens, table)
 
     def test_failed_commutator_names_the_relation(self, h_tower):
         # sigma_1 and sigma_2 swapped: their commutator is sigma_top^-1
@@ -532,7 +533,7 @@ class TestGroupClosure:
         walk[1] = outside_fp(walk[1], 2, h_tower.field.gen())
         open_table = localfield.GroupTable([walk] + table.powers[1:])
         with pytest.raises(ConstructionError, match="^the order of sigma_1 is 3, "):
-            group_structure(as_m_tower(h_tower), gens, open_table)
+            group_structure(as_other_variant(h_tower), gens, open_table)
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             closure_loop(open_table, gens)
 

@@ -20,7 +20,7 @@ from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _hi
                                  _jump_multiset, _shift_valuation, _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
 from conftest import random_elem
-from test_localfield import (TIER1_TOWERS, as_m_tower, eager_products, exact_chain,
+from test_localfield import (TIER1_TOWERS, as_other_variant, eager_products, exact_chain,
                              make_tower, map_key, valuation_outcome)
 
 
@@ -266,20 +266,19 @@ class TestCyclicClasses:
         assert len(reps) == (p**(k - 1) - 1) // (p - 1) + 1
         assert set(table.built) == reps | {table.words[0]}
 
-    @pytest.mark.parametrize("params", [t for t in CLASS_TOWERS[:8] if t.variant == "H"],
-                             ids=_tower_id)
+    @pytest.mark.parametrize("params", CLASS_TOWERS[:8], ids=_tower_id)
     def test_failed_presentation_stops_verify(self, params, monkeypatch):
-        # an H tower read against the M(n) presentation: verify_tower raises
-        # before the filtration measures a class or builds a product
+        # a tower read against the other variant's presentation: verify_tower
+        # raises before the filtration measures a class or builds a product
         import extraspecial.oracle as oracle_mod
         tables = self._tables(monkeypatch)
         real = oracle_mod.group_structure
 
-        def read_as_m(tower, gens, table):
-            return real(as_m_tower(tower), gens, table)
+        def read_as_other(tower, gens, table):
+            return real(as_other_variant(tower), gens, table)
 
         measured = []
-        monkeypatch.setattr(oracle_mod, "group_structure", read_as_m)
+        monkeypatch.setattr(oracle_mod, "group_structure", read_as_other)
         monkeypatch.setattr(oracle_mod, "_shift_valuation", lambda *args: measured.append(args))
         with pytest.raises(ConstructionError, match="^the order of sigma_1 is "):
             verify_tower(params)
