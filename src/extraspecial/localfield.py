@@ -261,8 +261,7 @@ class GaloisMap:
         return cls(algebra, [algebra.gen(i) for i in range(algebra.nvars)], validate=False)
 
     def _image_power(self, i: int, e: int) -> TowerElement:
-        if e == 0:
-            return self.algebra.one()
+        """images[i]^e for e >= 1, kept per map."""
         if e == 1:
             return self.images[i]
         cached = self._pow_cache.get((i, e))
@@ -482,10 +481,8 @@ def elt_valuation_top(x: TowerElement) -> int:
     v = elt_valuation(x)
     if v.is_infinite:
         raise ValueError("valuation of zero requested in top normalization")
-    scaled = v.fraction * x.algebra.p**x.algebra.nvars
-    if scaled.denominator != 1:
-        raise ConstructionError(f"top valuation {scaled} is not an integer")
-    return int(scaled)
+    # v is in (1/p^level) Z, level <= k, so the product is an integer
+    return int(v.fraction * x.algebra.p**x.algebra.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def construct_generator(tower: Tower) -> GeneratorData:
     Asserts the cofactor valuations against the closed formula, and the
     total valuation against -b_1 + v_top(t_1); failure of either raises
     OracleMismatch.  p never divides the resulting valuation, which is what
-    makes the element a field generator.
+    makes the element a field generator: b_1 = u_1 = r + p^(2n) m_1, and
+    TowerParams refuses p | r.
     """
     k = tower.nvars
     p = tower.p
@@ -100,8 +101,6 @@ def construct_generator(tower: Tower) -> GeneratorData:
     predicted = -b1 + p**k * v0[0]
     if vtop != predicted:
         raise OracleMismatch(f"generator valuation {vtop} != predicted {predicted}")
-    if vtop % p == 0:
-        raise OracleMismatch(f"generator valuation {vtop} is divisible by p")
     return GeneratorData(y, tuple(cofactors), tuple(v0), vtop, predicted)
 
 
@@ -184,7 +183,8 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     The reported uniformizer is pi_L = Y^x pi^y with x vtop(Y) + y p^(2n+1)
     = 1 and |x| minimal; the filtration does not depend on this choice.  The
     Hilbert sum recomputed from the multiset must match the direct sum of
-    the i(sigma).
+    the i(sigma).  The multiset has 2n+1 entries: its subgroup orders
+    telescope from the p^(2n+1) words of the table down to 1.
 
     The table's group must be one that :func:`group_structure` confirmed as
     H(n) or M(n).  One element per class of cyclic subgroups is measured and
@@ -220,8 +220,6 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     breaks = sorted({v - 1 for v in ivals.values()})
     sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
     multiset = _jump_multiset(breaks, sizes, p, "filtration")
-    if len(multiset) != k:
-        raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
 
     different_val = sum(ivals.values())
     hilbert = _hilbert_sum(p, multiset)
@@ -390,16 +388,14 @@ class LayersReport(Record):
 
 def _cp_break(tower: Tower, i: int) -> int:
     """Measured ramification break of the degree-p algebra on alpha_i alone,
-    from first definitions in a one-generator quotient algebra."""
+    from first definitions in a one-generator quotient algebra, measured
+    once, on sigma: alpha -> alpha + 1.  Each power sigma^j moves alpha by
+    the constant j, so every power has the same break."""
     mini = TowerAlgebra(tower.field, 1)
     mini.set_relation(0, mini.from_series(tower.a[i - 1]))
     alpha = mini.gen(0)
-    vtop = elt_valuation_top(alpha)
     sigma = GaloisMap(mini, [alpha + mini.one()])
-    breaks = {_shift_valuation(s, alpha, vtop) - 1 for s in sigma.powers()[1:]}
-    if len(breaks) != 1:
-        raise OracleMismatch(f"degree-p layer {i} has inconsistent breaks {breaks}")
-    return breaks.pop()
+    return _shift_valuation(sigma, alpha, elt_valuation_top(alpha)) - 1
 
 
 def verify_elementary_layers(tower: Tower, filtration: FiltrationReport) -> LayersReport:

@@ -175,8 +175,6 @@ def plan(params: TowerParams, mode: str = "full") -> PlanReport:
     top = 2 * n + 1
     pn2 = p ** (2 * n)      # p^(2n)
     pn2t = p ** (2 * n + 1)  # p^(2n+1)
-    # b_i = b_1 mod p^(2n+1) holds automatically since u_i = r + p^(2n) m_i.
-    assert all((bi - b[0]) % pn2t == 0 for bi in b), "lower numbers not congruent mod p^(2n+1)"
 
     u1, un, u2n, utop = u[0], u[n - 1], u[2 * n - 1], u[top - 1]
     btop = b[top - 1]

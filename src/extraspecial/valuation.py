@@ -332,8 +332,9 @@ class ResidueField:
     """F_q with q = p^d, p an odd prime in {3, 5, 7} and d <= 6.
 
     Elements are indices 0..q-1 encoding coordinate vectors base p with
-    respect to the power basis of a monic irreducible modulus.  The modulus
-    is verified irreducible at construction by brute-force factor search.
+    respect to the power basis of the modulus: the lexicographically
+    smallest monic irreducible of degree d, found by brute-force factor
+    search.
 
     Arithmetic runs on tables built once, by polynomial arithmetic modulo
     the modulus, for the generator g (the least index of multiplicative
@@ -342,7 +343,7 @@ class ResidueField:
     add or scale logarithms; sums use g^i + g^j = g^i (1 + g^(j-i)).
     """
 
-    def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, d: int = 1):
         if p not in _SUPPORTED_P:
             raise ValueError(f"unsupported characteristic {p}; supported: {_SUPPORTED_P}")
         if not 1 <= d <= 6:
@@ -350,15 +351,8 @@ class ResidueField:
         self.p = p
         self.d = d
         self.q = p**d
-        if modulus is None:
-            modulus = _find_irreducible(p, d)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != d + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree d")
-        if not _poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is not irreducible over F_{p}")
-        self.modulus = modulus
-        self.key = (p, d, modulus)
+        self.modulus = _find_irreducible(p, d)
+        self.key = (p, d, self.modulus)
         exp, self._gen_idx = self._generator_powers()
         log: list[int | None] = [None] * self.q
         for j, x in enumerate(exp):
@@ -478,9 +472,9 @@ class ResidueField:
 
 
 @lru_cache(maxsize=None)
-def residue_field(p: int, d: int = 1, modulus: tuple[int, ...] | None = None) -> ResidueField:
+def residue_field(p: int, d: int = 1) -> ResidueField:
     """Cached field factory; reuses the exp/log/Zech tables across calls."""
-    return ResidueField(p, d, modulus)
+    return ResidueField(p, d)
 
 
 def exact_log(p: int, n: int) -> int | None:

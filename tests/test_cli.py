@@ -106,6 +106,12 @@ class TestPlan:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_non_integer_list_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
+                             "--r", "1", "--m", "0,x,1", "--leads", "1,g,1")
+        assert (code, out) == (1, "")
+        assert err == "error: expected a comma-separated integer list, got '0,x,1'\n"
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
                          "--e0", "inf", "--r", "1", "--m", "0,0,1",
@@ -143,6 +149,14 @@ class TestRam:
         assert d["shift"][13] == 94
         assert d["inverse"][0] == 0
 
+    def test_tables_text(self, capsys):
+        code, out, _ = run(capsys, "ram", "tables", "--p", "3", "--n", "3", "--b", "1,1,82")
+        assert code == 0
+        head, shift, inverse = out.splitlines()
+        assert head == "p=3 n=3 b=[1, 1, 82]"
+        assert shift.startswith("shift:   [0, 82, 164, 3, ") and shift.endswith(", 188]")
+        assert inverse == "inverse: " + str([0] + list(range(26, 0, -1)))
+
     def test_tables_validation(self, capsys):
         code, _, err = run(capsys, "ram", "tables", "--p", "3", "--n", "1", "--b", "3")
         assert code == 1
@@ -162,6 +176,15 @@ class TestOracle:
         d = json.loads(out)
         assert d["passed"] is True
         assert d["measured_b"] == [1, 1, 82]
+
+    def test_verify_text(self, capsys):
+        code, out, _ = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",
+                           "--n", "1", "--u", "1", "--t", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "tower H p=3 n=1 q=9 prec=328"
+        assert "lower breaks: predicted [1, 1, 82], measured [1, 1, 82] -> match: True" in lines
+        assert lines[-1] == "PASS: True"
 
     def test_verify_with_prec(self, capsys):
         code, out, _ = run(capsys, "oracle", "verify", "--variant", "M", "--p", "3",

@@ -1,9 +1,11 @@
 """Source hygiene: every name a package module imports is used in it, every
 function, class and method of the package is named by other package code,
 every field of a package ``Record`` is read as an attribute by package code,
-no package module imports ``dataclasses`` or ``inspect`` (whose import, with
-what it pulls in, is a large part of a CLI process's start-up), and every
-source file parses at the Python floor that pyproject.toml declares.
+every ``raise OracleMismatch`` of ``oracle.py`` is the raising frame of a
+trip in ``test_oracle.MISMATCH_TRIPS``, no package module imports
+``dataclasses`` or ``inspect`` (whose import, with what it pulls in, is a
+large part of a CLI process's start-up), and every source file parses at
+the Python floor that pyproject.toml declares.
 
 ``__init__.py`` imports to re-export, so it is exempt from the import check,
 and its re-exports do not reach a definition.  Names that occur only inside
@@ -14,6 +16,7 @@ import ast
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,62 @@ def test_check_sees_an_unread_field():
     dead = live.replace("box.v + box.w", "box.v") + "Box(1, w=2).w = 3\n"
     assert _unread_fields({"m.py": ast.parse(dead)}) == {"m.py:Box.w"}
     assert _unread_fields({"m.py": ast.parse(live.replace("(Record, ", "("))}) == set()
+
+
+def _raise_spans(tree: ast.Module, exc: str) -> list[tuple[int, int]]:
+    """(first line, last line) of each ``raise exc(...)`` statement."""
+    return sorted((n.lineno, n.end_lineno) for n in ast.walk(tree)
+                  if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                  and isinstance(n.exc.func, ast.Name) and n.exc.func.id == exc)
+
+
+def _raising_lines(trips, path: Path, exc_type: type) -> set[int]:
+    """The line of the raising frame of each ``exc_type`` that a trip
+    raises, where that frame is in ``path``."""
+    lines = set()
+    for trip in trips:
+        try:
+            trip()
+        except exc_type as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            if Path(frame.filename).resolve() == path.resolve():
+                lines.add(frame.lineno)
+    return lines
+
+
+def _unfired(spans, lines: set[int]) -> list[tuple[int, int]]:
+    return [(lo, hi) for lo, hi in spans if not any(lo <= line <= hi for line in lines)]
+
+
+def test_every_oracle_check_fires():
+    from extraspecial.oracle import OracleMismatch
+    from test_oracle import MISMATCH_TRIPS
+    path = PACKAGE / "oracle.py"
+    spans = _raise_spans(ast.parse(path.read_text(), filename=str(path)), "OracleMismatch")
+    lines = _raising_lines([trip for trip, _ in MISMATCH_TRIPS.values()], path,
+                           OracleMismatch)
+    assert len(spans) > 1
+    assert _unfired(spans, lines) == []
+
+
+def test_check_sees_an_unreachable_raise(tmp_path):
+    planted = ("class Mismatch(Exception):\n    pass\n"
+               "def check(x):\n    if x < 0:\n        raise Mismatch(\n"
+               "            'negative')\n"
+               "    if x < 0 and x > 0:\n        raise Mismatch('never')\n"
+               "    return x\n")
+    path = tmp_path / "planted.py"
+    path.write_text(planted)
+    space = {}
+    exec(compile(planted, str(path), "exec"), space)
+    spans = _raise_spans(ast.parse(planted), "Mismatch")
+    assert spans == [(5, 6), (8, 8)]
+    lines = _raising_lines([lambda: space["check"](-1), lambda: space["check"](1)], path,
+                           space["Mismatch"])
+    assert _unfired(spans, lines) == [(8, 8)]
+    # a raising frame in another file fires nothing here
+    assert _raising_lines([lambda: space["check"](-1)], tmp_path / "other.py",
+                          space["Mismatch"]) == set()
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

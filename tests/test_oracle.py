@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +18,11 @@ from extraspecial import (INF, ConstructionError, GaloisMap, LaurentSeries, Orac
                           scaffold_row_check, verify_elementary_layers,
                           verify_family, verify_tower)
 from extraspecial import localfield
+from extraspecial import oracle as oracle_mod
 from extraspecial.detval import _twist_valuation, frobenius_matrix
 from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _hilbert_sum,
-                                 _jump_multiset, _shift_valuation, _uniformizer_exponents)
+                                 _jump_multiset, _plog, _shift_valuation,
+                                 _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
 from conftest import random_elem
 from test_localfield import (TIER1_TOWERS, as_other_variant, eager_products, exact_chain,
@@ -202,7 +207,6 @@ def _staged(params):
 
 def _count_measurements(monkeypatch, run) -> tuple:
     """run() and the number of _shift_valuation calls it made."""
-    import extraspecial.oracle as oracle_mod
     calls = 0
 
     def counted(*args):
@@ -249,7 +253,6 @@ class TestCyclicClasses:
     @staticmethod
     def _tables(monkeypatch) -> list:
         """The group tables verify_tower builds, in order."""
-        import extraspecial.oracle as oracle_mod
         tables = []
         real = oracle_mod.enumerate_group
         monkeypatch.setattr(oracle_mod, "enumerate_group",
@@ -270,7 +273,6 @@ class TestCyclicClasses:
     def test_failed_presentation_stops_verify(self, params, monkeypatch):
         # a tower read against the other variant's presentation: verify_tower
         # raises before the filtration measures a class or builds a product
-        import extraspecial.oracle as oracle_mod
         tables = self._tables(monkeypatch)
         real = oracle_mod.group_structure
 
@@ -381,8 +383,8 @@ class TestElementaryLayers:
 
     def test_layer_stages_reuse_the_table(self, m_setup, monkeypatch):
         # group_structure reads the power walks enumerate_group kept, and the
-        # coset counts compose no map of the tower (only _cp_break walks its
-        # own one-generator algebra)
+        # layer stage walks no power: the coset counts compose no map of the
+        # tower, and _cp_break measures each layer's generator once
         tower, gens, table, _, filtration = m_setup
         calls = {"compose": 0, "powers": 0}
         compose, powers = GaloisMap.compose, GaloisMap.powers
@@ -397,9 +399,11 @@ class TestElementaryLayers:
 
         monkeypatch.setattr(GaloisMap, "compose", counting_compose)
         monkeypatch.setattr(GaloisMap, "powers", counting_powers)
-        assert verify_elementary_layers(tower, filtration).ok
-        assert calls["compose"] == 0
-        calls["powers"] = 0
+        report, measured = _count_measurements(
+            monkeypatch, lambda: verify_elementary_layers(tower, filtration))
+        assert report.ok
+        assert calls == {"compose": 0, "powers": 0}
+        assert measured == 2 * tower.n
         group_structure(tower, gens, table)
         assert calls["powers"] == 0
         # enumerate_group: one walk per generator, and one product for each
@@ -430,20 +434,106 @@ class TestElementaryLayers:
         assert tower.plan_report.u[0] == 1
         steeper = LaurentSeries.monomial(tower.field, 1, -2)
         changed = tower.replace(a=(steeper,) + tower.a[1:])
-        assert _cp_break(tower, 1) == 1
-        assert _cp_break(changed, 1) == 2
+        assert _cp_break(tower, 1) == every_power_break(tower, 1) == 1
+        assert _cp_break(changed, 1) == every_power_break(changed, 1) == 2
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_layer_break_matches_every_power(self, variant, p, n):
+        tower = make_tower(variant, p, n)
+        for i in range(1, 2 * n + 1):
+            assert _cp_break(tower, i) == every_power_break(tower, i) == tower.plan_report.u[i - 1]
 
     def test_shift_valuation_refuses_sigma_outside_g1(self):
-        # alpha^3 - alpha = 1 is unramified over F_9((pi)): sigma(alpha) - alpha
-        # = 1 has the valuation of alpha, so no break can be measured
-        field = residue_field(3, 2)
-        algebra = TowerAlgebra(field, 1)
-        algebra.set_relation(0, algebra.one())
-        alpha = algebra.gen(0)
-        sigma = GaloisMap(algebra, [alpha + algebra.one()])
+        sigma, alpha = unramified_layer()
         assert elt_valuation_top(alpha) == 0
         with pytest.raises(OracleMismatch, match="not in G_1"):
             _shift_valuation(sigma, alpha, 0)
+
+
+def every_power_break(tower, i) -> int:
+    """Reference: the per-power loop that _cp_break's one measurement
+    replaced.  It measures every nontrivial power of the generator of the
+    degree-p layer on alpha_i and requires them to agree."""
+    mini = TowerAlgebra(tower.field, 1)
+    mini.set_relation(0, mini.from_series(tower.a[i - 1]))
+    alpha = mini.gen(0)
+    vtop = elt_valuation_top(alpha)
+    sigma = GaloisMap(mini, [alpha + mini.one()])
+    breaks = {_shift_valuation(s, alpha, vtop) - 1 for s in sigma.powers()[1:]}
+    assert len(breaks) == 1, breaks
+    return breaks.pop()
+
+
+def unramified_layer():
+    """sigma and alpha of alpha^3 - alpha = 1, unramified over F_9((pi)):
+    sigma(alpha) - alpha = 1 has the valuation of alpha, so no break can be
+    measured."""
+    algebra = TowerAlgebra(residue_field(3, 2), 1)
+    algebra.set_relation(0, algebra.one())
+    alpha = algebra.gen(0)
+    return GaloisMap(algebra, [alpha + algebra.one()]), alpha
+
+
+# ---------------------------------------------------------------------------
+# Every check fires: one trip per `raise OracleMismatch` in oracle.py
+# (test_hygiene.test_every_oracle_check_fires holds the table to that)
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _h31():
+    """H(3,1), its generators and Y, built once for the trips."""
+    tower = make_tower("H")
+    return tower, galois_generators(tower), construct_generator(tower)
+
+
+def _moved_b(tower, first=0, last=0):
+    """``tower`` with the planner's b_1 moved by ``first`` and b_top by ``last``."""
+    b = tower.plan_report.b
+    moved = (b[0] + first,) + b[1:-1] + (b[-1] + last,)
+    return tower.replace(plan_report=tower.plan_report.replace(b=moved))
+
+
+def _trip_cofactor():
+    real = oracle_mod.ti_valuations
+    with mock.patch.object(oracle_mod, "ti_valuations",
+                           lambda *args: tuple(v + 1 for v in real(*args))):
+        construct_generator(_h31()[0])
+
+
+def _trip_fixed_generator():
+    tower, _, gen_data = _h31()
+    _shift_valuation(GaloisMap.identity(tower.algebra), gen_data.element, gen_data.vtop)
+
+
+def _trip_scaffold(first, last):
+    tower, gens, gen_data = _h31()
+    scaffold_row_check(_moved_b(tower, first, last), gen_data, gens,
+                       default_window(tower.params))
+
+
+# name -> (a call that trips one check, the message it must raise); on
+# H(3,1) v_0 of the cofactors is (-3, -3, 0), v_top(Y) = -82 and b = (1, 1, 82)
+MISMATCH_TRIPS = {
+    "plog": (lambda: _plog(12, 3), "12 is not a power of p = 3"),
+    "nested_sizes": (lambda: _jump_multiset([1, 2], [9, 2], 3, "filtration"),
+                     "filtration sizes 9/2 not nested"),
+    "cofactor": (_trip_cofactor, "cofactor 1 has valuation -3, formula gives -2"),
+    "generator": (lambda: construct_generator(_moved_b(_h31()[0], first=1)),
+                  "generator valuation -82 != predicted -83"),
+    "fixed_generator": (_trip_fixed_generator, "a nontrivial automorphism fixes the generator"),
+    "outside_g1": (lambda: _shift_valuation(*unramified_layer(), 0),
+                   "v_top(sigma(Y) - Y) = 0 <= v_top(Y) = 0: sigma is not in G_1"),
+    "x_valuation": (lambda: _trip_scaffold(0, 1), "v_top(X) = -82, expected -83"),
+    "mu_row": (lambda: _trip_scaffold(1, 0), "v_top(mu_1) = -81 != b_1 - b_top = -80"),
+}
+
+
+@pytest.mark.parametrize("name", MISMATCH_TRIPS)
+def test_check_fires(name):
+    trip, message = MISMATCH_TRIPS[name]
+    with pytest.raises(OracleMismatch, match=f"^{re.escape(message)}$"):
+        trip()
 
 
 class TestVerifyFamily:
@@ -616,7 +706,6 @@ class TestPrecisionRetry:
         return runs
 
     def test_verify_tower_doubles_on_precision_failure(self, monkeypatch):
-        import extraspecial.oracle as oracle_mod
         from extraspecial import PrecisionError
         runs = self._count_stages(monkeypatch, oracle_mod)
         windows = []
@@ -637,7 +726,6 @@ class TestPrecisionRetry:
 
     def test_window_one_retries_on_real_arithmetic(self, monkeypatch):
         # no forced failure: window 1 cannot certify v_top(X), window 2 can
-        import extraspecial.oracle as oracle_mod
         runs = self._count_stages(monkeypatch, oracle_mod)
         windows = []
         real = oracle_mod.scaffold_row_check
@@ -654,7 +742,6 @@ class TestPrecisionRetry:
         assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
 
     def test_verify_tower_gives_up_after_three(self, monkeypatch):
-        import extraspecial.oracle as oracle_mod
         from extraspecial import PrecisionError
         runs = self._count_stages(monkeypatch, oracle_mod)
         errors = []
@@ -671,7 +758,6 @@ class TestPrecisionRetry:
         assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
 
     def test_cli_reports_precision_failure(self, monkeypatch, capsys):
-        import extraspecial.oracle as oracle_mod
         from extraspecial import PrecisionError
         from extraspecial.cli import main
 

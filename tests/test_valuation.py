@@ -46,10 +46,6 @@ class TestExtRational:
 
 
 class TestResidueField:
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            residue_field(3, 2, (0, 2, 1))  # x^2 + 2x = x(x+2)
-
     def test_unsupported_characteristic_rejected(self):
         with pytest.raises(ValueError):
             residue_field(11, 1)
