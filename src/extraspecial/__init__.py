@@ -15,7 +15,6 @@ from .planner import (PlanReport, TowerParams, default_leads, example_family,
                       gms_verdict, plan)
 from .ramification import (RamSequence, ShiftTables, build_shift_tables,
                            check_ram_inequalities, lower_to_upper, upper_to_lower)
-from .valuation import (INF, ExtRational, FFElem, LaurentSeries, PrecisionError,
-                        ResidueField, residue_field)
+from .valuation import INF, FFElem, LaurentSeries, PrecisionError, ResidueField, residue_field
 
 __version__ = "0.1.0"

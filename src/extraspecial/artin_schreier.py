@@ -11,7 +11,7 @@ from itertools import groupby
 from math import comb
 
 from .record import Record
-from .valuation import ExtRational, FFElem, ResidueField
+from .valuation import INF, FFElem, ResidueField, is_extended
 
 
 def witt_carry_coeffs(p: int) -> dict[int, int]:
@@ -40,10 +40,12 @@ class ASConstantSpec(Record, frozen=True):
     """
 
     field: ResidueField
-    e0: ExtRational
+    e0: int | Fraction | float  # INF in characteristic p
     constants: tuple[tuple[int, FFElem], ...]
 
     def __post_init__(self):
+        if not is_extended(self.e0):
+            raise ValueError(f"e0 = {self.e0!r} is neither INF nor an int or Fraction")
         for v, lead in self.constants:
             if not isinstance(v, int):
                 raise ValueError("constant valuations must be integers")
@@ -138,24 +140,16 @@ def validate_reduced_AS(spec: ASConstantSpec) -> ASReport:
         raise ValueError("no constants to validate")
 
     ordered = all(vals[i] >= vals[i + 1] for i in range(k - 1)) and vals[0] < 0
-    lower_vacuous = spec.e0.is_infinite
-    if lower_vacuous:
-        lower_ok = True
-    else:
-        # v(a_k) > -p e0 / (p-1)
-        lower_ok = Fraction(vals[-1]) > -Fraction(p, p - 1) * spec.e0.fraction
-    range_ok = ordered and lower_ok
+    # v(a_k) > -p e0 / (p-1), vacuous for e0 = INF
+    range_ok = ordered and vals[-1] > -Fraction(p, p - 1) * spec.e0
 
     coprime_ok = all(v % p != 0 for v in vals)
 
     leads = [lead for _, lead in spec.constants]
     independent_ok = first_dependent_run(spec.field, vals, leads) is None
 
-    tail_vacuous = k < 2 or spec.e0.is_infinite
-    if tail_vacuous:
-        tail_ok = True
-    else:
-        tail_ok = p * spec.e0.fraction + (p - 1) * vals[-1] + vals[-2] > 0
+    # p e0 + (p-1) v(a_k) + v(a_(k-1)) > 0, vacuous for e0 = INF
+    tail_ok = k < 2 or p * spec.e0 + (p - 1) * vals[-1] + vals[-2] > 0
 
     return ASReport(range_ok, coprime_ok, independent_ok, tail_ok,
-                    lower_vacuous, tail_vacuous)
+                    spec.e0 == INF, k < 2 or spec.e0 == INF)

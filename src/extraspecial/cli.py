@@ -17,7 +17,7 @@ from .oracle import OracleMismatch, verify_family
 from .planner import (TowerParams, _is_odd_prime, example_family, family_field, gms_verdict,
                       plan)
 from .ramification import RamSequence, build_shift_tables, check_ram_inequalities
-from .valuation import ExtRational, PrecisionError
+from .valuation import PrecisionError, parse_extended
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,8 +76,7 @@ def _render_plan(d: dict) -> None:
 def _render_oracle(d: dict) -> None:
     print(f"tower {d['params']['variant']} p={d['params']['p']} n={d['params']['n']} "
           f"q={d['params']['q']} prec={d['prec']}")
-    print(f"group: order {d['group']['order']}, generator orders {d['group']['gen_orders']}, "
-          f"expected structure: {d['group']['matches_expected']}")
+    print(f"group: order {d['group']['order']}, generator orders {d['group']['gen_orders']}")
     print(f"generator valuation: measured {d['generator']['vtop']}, "
           f"predicted {d['generator']['vtop_predicted']}")
     print(f"lower breaks: predicted {d['predicted_b']}, measured {d['measured_b']} "
@@ -116,7 +115,7 @@ def _cmd_plan(args) -> int:
     leads = tuple(field.parse_element(x) for x in args.leads.split(","))
     params = TowerParams(
         p=args.p, n=args.n, variant=args.variant,
-        e0=ExtRational.parse(args.e0), r=args.r,
+        e0=parse_extended(args.e0), r=args.r,
         m=tuple(_int_list(args.m)), leads=leads, field=field,
     )
     report = plan(params, mode=args.mode)

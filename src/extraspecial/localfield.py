@@ -23,14 +23,13 @@ and falls back to the exact chain when the cap cannot certify.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .artin_schreier import witt_carry
 from .detval import ring_det
 from .planner import PlanReport, TowerParams, plan
 from .record import Record
-from .valuation import INF, ExtRational, FFElem, LaurentSeries, PrecisionError, ResidueField
+from .valuation import INF, FFElem, LaurentSeries, PrecisionError, ResidueField
 
 
 class PlanRejection(ValueError):
@@ -345,7 +344,7 @@ def build_tower(params: TowerParams) -> Tower:
     The constants are the monomials c = pi^(-r) and
     omega_i = lead_i * pi^(-m_i), so a_i = lead_i^(p^(2n)) pi^(-u_i).
     """
-    if not params.e0.is_infinite:
+    if params.e0 != INF:
         raise PlanRejection("concrete towers require e0 = inf (characteristic p)")
     report = plan(params, mode="full")
     if not report.certified:
@@ -378,12 +377,7 @@ def build_tower(params: TowerParams) -> Tower:
         top_rhs = top_rhs + witt_carry(algebra.gen(0), algebra.from_series(a[0]), p)
     algebra.set_relation(k - 1, top_rhs)
 
-    tower = Tower(params=params, algebra=algebra, omegas=omegas, a=a, plan_report=report)
-    # definitional sanity: the top relation holds in the algebra
-    top = algebra.gen(k - 1)
-    if (top**p - top) != top_rhs:
-        raise ConstructionError("top generator does not satisfy its own relation")
-    return tower
+    return Tower(params=params, algebra=algebra, omegas=omegas, a=a, plan_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +423,7 @@ def _cap(x: TowerElement, w: int) -> TowerElement:
     return TowerElement(x.algebra, out)
 
 
-def _norm_valuation(x: TowerElement, w: int | None) -> ExtRational:
+def _norm_valuation(x: TowerElement, w: int | None) -> Fraction:
     """v_0(x) for nonzero x through the norm chain, with every coefficient
     capped to relative precision w before each level norm, or exact for w
     None."""
@@ -439,15 +433,13 @@ def _norm_valuation(x: TowerElement, w: int | None) -> ExtRational:
         if w is not None:
             cur = _cap(cur, w)
         cur = _level_norm(cur, i)
-        if cur.support_level() > i:
-            raise ConstructionError("norm escaped its subalgebra")
     v = cur.constant_series().valuation()
-    if v == math.inf:
+    if v == INF:
         raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
-    return ExtRational(Fraction(v, x.algebra.p**level))
+    return Fraction(v, x.algebra.p**level)
 
 
-def elt_valuation(x: TowerElement) -> ExtRational:
+def elt_valuation(x: TowerElement) -> Fraction | float:
     """v_0(x) in (1/p^k) * Z, k the generator count of the algebra of x,
     through iterated norm determinants.
 
@@ -461,7 +453,7 @@ def elt_valuation(x: TowerElement) -> ExtRational:
     exact chain decides, and its result or PrecisionError is returned
     unchanged.  The cap never changes the answer, only its cost.
 
-    Exact zero maps to +infinity; an imprecise zero or a norm whose leading
+    Exact zero maps to INF; an imprecise zero or a norm whose leading
     coefficient escapes the tracked window raises PrecisionError.
     """
     if x.is_zero():
@@ -479,10 +471,10 @@ def elt_valuation_top(x: TowerElement) -> int:
     """v_top(x) = p^k v_0(x) as an integer, k the generator count of the
     algebra of x (2n+1 for a tower)."""
     v = elt_valuation(x)
-    if v.is_infinite:
+    if v == INF:
         raise ValueError("valuation of zero requested in top normalization")
     # v is in (1/p^level) Z, level <= k, so the product is an integer
-    return int(v.fraction * x.algebra.p**x.algebra.nvars)
+    return int(v * x.algebra.p**x.algebra.nvars)
 
 
 # ---------------------------------------------------------------------------

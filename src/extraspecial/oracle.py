@@ -20,7 +20,7 @@ from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
 from .record import Record
-from .valuation import INF, ExtRational, LaurentSeries, PrecisionError, exact_log
+from .valuation import INF, LaurentSeries, PrecisionError, exact_log, extended_json
 
 
 class OracleMismatch(RuntimeError):
@@ -248,18 +248,18 @@ def _hilbert_sum(p: int, multiset) -> int:
 class ScaffoldRow(Record):
     index: int                # generator number, 1-based
     mu_vtop: int              # = b_i - b_top
-    eps_gap: ExtRational      # v(eps) - v(mu); inf when eps = 0 exactly
-    bound: ExtRational        # proof row bound (e0 terms are inf here)
-    contribution: ExtRational  # gap - p^(2n) u_i + b_i
+    eps_gap: int | float      # v(eps) - v(mu); INF when eps = 0 exactly
+    bound: int | float        # proof row bound (e0 terms are INF here)
+    contribution: int | float  # gap - p^(2n) u_i + b_i
     holds: bool
 
     def to_dict(self) -> dict:
         return {
             "index": self.index,
             "mu_vtop": self.mu_vtop,
-            "eps_gap": self.eps_gap.to_json(),
-            "bound": self.bound.to_json(),
-            "contribution": self.contribution.to_json(),
+            "eps_gap": extended_json(self.eps_gap),
+            "bound": extended_json(self.bound),
+            "contribution": extended_json(self.contribution),
             "holds": self.holds,
         }
 
@@ -267,16 +267,16 @@ class ScaffoldRow(Record):
 class ScaffoldReport(Record):
     x_vtop: int
     rows: tuple[ScaffoldRow, ...]
-    min_contribution: ExtRational
-    cfrak: ExtRational
+    min_contribution: int | float
+    cfrak: int
     ok: bool
 
     def to_dict(self) -> dict:
         return {
             "x_vtop": self.x_vtop,
             "rows": [r.to_dict() for r in self.rows],
-            "min_contribution": self.min_contribution.to_json(),
-            "cfrak": self.cfrak.to_json(),
+            "min_contribution": extended_json(self.min_contribution),
+            "cfrak": extended_json(self.cfrak),
             "ok": self.ok,
         }
 
@@ -331,15 +331,15 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
         if w.is_zero():
             gap = INF
         else:
-            gap = ExtRational(elt_valuation_top(w) - p**k * v0[i - 1])
+            gap = elt_valuation_top(w) - p**k * v0[i - 1]
 
         if n < i <= 2 * n:
-            bound = ExtRational(btop - b[i - 1] - pn2 * u[i - n - 1])
+            bound = btop - b[i - 1] - pn2 * u[i - n - 1]
         elif i == 1 and tower.params.variant == "M":
-            bound = ExtRational(btop - b[0] - (p - 1) * pn2 * u[0])
+            bound = btop - b[0] - (p - 1) * pn2 * u[0]
         else:
             bound = INF  # the only bound on this row carries an e0 term
-        contribution = gap - pn2 * u[i - 1] + b[i - 1] if not gap.is_infinite else INF
+        contribution = gap - pn2 * u[i - 1] + b[i - 1]
         holds = gap >= bound
         rows.append(ScaffoldRow(i, mu_vtop, gap, bound, contribution, holds))
         contributions.append(contribution)

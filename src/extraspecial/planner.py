@@ -2,8 +2,8 @@
 M-variant constructions, the scaffold precision they guarantee, and the
 Galois-module verdict that precision supports.
 
-Everything here is inequality arithmetic over exact rationals extended by
-+infinity; e0 = +infinity encodes a base field of characteristic p, where
+Everything here is inequality arithmetic over ints and Fractions extended
+by INF = +infinity; e0 = INF encodes a base field of characteristic p, where
 every e0-inequality is vacuous and the e0 term drops out of the precision
 minimum.
 """
@@ -15,7 +15,8 @@ from fractions import Fraction
 from .artin_schreier import ASConstantSpec, ASReport, validate_reduced_AS
 from .ramification import upper_to_lower
 from .record import Record
-from .valuation import ExtRational, FFElem, ResidueField, field_degree, residue_field
+from .valuation import (FFElem, ResidueField, extended_json, field_degree, is_extended,
+                        residue_field)
 
 _VARIANTS = ("H", "M")
 
@@ -34,7 +35,7 @@ class TowerParams(Record, frozen=True):
     p: int
     n: int
     variant: str
-    e0: ExtRational
+    e0: int | Fraction | float  # INF or positive
     r: int
     m: tuple[int, ...]
     leads: tuple[FFElem, ...]
@@ -69,7 +70,9 @@ class TowerParams(Record, frozen=True):
         if self.field.q < self.p ** (2 * self.n):
             raise ValueError(
                 f"residue cardinality q = {self.field.q} < p^(2n) = {self.p ** (2 * self.n)}")
-        if not (self.e0.is_infinite or self.e0.fraction > 0):
+        if not is_extended(self.e0):
+            raise ValueError(f"e0 = {self.e0!r} is neither INF nor an int or Fraction")
+        if not self.e0 > 0:
             raise ValueError("e0 must be positive")
 
     @property
@@ -86,7 +89,7 @@ class TowerParams(Record, frozen=True):
             "p": self.p,
             "n": self.n,
             "variant": self.variant,
-            "e0": self.e0.to_json(),
+            "e0": extended_json(self.e0),
             "r": self.r,
             "m": list(self.m),
             "leads": [self.field.format_element(x) for x in self.leads],
@@ -100,7 +103,7 @@ class Check(Record, frozen=True):
     id: str
     text: str
     holds: bool
-    slack: ExtRational
+    slack: int | Fraction | float
     strict: bool = True
 
     def to_dict(self) -> dict:
@@ -108,7 +111,7 @@ class Check(Record, frozen=True):
             "id": self.id,
             "text": self.text,
             "holds": self.holds,
-            "slack": self.slack.to_json(),
+            "slack": extended_json(self.slack),
             "strict": self.strict,
         }
 
@@ -120,7 +123,7 @@ class PlanReport(Record, frozen=True):
     b: tuple[int, ...]
     as_report: ASReport
     checks: tuple[Check, ...]
-    cfrak: ExtRational | None
+    cfrak: int | Fraction | None
     verdict: str            # scaffold-certified | hypotheses-fail
     gms: str                # free | free-and-hopf | no-conclusion
     notes: tuple[str, ...] = ()
@@ -137,7 +140,7 @@ class PlanReport(Record, frozen=True):
         d["b"] = list(self.b)
         d["as_conditions"] = self.as_report.to_dict()
         d["checks"] = [c.to_dict() for c in self.checks]
-        d["cfrak"] = self.cfrak.to_json() if self.cfrak is not None else "not-applicable"
+        d["cfrak"] = extended_json(self.cfrak) if self.cfrak is not None else "not-applicable"
         d["verdict"] = self.verdict
         d["gms"] = self.gms
         d["notes"] = list(self.notes)
@@ -147,11 +150,9 @@ class PlanReport(Record, frozen=True):
 def _check(cid: str, text: str, lhs, rhs, strict: bool = True) -> Check:
     """Build a check for lhs < rhs (or <= when not strict).
 
-    lhs is always finite here; rhs may be +infinity, in which case the
-    check is vacuously true with infinite slack.
+    lhs is always finite here; rhs may be INF, in which case the check is
+    vacuously true with slack INF.
     """
-    lhs = ExtRational(lhs) if not isinstance(lhs, ExtRational) else lhs
-    rhs = ExtRational(rhs) if not isinstance(rhs, ExtRational) else rhs
     slack = rhs - lhs
     holds = slack > 0 if strict else slack >= 0
     return Check(cid, text, holds, slack, strict)
@@ -214,13 +215,13 @@ def plan(params: TowerParams, mode: str = "full") -> PlanReport:
 
     all_hold = all(c.holds for c in checks) and as_report.ok
 
-    cfrak: ExtRational | None = None
+    cfrak = None
     if all(c.holds for c in checks):
-        base = ExtRational(btop - pn2 * un - pn2 * u2n)
+        base = btop - pn2 * un - pn2 * u2n
         if params.variant == "H":
             terms = [base]
         else:
-            terms = [ExtRational(btop - pn2t * u1), base]
+            terms = [btop - pn2t * u1, base]
         if mode == "full":
             terms.append(pn2t * e0 - pn2t * utop + btop)
         cfrak = min(terms)
@@ -241,7 +242,6 @@ def gms_verdict(p: int, n: int, cfrak, u1: int) -> str:
     1 <= m <= 2n+1; otherwise 'no-conclusion' (the criterion is
     sufficient-only, so this is never a failure).
     """
-    cfrak = ExtRational(cfrak) if not isinstance(cfrak, ExtRational) else cfrak
     if cfrak < 1:
         raise ValueError("gms_verdict requires cfrak >= 1")
     if u1 < 1:
@@ -269,7 +269,7 @@ def family_field(p: int, n: int, q: int | None) -> ResidueField:
     return residue_field(p, 2 * n if q is None else field_degree(p, q))
 
 
-def family_params(variant: str, p: int, n: int, u: int, t: int, e0: ExtRational,
+def family_params(variant: str, p: int, n: int, u: int, t: int, e0: int | Fraction | float,
                   q: int | None) -> TowerParams:
     """The standard family r = u, m = (0, ..., 0, t) with the default leads
     over family_field(p, n, q); validated by TowerParams alone."""
@@ -291,14 +291,14 @@ def example_family(p: int, n: int, u: int, t: int, variant: str) -> PlanReport:
         raise ValueError("u and t must be positive integers")
     if u % p == 0:
         raise ValueError(f"p divides u = {u}")
-    params = family_params(variant, p, n, u, t, ExtRational(u + t * p ** (2 * n)), None)
+    params = family_params(variant, p, n, u, t, u + t * p ** (2 * n), None)
     report = plan(params, mode="simple")
     if report.certified:
         if variant == "H":
             closed = t * p ** (4 * n) + u - 2 * u * p ** (2 * n)
         else:
             closed = t * p ** (4 * n) + u - u * p ** (2 * n + 1)
-        if report.cfrak != ExtRational(closed):
+        if report.cfrak != closed:
             raise RuntimeError(
                 f"closed-form precision {closed} disagrees with general formula {report.cfrak}")
     return report

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .record import Record
-from .valuation import ExtRational, _idx_to_poly
+from .valuation import _idx_to_poly, extended_json
 
 # the largest group order the oracle builds, 7^7: larger shift tables are
 # refused before they are built, since each lists 2 p^n numbers
@@ -91,8 +91,8 @@ class RamSequence(Record, frozen=True):
         return {
             "p": self.p,
             "n": self.n,
-            "lower": [ExtRational(x).to_json() for x in self.lower],
-            "upper": [ExtRational(x).to_json() for x in self.upper],
+            "lower": [extended_json(x) for x in self.lower],
+            "upper": [extended_json(x) for x in self.upper],
         }
 
 
@@ -160,14 +160,14 @@ def build_shift_tables(p: int, n: int, b: Sequence[int]) -> ShiftTables:
 class RamCheck(Record, frozen=True):
     name: str
     holds: bool
-    slack: ExtRational
+    slack: Fraction
     equality: bool = False
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "holds": self.holds,
-            "slack": self.slack.to_json(),
+            "slack": extended_json(self.slack),
             "equality": self.equality,
         }
 
@@ -207,7 +207,7 @@ def check_ram_inequalities(p: int, lower: Sequence, upper: Sequence) -> RamCheck
             checks.append(RamCheck(
                 name=f"b{j}-b{i} <= p^{j - 1}*(u{j}-u{i})",
                 holds=slack >= 0,
-                slack=ExtRational(slack),
+                slack=slack,
             ))
     for j in range(1, n + 1):
         slack = p ** (j - 1) * u[j - 1] - b[j - 1]
@@ -216,7 +216,7 @@ def check_ram_inequalities(p: int, lower: Sequence, upper: Sequence) -> RamCheck
         checks.append(RamCheck(
             name=f"b{j} <= p^{j - 1}*u{j}",
             holds=holds,
-            slack=ExtRational(slack),
+            slack=slack,
             equality=equality,
         ))
     return RamCheckReport(p, tuple(checks))

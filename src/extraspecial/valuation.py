@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: extended rationals, small finite fields, and
+"""Exact arithmetic substrate: the infinity INF, small finite fields, and
 truncated Laurent series with valuation tracking.
 
 :class:`LaurentSeries` stores coefficients as plain field indices 0..q-1 and
@@ -23,154 +23,43 @@ class PrecisionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Extended rationals
+# Extended rationals: an int or Fraction, or INF
 # ---------------------------------------------------------------------------
 
-
-class ExtRational:
-    """A rational number or +infinity; the carrier for all valuations.
-
-    +infinity absorbs addition and dominates comparison.  Subtracting
-    infinity or multiplying it by a nonpositive number is an error rather
-    than a guess.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value: "int | Fraction | ExtRational | None" = 0):
-        if isinstance(value, ExtRational):
-            self._v = value._v
-        elif value is None:
-            self._v = None
-        elif isinstance(value, (int, Fraction)):
-            self._v = Fraction(value)
-        elif isinstance(value, float) and math.isinf(value) and value > 0:
-            self._v = None
-        else:
-            raise TypeError(f"cannot build ExtRational from {value!r}")
-
-    @classmethod
-    def infinity(cls) -> "ExtRational":
-        return cls(None)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExtRational":
-        """Parse 'inf', an integer literal, or 'a/b'."""
-        text = text.strip()
-        if text in ("inf", "+inf", "infinity"):
-            return cls(None)
-        try:
-            return cls(Fraction(text))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {text!r}") from exc
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def fraction(self) -> Fraction:
-        if self._v is None:
-            raise ValueError("infinite valuation has no fraction value")
-        return self._v
-
-    def _coerce(self, other) -> "ExtRational":
-        if isinstance(other, ExtRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtRational(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self._v is None or o._v is None:
-            return ExtRational(None)
-        return ExtRational(self._v + o._v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o._v is None:
-            raise ValueError("cannot subtract +infinity")
-        if self._v is None:
-            return ExtRational(None)
-        return ExtRational(self._v - o._v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self._v is None or o._v is None:
-            finite = o._v if self._v is None else self._v
-            if finite is not None and finite <= 0:
-                raise ValueError("cannot multiply +infinity by a nonpositive number")
-            return ExtRational(None)
-        return ExtRational(self._v * o._v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        if self._v is None:
-            raise ValueError("cannot negate +infinity")
-        return ExtRational(-self._v)
-
-    def _cmp_key(self):
-        return self._v if self._v is not None else math.inf
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._v == o._v
-
-    def _cmp(self, other) -> "ExtRational":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            raise TypeError(f"cannot compare ExtRational with {type(other).__name__}")
-        return o
-
-    def __lt__(self, other):
-        return self._cmp_key() < self._cmp(other)._cmp_key()
-
-    def __le__(self, other):
-        return self._cmp_key() <= self._cmp(other)._cmp_key()
-
-    def __gt__(self, other):
-        return self._cmp_key() > self._cmp(other)._cmp_key()
-
-    def __ge__(self, other):
-        return self._cmp_key() >= self._cmp(other)._cmp_key()
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __str__(self):
-        return "inf" if self._v is None else str(self._v)
-
-    def __repr__(self):
-        return f"ExtRational({self})"
-
-    def to_json(self):
-        """int when integral, 'a/b' for true fractions, 'inf' for infinity."""
-        if self._v is None:
-            return "inf"
-        if self._v.denominator == 1:
-            return int(self._v)
-        return str(self._v)
+# +infinity: the valuation of exact zero, the precision of an exact series
+# and e0 in characteristic p.  Every other valuation, slack and bound is an
+# int or a Fraction.  INF only ever gains a finite term or a positive factor,
+# so it stays INF; a nan or -inf would be refused by extended_json before it
+# reached a report.
+INF = math.inf
 
 
-INF = ExtRational.infinity()
+def is_extended(x) -> bool:
+    """True when x is INF, an int or a Fraction."""
+    return x == INF or isinstance(x, (int, Fraction))
+
+
+def parse_extended(text: str) -> Fraction | float:
+    """Parse 'inf', '+inf' or 'infinity' as INF, and anything else that
+    Fraction reads ('82', '7/3', '1e3', '0.5') as a Fraction."""
+    text = text.strip()
+    if text in ("inf", "+inf", "infinity"):
+        return INF
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def extended_json(x):
+    """The report form of x: an int when integral, 'a/b' for a true
+    fraction, 'inf' for INF.  Any other float (nan, -inf, a finite float)
+    is an exact value already lost, and raises ValueError."""
+    if not is_extended(x):
+        raise ValueError(f"{x!r} is not an exact number")
+    if x == INF:
+        return "inf"
+    return int(x) if x.denominator == 1 else str(x)
 
 
 # ---------------------------------------------------------------------------

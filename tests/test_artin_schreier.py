@@ -1,9 +1,9 @@
 import random
-from math import comb
+from math import comb, inf, nan
 
 import pytest
 
-from extraspecial import (ASConstantSpec, ExtRational, INF, LaurentSeries,
+from extraspecial import (ASConstantSpec, INF, LaurentSeries,
                           validate_reduced_AS, witt_carry, witt_carry_coeffs, residue_field)
 from conftest import random_elem, random_series
 
@@ -61,11 +61,15 @@ class TestWittCarry:
 
 
 def spec_of(field, e0, pairs):
-    return ASConstantSpec(field, e0 if isinstance(e0, ExtRational) else ExtRational(e0),
-                          tuple(pairs))
+    return ASConstantSpec(field, e0, tuple(pairs))
 
 
 class TestValidateReduced:
+    @pytest.mark.parametrize("e0", [1.5, nan, -inf])
+    def test_inexact_e0_refused(self, f9, e0):
+        with pytest.raises(ValueError, match="neither INF nor an int or Fraction"):
+            spec_of(f9, e0, [(-1, f9.one())])
+
     def test_independent_pair_passes(self, f9):
         rep = validate_reduced_AS(spec_of(f9, INF, [(-1, f9.one()), (-1, f9.gen())]))
         assert rep.ok
@@ -110,8 +114,7 @@ class TestValidateReduced:
             pairs = [(v, random_elem(f9, rng, nonzero=True)) for v in vals]
             prev_i = prev_iv = False
             for e0 in e0s:
-                rep = validate_reduced_AS(spec_of(f9, e0 if isinstance(e0, ExtRational)
-                                                  else ExtRational(e0), pairs))
+                rep = validate_reduced_AS(spec_of(f9, e0, pairs))
                 assert not (prev_i and not rep.range_ok)
                 assert not (prev_iv and not rep.tail_ok)
                 prev_i, prev_iv = rep.range_ok, rep.tail_ok

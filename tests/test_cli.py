@@ -94,6 +94,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("flags", [
         ("--e0", "1/0"),
+        ("--e0", "nan"),
         ("--p", "11"),
         ("--n", "3", "--m", "0,0,0,0,0,0,1", "--leads", "1,g,1"),
         ("--q", "10"),
@@ -105,6 +106,31 @@ class TestPlan:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("e0", ["+inf", "infinity", " inf"])
+    def test_e0_spellings_of_infinity(self, capsys, e0):
+        code, out, _ = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
+                           "--e0", e0, "--r", "1", "--m", "0,0,1", "--leads", "1,g,1",
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out)["e0"] == "inf"
+
+    def test_e0_in_scientific_notation(self, capsys):
+        code, out, _ = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
+                           "--e0", "1e3", "--r", "1", "--m", "0,0,1", "--leads", "1,g,1",
+                           "--output", "json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["e0"] == 1000
+        assert d["checks"][0]["slack"] == "2995/3"
+
+    def test_fractional_e0_fails_hypotheses(self, capsys):
+        code, out, _ = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
+                           "--e0", "0.5", "--r", "1", "--m", "0,0,1", "--leads", "1,g,1",
+                           "--output", "json")
+        assert code == 2
+        d = json.loads(out)
+        assert (d["e0"], d["cfrak"]) == ("1/2", "not-applicable")
 
     def test_non_integer_list_is_usage_error(self, capsys):
         code, out, err = run(capsys, "plan", "--variant", "H", "--p", "3", "--n", "1",
@@ -183,6 +209,7 @@ class TestOracle:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "tower H p=3 n=1 q=9 prec=328"
+        assert lines[1] == "group: order 27, generator orders [3, 3, 3]"
         assert "lower breaks: predicted [1, 1, 82], measured [1, 1, 82] -> match: True" in lines
         assert lines[-1] == "PASS: True"
 
@@ -314,7 +341,7 @@ _INT = st.integers(-3, 40).map(str)
 _INT_LIST = st.lists(st.integers(-3, 120), max_size=5).map(lambda xs: ",".join(map(str, xs)))
 _LEADS = st.lists(st.sampled_from(["0", "1", "2", "-1", "g", "g^2", "g^7", "g^-1", "x", ""]),
                   min_size=1, max_size=5).map(",".join)
-_E0 = st.sampled_from(["inf", "0", "-3", "1/0", "5/2", "100", "abc", "1e3"])
+_E0 = st.sampled_from(["inf", "0", "-3", "1/0", "5/2", "100", "abc", "1e3", "nan"])
 _OUTPUT = st.sampled_from(["text", "json"])
 _VARIANT = st.sampled_from(["H", "M", "X"])
 
@@ -343,6 +370,10 @@ _ORACLE = st.sampled_from([
                                **{k: st.just(v) for k, v in {**_ORACLE_H31, kv[0]: kv[1]}.items()}))
 
 
+def _no_float(text):
+    raise AssertionError(f"JSON report holds the float {text}")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_PLAN, _EXAMPLE, _VERDICT, _CONVERT, _TABLES, _ORACLE))
 def test_every_argv_ends_in_an_exit_code(argv):
@@ -352,3 +383,6 @@ def test_every_argv_ends_in_an_exit_code(argv):
     assert code in (0, 1, 2, 3)
     if argv[0] == "oracle":
         assert code == 1
+    if "--output" in argv and argv[argv.index("--output") + 1] == "json" and out.getvalue():
+        # every number in a report is exact: an int, "a/b" or "inf", never a float
+        json.loads(out.getvalue(), parse_float=_no_float, parse_constant=_no_float)

@@ -317,8 +317,8 @@ class TestScaffold:
         assert by_index[2].eps_gap == 72
         assert by_index[2].bound == 72
         # rows whose bound carries only the e0 term are exactly zero here
-        assert by_index[1].eps_gap.is_infinite
-        assert by_index[3].eps_gap.is_infinite
+        assert by_index[1].eps_gap == INF
+        assert by_index[3].eps_gap == INF
         assert rep.min_contribution == 64
         assert rep.cfrak == 64
 

@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from extraspecial import (ExtRational, INF, TowerParams, example_family, gms_verdict,
+from extraspecial import (INF, TowerParams, example_family, gms_verdict,
                           plan, residue_field)
 from extraspecial.planner import default_leads
 
@@ -28,15 +31,15 @@ class TestPlanExamples:
         assert rep.certified
 
     def test_h_simple_finite_e0_boundary(self):
-        rep = plan(family_params(3, 1, 1, 1, "H", ExtRational(10)), mode="simple")
+        rep = plan(family_params(3, 1, 1, 1, "H", 10), mode="simple")
         simple = next(c for c in rep.checks if c.id == "Hsimple")
         assert simple.holds and simple.slack == 0
         assert rep.certified and rep.cfrak == 64
 
     def test_full_mode_check_ids(self):
-        rep = plan(family_params(3, 1, 1, 1, "H", ExtRational(100)), mode="full")
+        rep = plan(family_params(3, 1, 1, 1, "H", 100), mode="full")
         assert [c.id for c in rep.checks] == ["H1", "H2", "H3", "H5", "H4"]
-        rep = plan(family_params(3, 1, 1, 1, "M", ExtRational(100)), mode="full")
+        rep = plan(family_params(3, 1, 1, 1, "M", 100), mode="full")
         assert [c.id for c in rep.checks] == ["M1", "M2", "M6", "M3", "M5", "M4", "M7"]
 
     def test_simple_mode_check_ids_and_notes(self):
@@ -79,6 +82,17 @@ class TestParamValidation:
             TowerParams(p=3, n=1, variant="H", e0=INF, r=1, m=(1, 0, 1),
                         leads=default_leads(field, 1), field=field)
 
+    @pytest.mark.parametrize("e0", [0, -1, Fraction(-1, 2)])
+    def test_nonpositive_e0(self, e0):
+        with pytest.raises(ValueError, match="e0 must be positive"):
+            family_params(3, 1, 1, 1, "H", e0)
+
+    @pytest.mark.parametrize("e0", [1.5, 100.0, math.nan, -math.inf, "inf"])
+    def test_inexact_e0(self, e0):
+        # a float other than INF has lost its exact value; it never reaches a report
+        with pytest.raises(ValueError, match="neither INF nor an int or Fraction"):
+            family_params(3, 1, 1, 1, "H", e0)
+
     def test_bad_variant(self):
         field = residue_field(3, 2)
         with pytest.raises(ValueError, match="variant"):
@@ -117,7 +131,7 @@ class TestGmsVerdict:
 
 class TestExampleFamily:
     @pytest.mark.parametrize("variant,p,n,u,t,e0", [
-        ("H", 3, 1, 1, 1, INF), ("M", 3, 1, 26, 10, ExtRational(836)),
+        ("H", 3, 1, 1, 1, INF), ("M", 3, 1, 26, 10, 836),
         ("H", 5, 1, 2, 1, INF), ("M", 3, 2, 1, 1, INF)])
     def test_one_family_builder(self, variant, p, n, u, t, e0):
         # the planner's builder gives the params both the oracle and
@@ -199,8 +213,7 @@ class TestExampleFamily:
                         continue
                     closed = t * 81 + u - (18 if variant == "H" else 27) * u
                     assert rep.cfrak == closed
-                    full = plan(family_params(3, 1, u, t, variant,
-                                              ExtRational(u + 9 * t)), mode="full")
+                    full = plan(family_params(3, 1, u, t, variant, u + 9 * t), mode="full")
                     assert full.certified and full.cfrak == closed
 
 
@@ -210,8 +223,7 @@ class TestModeImplication:
         for u in (1, 2, 4, 5, 7, 26):
             for t in (1, 2, 7, 10):
                 for variant in ("H", "M"):
-                    params = family_params(3, 1, u, t, variant,
-                                           ExtRational(u + 9 * t))
+                    params = family_params(3, 1, u, t, variant, u + 9 * t)
                     simple = plan(params, mode="simple")
                     if simple.certified:
                         assert plan(params, mode="full").certified

@@ -6,43 +6,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extraspecial import (INF, ExtRational, FFElem, LaurentSeries, PrecisionError,
-                          ResidueField, residue_field)
-from extraspecial.valuation import _idx_to_poly, _poly_mod, _poly_mul
+from extraspecial import (INF, FFElem, LaurentSeries, PrecisionError, ResidueField,
+                          residue_field)
+from extraspecial.valuation import (_idx_to_poly, _poly_mod, _poly_mul, extended_json,
+                                    parse_extended)
 from conftest import elem_from_index, random_elem, random_series
 
 
-class TestExtRational:
+class TestExtended:
     def test_infinity_absorbs_addition(self):
         assert INF + 5 == INF
-        assert ExtRational(Fraction(1, 3)) + INF == INF
+        assert Fraction(1, 3) + INF == INF
 
     def test_infinity_dominates_comparison(self):
         assert INF > 10**12
         assert not INF < INF
         assert INF >= INF
 
-    def test_subtracting_infinity_fails(self):
-        with pytest.raises(ValueError):
-            ExtRational(1) - INF
-
-    def test_nonpositive_scaling_of_infinity_fails(self):
-        with pytest.raises(ValueError):
-            INF * 0
-        assert 27 * INF == INF
-
     def test_json_roundtrip(self):
-        for v in (ExtRational(5), ExtRational(Fraction(7, 3)), INF):
-            assert ExtRational.parse(str(v.to_json())) == v
+        for v in (5, Fraction(7, 3), Fraction(-10, 3), INF):
+            assert parse_extended(str(extended_json(v))) == v
+
+    def test_json_forms(self):
+        assert extended_json(Fraction(6, 3)) == 2
+        assert type(extended_json(Fraction(6, 3))) is int
+        assert extended_json(Fraction(-10, 3)) == "-10/3"
+        assert extended_json(INF) == "inf"
+
+    @pytest.mark.parametrize("x", [math.nan, -math.inf, 1.5, 2.0])
+    def test_json_refuses_inexact(self, x):
+        # a float other than INF is an exact value already lost
+        with pytest.raises(ValueError, match="not an exact number"):
+            extended_json(x)
 
     def test_parse(self):
-        assert ExtRational.parse("inf").is_infinite
-        assert ExtRational.parse("82") == 82
-        assert ExtRational.parse("7/3") == Fraction(7, 3)
+        for text in ("inf", "+inf", "infinity", " inf"):
+            assert parse_extended(text) == INF
+        assert parse_extended("82") == 82
+        assert parse_extended("7/3") == Fraction(7, 3)
+        assert parse_extended("1e3") == 1000
+        assert parse_extended("0.5") == Fraction(1, 2)
+
+    @pytest.mark.parametrize("text", ["nan", "-inf", "Infinity", "abc", ""])
+    def test_parse_refuses(self, text):
+        with pytest.raises(ValueError):
+            parse_extended(text)
 
     def test_parse_zero_denominator_is_value_error(self):
-        with pytest.raises(ValueError):
-            ExtRational.parse("1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_extended("1/0")
 
 
 class TestResidueField:
