@@ -1,6 +1,7 @@
-"""The one determinant of the package (``ring_det``, which every norm and
-twist expands), Frobenius-twist matrices, and the closed-form valuations of
-the twist determinant's cofactors that certify the tower generator.
+"""The one determinant of the package (``ring_det``: the twist determinant
+of the tower generator, and the level norms that have no closed form),
+Frobenius-twist matrices, and the closed-form valuations of the twist
+determinant's cofactors that certify the tower generator.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ class _Minor:
 
 def ring_det(rows):
     """Determinant over any commutative ring, by expansion along the first
-    column with each minor expanded once.
+    column with each minor expanded once.  It expands the twist determinant
+    Y and the level norms of localfield._level_norm: every level of an
+    element with a window (the oracle's X = t_top^(-1) Y, whose reported
+    window rests on this path) and the nonlinear levels of exact elements.
+    Linear levels and the bottom level of exact elements have closed forms.
 
     Columns are used left to right, so a minor is fixed by the rows it
     keeps.  Each minor is expanded once, through this function by name, and

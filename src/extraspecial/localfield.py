@@ -6,8 +6,14 @@ alpha_top^p = alpha_top + E + a_top, where E is the variant-specific cross
 term.  Elements are kept reduced by one accumulator, TowerAlgebra._collect:
 every product, sum and Galois image merges its terms there and rewrites
 exponents >= p from the top generator down (the relations are triangular).
-Valuations are iterated norms: determinants of multiplication matrices on
-each p-dimensional level.
+Valuations are iterated norms, one p-dimensional level at a time.  An
+exact element takes the closed form N(c alpha + d) = c^p A + d^p - c^(p-1) d
+on a level where it is linear, and at the bottom level of a ramified
+alpha_1 the minimum over its monomials, with no norm.  An element with a
+window, which in the oracle is X = t_top^(-1) Y alone, and a nonlinear
+level above the bottom take the determinant of the multiplication matrix
+(ring_det): the window that certifies X depends on the arithmetic path, so
+X keeps the path its reported window was measured on.
 
 The tower is exact: its constants, relations and Galois images have exact
 series coefficients (prec = inf).  Only an element built from a truncated
@@ -50,6 +56,7 @@ class TowerAlgebra:
         self.nvars = nvars
         self.relations: list[TowerElement | None] = [None] * nvars
         self._zero_exps = (0,) * nvars
+        self._frobenius_map: GaloisMap | None = None
 
     def set_relation(self, i: int, rhs: "TowerElement"):
         if rhs.algebra is not self:
@@ -57,6 +64,7 @@ class TowerAlgebra:
         if rhs.support_level() > i:
             raise ValueError(f"relation for generator {i} may only involve lower generators")
         self.relations[i] = rhs
+        self._frobenius_map = None
 
     def zero(self) -> "TowerElement":
         return TowerElement(self, {})
@@ -387,7 +395,10 @@ def build_tower(params: TowerParams) -> Tower:
 
 def _level_norm(x: TowerElement, i: int) -> TowerElement:
     """Determinant of multiplication-by-x on the basis 1..alpha_i^(p-1) over
-    the subalgebra on generators below i.  Requires support(x) <= i."""
+    the subalgebra on generators below i.  Requires support(x) <= i.  A
+    windowed element takes every level here; an exact one only a level
+    where it is not linear in alpha_i, and never the bottom level of an
+    algebra that meets _bottom_break."""
     algebra = x.algebra
     p = algebra.p
     gen = algebra.gen(i)
@@ -400,6 +411,65 @@ def _level_norm(x: TowerElement, i: int) -> TowerElement:
     for r in range(p):
         rows.append([sc.get(r, zero) for sc in split_cols])
     return ring_det(rows)
+
+
+def _frobenius(x: TowerElement) -> TowerElement:
+    """x^p by substitution: sum_J c_J^p prod_j (alpha_j + rel_j)^(J_j), since
+    x -> x^p is additive in characteristic p and alpha_j^p = alpha_j + rel_j.
+    The substitution is a GaloisMap kept once per algebra, so the powers of
+    its images are built once; repeated squaring would build dense
+    intermediate powers instead."""
+    algebra = x.algebra
+    if algebra._frobenius_map is None:
+        algebra._frobenius_map = GaloisMap(
+            algebra, [algebra.gen(j) + rel for j, rel in enumerate(algebra.relations)],
+            validate=False)
+    return algebra._frobenius_map.apply(
+        TowerElement(algebra, {e: c.frobenius() for e, c in x.coeffs.items()}))
+
+
+def _linear_norm(c: TowerElement, d: TowerElement, i: int) -> TowerElement:
+    """N(c alpha_i + d) = c^p rel_i + d^p - c^(p-1) d over the subalgebra on
+    generators below i, for c and d in it.  It is the product of the
+    conjugates c (alpha_i + e) + d, e in F_p, so a ring identity: it equals
+    _level_norm whether or not the algebra is a field."""
+    p = c.algebra.p
+    return _frobenius(c) * c.algebra.relations[i] + _frobenius(d) - c ** (p - 1) * d
+
+
+def _bottom_break(algebra: TowerAlgebra) -> int | None:
+    """u_1 when relation 0 is a scalar a_1 with v_0(a_1) = -u_1 < 0 and p
+    not dividing u_1, else None.  Then v_K1(alpha_1) = -u_1, so the
+    monomials c_j alpha_1^j, j < p, have valuations distinct mod p."""
+    rel = algebra.relations[0]
+    if rel is None or rel.support_level():
+        return None
+    a1 = rel.constant_series()
+    if not a1.coeffs:
+        return None
+    u1 = -min(a1.coeffs)
+    return u1 if u1 > 0 and u1 % algebra.p else None
+
+
+def _bottom_valuation(x: TowerElement, u1: int) -> int:
+    """v_K1(x) = min_j (p v_0(c_j) - j u_1) for nonzero x = sum_j c_j
+    alpha_1^j, under the condition of _bottom_break.  A coefficient with a
+    window bounds its term below by p prec - j u_1; unless every such bound
+    lies above the minimum, the window cannot certify it: PrecisionError."""
+    p = x.algebra.p
+    terms, bounds = [], []
+    for exps, c in x.coeffs.items():
+        j = exps[0]
+        if c.coeffs:
+            terms.append(p * min(c.coeffs) - j * u1)
+        if not c.is_exact:
+            bounds.append(p * c.prec - j * u1)
+    if not terms:
+        raise PrecisionError("insufficient precision: bottom level of imprecise zeros")
+    v = min(terms)
+    if any(b <= v for b in bounds):
+        raise PrecisionError("insufficient precision: a window reaches the bottom-level minimum")
+    return v
 
 
 # The capped chain keeps CAP_START coefficients of relative precision and
@@ -426,22 +496,41 @@ def _cap(x: TowerElement, w: int) -> TowerElement:
 def _norm_valuation(x: TowerElement, w: int | None) -> Fraction:
     """v_0(x) for nonzero x through the norm chain, with every coefficient
     capped to relative precision w before each level norm, or exact for w
-    None."""
+    None.
+
+    Which norm a level takes is decided from x itself.  When every
+    coefficient of x is exact, a level where the element is linear in
+    alpha_i takes the closed form _linear_norm, and in an algebra that
+    meets _bottom_break the chain stops at level 1 and reads the minimum
+    over monomials (_bottom_valuation).  Every other level takes the
+    ring_det of _level_norm.  A windowed x, of which the oracle has one,
+    X = t_top^(-1) Y, keeps ring_det on every level: the window that
+    certifies X depends on the arithmetic path, and the report's prec must
+    not move."""
+    algebra = x.algebra
+    exact = all(c.is_exact for c in x.coeffs.values())
+    u1 = _bottom_break(algebra) if exact else None
     level = x.support_level()
     cur = x
-    for i in range(level - 1, -1, -1):
+    for i in range(level - 1, 0 if u1 else -1, -1):
         if w is not None:
             cur = _cap(cur, w)
-        cur = _level_norm(cur, i)
-    v = cur.constant_series().valuation()
-    if v == INF:
+        parts = cur.split_by_var(i) if exact else None
+        if parts is not None and parts.keys() <= {0, 1}:
+            zero = algebra.zero()
+            cur = _linear_norm(parts.get(1, zero), parts.get(0, zero), i)
+        else:
+            cur = _level_norm(cur, i)
+    if cur.is_zero():
         raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
-    return Fraction(v, x.algebra.p**level)
+    if u1 and level:
+        return Fraction(_bottom_valuation(cur, u1), algebra.p**level)
+    return Fraction(cur.constant_series().valuation(), algebra.p**level)
 
 
 def elt_valuation(x: TowerElement) -> Fraction | float:
     """v_0(x) in (1/p^k) * Z, k the generator count of the algebra of x,
-    through iterated norm determinants.
+    through iterated level norms (_norm_valuation).
 
     Only the leading term of the last norm is needed, so the chain runs at
     capped relative precision first (the model of Caruso, Roe and Vaccon,

@@ -188,6 +188,9 @@ class TestValuation:
             assert isinstance(elt_valuation_top(x), int)
 
 
+TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
+
+
 def exact_chain(x):
     """v_0(x) through the exact norm chain: the capped chain's fallback,
     kept here as its test oracle."""
@@ -292,6 +295,199 @@ class TestCappedValuation:
         assert capped.coeffs[(0, 1, 0)] is imprecise
 
 
+def ring_det_chain(x):
+    """v_0(x) through the exact _level_norm determinant on every level: the
+    norm chain before the closed forms, kept here as their test oracle."""
+    if x.is_zero():
+        return INF
+    level = x.support_level()
+    cur = x
+    for i in range(level - 1, -1, -1):
+        cur = localfield._level_norm(cur, i)
+    v = cur.constant_series().valuation()
+    if v == INF:
+        raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
+    return Fraction(v, x.algebra.p**level)
+
+
+def linear_element(algebra, rng, level):
+    """c_0 + c_1 alpha_1 + ... + c_level alpha_level, exact, c_level != 0."""
+    field = algebra.field
+    x = algebra.from_series(random_series(field, rng, -3, 3, max_terms=2))
+    for j in range(level):
+        c = random_series(field, rng, -3, 3, max_terms=2, nonzero=j == level - 1)
+        x = x + algebra.gen(j) * c
+    return x
+
+
+def element_below(algebra, rng, level, degree, terms=3):
+    """An exact element on the generators below ``level`` with exponents at
+    most ``degree``, whose generator level - 1, when there is one, has
+    exponent ``degree`` in its first term."""
+    coeffs = {}
+    for t in range(terms):
+        exps = [rng.randint(0, degree) for _ in range(level)]
+        if t == 0 and level:
+            exps[-1] = degree
+        exps += [0] * (algebra.nvars - level)
+        coeffs[tuple(exps)] = random_series(algebra.field, rng, -6, 6, max_terms=4, nonzero=True)
+    return TowerElement(algebra, coeffs)
+
+
+def windowed_variants(x, rng):
+    """x cut to a window at or just above its lowest exponent, and x with
+    an imprecise zero in place of one coefficient."""
+    window = min(e for c in x.coeffs.values() for e in c.coeffs) + rng.randint(0, 3)
+    truncated = TowerElement(x.algebra, {e: c.truncate(window) for e, c in x.coeffs.items()})
+    coeffs = dict(x.coeffs)
+    coeffs[rng.choice(sorted(coeffs))] = LaurentSeries(x.algebra.field, {}, prec=rng.randint(-2, 4))
+    return [truncated, TowerElement(x.algebra, coeffs)]
+
+
+def oracle_elements(tower):
+    """Y, and sigma(Y) - Y and sigma(Y) - Y - t_i for each generator sigma_i:
+    the exact elements whose valuations a verify certifies."""
+    gen_data = construct_generator(tower)
+    y = gen_data.element
+    out = [y]
+    for sigma, t in zip(galois_generators(tower), gen_data.cofactors):
+        delta = sigma.apply(y) - y
+        out += [delta, delta - t]
+    return out
+
+
+class TestClosedFormNorms:
+    """Exact elements take the closed-form level norm on linear levels and
+    the minimum over monomials at the bottom level; the ring_det chain on
+    every level is the reference, and elements with a window keep it."""
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_seeded_elements_match_ring_det_chain(self, variant, p, n):
+        tower = make_tower(variant, p, n)
+        algebra = tower.algebra
+        rng = random.Random(4100 + 10 * p + n)
+        # at the top level Y and the sigma(Y) - Y are the linear elements,
+        # and c alpha_top^2 + 1 the nonlinear one: the ring_det chain of
+        # c alpha_top^2 plus a linear element takes minutes
+        exact = oracle_elements(tower)
+        k = tower.nvars
+        for level in range(1, k):
+            exact += [linear_element(algebra, rng, level),
+                      algebra.gen(level - 1) ** 2 * random_series(algebra.field, rng, -3, 3,
+                                                                  max_terms=1, nonzero=True)
+                      + linear_element(algebra, rng, level - 1)]
+        exact.append(algebra.gen(k - 1) ** 2 * random_series(algebra.field, rng, -3, 3,
+                                                             max_terms=1, nonzero=True) + 1)
+        windowed = [w for x in exact[-2 * k + 1:] for w in windowed_variants(x, rng)]
+        elements = exact + windowed
+        want = [valuation_outcome(ring_det_chain, x) for x in elements]
+        assert not any(isinstance(o, tuple) for o in want[:len(exact)])
+        assert any(isinstance(o, tuple) for o in want[len(exact):])
+        assert [valuation_outcome(elt_valuation, x) for x in elements] == want
+
+    def test_exact_linear_elements_take_no_determinant(self, monkeypatch, h_tower):
+        calls = []
+        real = localfield._level_norm
+
+        def spy(x, i):
+            calls.append(i)
+            return real(x, i)
+
+        monkeypatch.setattr(localfield, "_level_norm", spy)
+        rng = random.Random(4170)
+        x = linear_element(h_tower.algebra, rng, 3)
+        elt_valuation(x)
+        assert calls == []
+        # a windowed element keeps the determinant on every level
+        valuation_outcome(elt_valuation, windowed_variants(x, rng)[0])
+        assert calls == [2, 1, 0]
+        # a nonlinear level above the bottom takes the determinant there only
+        del calls[:]
+        elt_valuation(element_below(h_tower.algebra, rng, 2, 2, terms=1) + h_tower.alpha(3))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_linear_norm_is_the_level_norm(self, variant, p, n):
+        # N(c alpha_i + d) against the p x p determinant, with c and d on
+        # the generators below i, both nonscalar above the bottom level
+        tower = make_tower(variant, p, n)
+        algebra = tower.algebra
+        rng = random.Random(4200 + 10 * p + n)
+        for i in range(tower.nvars):
+            for _ in range(2):
+                c = element_below(algebra, rng, i, 1, terms=2)
+                d = element_below(algebra, rng, i, 1, terms=2)
+                assert i == 0 or (c.support_level() and d.support_level())
+                x = c * algebra.gen(i) + d
+                assert localfield._linear_norm(c, d, i) == localfield._level_norm(x, i)
+
+    def test_linear_norm_is_a_ring_identity(self, f9):
+        # alpha_0^3 - alpha_0 = 0 splits, so the algebra is not a field
+        algebra = TowerAlgebra(f9, 2)
+        algebra.set_relation(0, algebra.zero())
+        algebra.set_relation(1, algebra.gen(0) * LaurentSeries.monomial(f9, 1, -2) + 1)
+        rng = random.Random(4210)
+        for i in (0, 1):
+            for degree in (0, 1, 2):
+                c = element_below(algebra, rng, i, degree, terms=2)
+                d = element_below(algebra, rng, i, degree, terms=2)
+                x = c * algebra.gen(i) + d
+                assert localfield._linear_norm(c, d, i) == localfield._level_norm(x, i)
+
+    def test_frobenius_substitutes_the_relations(self, m_tower):
+        rng = random.Random(4220)
+        for level in (1, 2, 3):
+            x = element_below(m_tower.algebra, rng, level, 2, terms=3)
+            assert localfield._frobenius(x) == x ** 3
+
+    @pytest.mark.parametrize("a1", [LaurentSeries.monomial(residue_field(3, 2), 1, 1),
+                                    LaurentSeries.monomial(residue_field(3, 2), 1, -3),
+                                    LaurentSeries.one(residue_field(3, 2))])
+    def test_bottom_rule_needs_its_condition(self, a1):
+        # a_1 = pi, pi^-3 and 1: v_0(a_1) >= 0 or p | u_1, so the monomials
+        # c_j alpha^j need not have valuations distinct mod p and the bottom
+        # level takes its norm
+        algebra = TowerAlgebra(a1.field, 1)
+        algebra.set_relation(0, algebra.from_series(a1))
+        assert localfield._bottom_break(algebra) is None
+        pole = algebra.from_series(LaurentSeries.monomial(a1.field, 1, -1))
+        rng = random.Random(4230)
+        # at a_1 = pi, N(1 + alpha / pi) has valuation 0 and the minimum over
+        # monomials reads -2
+        elements = [algebra.gen(0) - pole, pole * algebra.gen(0) + 1]
+        elements += [element_below(algebra, rng, 1, rng.randint(1, 2), terms=3) for _ in range(6)]
+        for x in elements:
+            assert elt_valuation(x) == ring_det_chain(x)
+
+    def test_bottom_valuation_reads_windows(self, h_tower):
+        f = h_tower.field
+        algebra = TowerAlgebra(f, 1)
+        algebra.set_relation(0, algebra.from_series(h_tower.a[0]))
+        u1 = localfield._bottom_break(algebra)
+        assert u1 == h_tower.plan_report.u[0] == 1
+        a = algebra.gen(0)
+
+        def elt(*coeffs):
+            return sum((algebra.from_series(c) * a**j for j, c in enumerate(coeffs)),
+                       algebra.zero())
+
+        exact = LaurentSeries.monomial(f, 1, 0)
+        # terms 3 v_0(c_j) - j: 0 from c_0, -1 from c_1, -2 from c_2
+        assert localfield._bottom_valuation(elt(exact, exact, exact), u1) == -2
+        # a known lead with a window certifies its term
+        assert localfield._bottom_valuation(
+            elt(exact, exact, exact.truncate(1)), u1) == -2
+        # an imprecise zero whose bound 3N - j lies above the minimum
+        above = LaurentSeries(f, {}, prec=1)
+        assert localfield._bottom_valuation(elt(above, exact), u1) == -1
+        # ... and one whose bound -3 does not
+        below = LaurentSeries(f, {}, prec=-1)
+        with pytest.raises(PrecisionError):
+            localfield._bottom_valuation(elt(below, exact), u1)
+        with pytest.raises(PrecisionError):
+            localfield._bottom_valuation(elt(below, below), u1)
+
+
 class TestGaloisGenerators:
     def test_h_images(self, h_tower):
         s1, s2, s3 = galois_generators(h_tower)
@@ -372,9 +568,6 @@ class TestComposition:
                 cubed = g.compose(g).compose(g)
                 assert pows[3 % len(pows)] == cubed
                 assert cubed.is_identity() == (variant == "H")
-
-
-TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in "HM"]
 
 
 def eager_products(tower, powers):
