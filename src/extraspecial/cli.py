@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--prec", type=int, default=None,
-                    help="initial series window for t_top^(-1) in the scaffold stage "
-                         "(default max(64, 4*max(u_top, b_top)))")
+                    help="checked (must be positive) and echoed into the report's prec; "
+                         "no stage takes a window (default max(64, 4*max(u_top, b_top)))")
     add_output(sp)
     sp.set_defaults(fn=_cmd_oracle_verify)
 

@@ -23,9 +23,9 @@ def ring_det(rows):
     """Determinant over any commutative ring, by expansion along the first
     column with each minor expanded once.  It expands the twist determinant
     Y and the level norms of localfield._level_norm: every level of an
-    element with a window (the oracle's X = t_top^(-1) Y, whose reported
-    window rests on this path) and the nonlinear levels of exact elements.
-    Linear levels and the bottom level of exact elements have closed forms.
+    element with a window, which no oracle stage builds, and the nonlinear
+    levels of exact elements.  Linear levels and the bottom level of exact
+    elements have closed forms.
 
     Columns are used left to right, so a minor is fixed by the rows it
     keeps.  Each minor is expanded once, through this function by name, and

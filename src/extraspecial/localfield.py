@@ -10,20 +10,19 @@ Valuations are iterated norms, one p-dimensional level at a time.  An
 exact element takes the closed form N(c alpha + d) = c^p A + d^p - c^(p-1) d
 on a level where it is linear, and at the bottom level of a ramified
 alpha_1 the minimum over its monomials, with no norm.  An element with a
-window, which in the oracle is X = t_top^(-1) Y alone, and a nonlinear
-level above the bottom take the determinant of the multiplication matrix
-(ring_det): the window that certifies X depends on the arithmetic path, so
-X keeps the path its reported window was measured on.
+window takes the determinant of the multiplication matrix (ring_det) on
+every level, an exact one on each nonlinear level above the bottom.
 
 The tower is exact: its constants, relations and Galois images have exact
-series coefficients (prec = inf).  Only an element built from a truncated
-inverse carries a window.  The tower drops a coefficient only when the
-series layer says it is exactly zero, so an imprecise zero O(pi^N) stays
-in the element and flows through the norms under the series rules, and a
-valuation the window cannot certify raises PrecisionError.  The module
-makes one precision decision, and it never changes an answer:
-elt_valuation runs its norm chain at a capped relative precision first,
-and falls back to the exact chain when the cap cannot certify.
+series coefficients (prec = inf), and the oracle values only exact
+elements.  Only an element built from truncated series carries a window.
+The tower drops a coefficient only when the series layer says it is
+exactly zero, so an imprecise zero O(pi^N) stays in the element and flows
+through the norms under the series rules, and a valuation the window
+cannot certify raises PrecisionError.  The module makes one precision
+decision, and it never changes an answer: elt_valuation runs its norm
+chain at a capped relative precision first, and falls back to the exact
+chain when the cap cannot certify.
 """
 
 from __future__ import annotations
@@ -503,10 +502,8 @@ def _norm_valuation(x: TowerElement, w: int | None) -> Fraction:
     alpha_i takes the closed form _linear_norm, and in an algebra that
     meets _bottom_break the chain stops at level 1 and reads the minimum
     over monomials (_bottom_valuation).  Every other level takes the
-    ring_det of _level_norm.  A windowed x, of which the oracle has one,
-    X = t_top^(-1) Y, keeps ring_det on every level: the window that
-    certifies X depends on the arithmetic path, and the report's prec must
-    not move."""
+    ring_det of _level_norm.  A windowed x, which no oracle stage builds,
+    keeps ring_det on every level."""
     algebra = x.algebra
     exact = all(c.is_exact for c in x.coeffs.values())
     u1 = _bottom_break(algebra) if exact else None

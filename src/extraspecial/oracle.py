@@ -7,8 +7,8 @@ the filtration from first definitions (valuations of sigma(pi_L) - pi_L,
 which are constant on each class of cyclic subgroups, so measured once per
 class: the group stage confirms the presentation of H(n) or M(n) that
 makes the classes, or stops the verify), the valuations through iterated
-norm determinants.  The one truncated step is the scaffold stage's
-t_top^(-1), taken in a series window that owns the precision retry.
+norms.  Every element a verify values is exact: the scaffold stage reads
+v_top(X) of X = t_top^(-1) Y from v_top(Y) and v_0(t_top), and builds no X.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
 from .record import Record
-from .valuation import INF, LaurentSeries, PrecisionError, exact_log, extended_json
+from .valuation import INF, LaurentSeries, exact_log, extended_json
 
 
 class OracleMismatch(RuntimeError):
@@ -282,20 +282,21 @@ class ScaffoldReport(Record):
 
 
 def default_window(params: TowerParams) -> int:
-    """The scaffold stage's first series window for t_top^(-1): proportional
-    to the largest ramification number in play."""
+    """The report's ``prec`` when none is given: proportional to the largest
+    ramification number in play.  No stage of a verify takes a window."""
     u = params.u
     b_top = int(upper_to_lower(params.p, u)[-1])
     return max(64, 4 * max(u[-1], b_top))
 
 
 def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
-                       gens: list[GaloisMap], window: int) -> ScaffoldReport:
-    """Check the top-row scaffold bounds on X = t_top^(-1) Y, with t_top^(-1)
-    taken to the series window ``window``.
+                       gens: list[GaloisMap]) -> ScaffoldReport:
+    """Check the top-row scaffold bounds on X = t_top^(-1) Y.
 
-    For each generator, (sigma_i - 1)X = mu_i + eps_i with
-    mu_i = t_top^(-1) t_i; the gap v(eps) - v(mu) equals
+    X is not built: the valuation is multiplicative and t_top lies in K_0,
+    so v_top(X) = v_top(Y) - p^k v_0(t_top), both terms certified by
+    construct_generator.  For each generator, (sigma_i - 1)X = mu_i + eps_i
+    with mu_i = t_top^(-1) t_i; the gap v(eps) - v(mu) equals
     v_top(sigma_i(Y) - Y - t_i) - v_top(t_i), which is exact.  Rows whose
     only bound involves e0 are vacuous in characteristic p and must have
     eps = 0 exactly.  The minimum row contribution must dominate the
@@ -313,9 +314,7 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
     t = gen_data.cofactors
     v0 = gen_data.v0_cofactors
 
-    # X itself, through the tracked-precision inverse
-    x_elem = gen_data.element * t[-1].inverse(window=window)
-    x_vtop = elt_valuation_top(x_elem)
+    x_vtop = gen_data.vtop - p**k * v0[-1]
     if x_vtop != -btop:
         raise OracleMismatch(f"v_top(X) = {x_vtop}, expected {-btop}")
 
@@ -475,33 +474,26 @@ class OracleReport(Record):
 def verify_tower(params: TowerParams, prec: int | None = None) -> OracleReport:
     """Build the tower and run the whole verification battery.
 
-    The exact stages run once; a group presentation that fails stops the
-    verify with ConstructionError.  On a precision failure the scaffold
-    stage's window (``prec``, default :func:`default_window`) is doubled and
-    that stage retried, up to three attempts; the window that certified X is
-    the report's ``prec``.
+    Every stage runs once on exact elements; a group presentation that
+    fails stops the verify with ConstructionError.  No stage takes a
+    window: ``prec`` is only checked and echoed into the report, which
+    reads :func:`default_window` when it is None.
     """
-    if prec is not None and prec < 1:
+    if prec is None:
+        prec = default_window(params)
+    elif prec < 1:
         raise ValueError(f"precision window prec = {prec} must be positive")
-    window = prec if prec is not None else default_window(params)
     tower = build_tower(params)
     gens = galois_generators(tower)
     table = enumerate_group(tower, gens)
     group = group_structure(tower, gens, table)
     gen_data = construct_generator(tower)
     filtration = ramification_filtration(tower, gen_data, table)
-    for attempt in range(3):
-        try:
-            scaffold = scaffold_row_check(tower, gen_data, gens, window)
-            break
-        except PrecisionError:
-            if attempt == 2:
-                raise
-            window *= 2
+    scaffold = scaffold_row_check(tower, gen_data, gens)
     layers = verify_elementary_layers(tower, filtration)
     b_match = tuple(filtration.lower_multiset) == tuple(tower.plan_report.b)
     passed = b_match and filtration.consistent and scaffold.ok and layers.ok
-    return OracleReport(params, window, tower.plan_report, group, gen_data,
+    return OracleReport(params, prec, tower.plan_report, group, gen_data,
                         filtration, scaffold, layers, b_match, passed)
 
 

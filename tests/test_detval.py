@@ -142,10 +142,14 @@ class TestMemoizedAgainstCofactor:
             assert assert_same_det(rows)[0] is type(algebra.zero())
 
     @pytest.mark.parametrize("variant", ["H", "M"])
-    def test_oracle_matrices(self, variant, towers, monkeypatch):
-        """Every determinant that building Y and the level norms of the
-        tower's own elements expand: generators, Y and a Galois difference."""
-        tower = towers[variant]
+    def test_oracle_matrices(self, variant, monkeypatch):
+        """Every determinant that building Y and valuing tower elements
+        expand on (5,1), where k = 3 and p = 5 differ: Y's k x k twist
+        determinant, and the p x p level norm of alpha_2^2 and of
+        alpha_top^2, exact elements that are not linear in their top
+        generator.  The generators and a Galois difference of Y take closed
+        forms and expand none."""
+        tower = make_tower(variant, p=5)
         seen = []
 
         def checked(rows):
@@ -155,10 +159,14 @@ class TestMemoizedAgainstCofactor:
         monkeypatch.setattr(localfield, "ring_det", checked)
         monkeypatch.setattr(oracle, "ring_det", checked)
         y = oracle.construct_generator(tower).element
+        assert seen == [tower.nvars]
         sigma = localfield.galois_generators(tower)[0]
         for x in [tower.alpha(i) for i in range(1, tower.nvars + 1)] + [sigma.apply(y) - y]:
             localfield.elt_valuation(x)
-        assert tower.nvars in seen and tower.p in seen
+        assert seen == [tower.nvars]
+        for i in (2, tower.nvars):
+            localfield.elt_valuation(tower.alpha(i) ** 2)
+        assert seen[1:] and set(seen[1:]) == {tower.p}
 
     def test_exceptions_agree(self, f9, f3):
         one9 = LaurentSeries.one(f9)

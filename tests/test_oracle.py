@@ -309,7 +309,7 @@ class TestCyclicClasses:
 class TestScaffold:
     def test_h_rows(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
-        rep = scaffold_row_check(tower, gen_data, gens, default_window(tower.params))
+        rep = scaffold_row_check(tower, gen_data, gens)
         assert rep.x_vtop == -82
         assert rep.ok
         by_index = {r.index: r for r in rep.rows}
@@ -324,7 +324,7 @@ class TestScaffold:
 
     def test_m_rows(self, m_setup):
         tower, gens, _, gen_data, _ = m_setup
-        rep = scaffold_row_check(tower, gen_data, gens, default_window(tower.params))
+        rep = scaffold_row_check(tower, gen_data, gens)
         assert rep.ok
         by_index = {r.index: r for r in rep.rows}
         # sigma_1 row: gap = b3 - b1 - (p-1) p^2 u_1 = 82 - 1 - 18 = 63
@@ -335,7 +335,7 @@ class TestScaffold:
 
     def test_mu_valuations_are_break_differences(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
-        rep = scaffold_row_check(tower, gen_data, gens, default_window(tower.params))
+        rep = scaffold_row_check(tower, gen_data, gens)
         b = tower.plan_report.b
         for row in rep.rows:
             assert row.mu_vtop == b[row.index - 1] - b[-1]
@@ -508,8 +508,7 @@ def _trip_fixed_generator():
 
 def _trip_scaffold(first, last):
     tower, gens, gen_data = _h31()
-    scaffold_row_check(_moved_b(tower, first, last), gen_data, gens,
-                       default_window(tower.params))
+    scaffold_row_check(_moved_b(tower, first, last), gen_data, gens)
 
 
 # name -> (a call that trips one check, the message it must raise); on
@@ -585,18 +584,21 @@ class TestVerifyFamily:
         assert rep.group.commutator_words[(1, 2)] == (0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("variant, p, n", [("H", 3, 3), ("M", 3, 3), ("H", 5, 2),
-                                               ("M", 5, 2)])
+                                               ("M", 5, 2), ("H", 7, 2), ("M", 7, 2)])
     def test_large_tower_closed_forms(self, variant, p, n):
-        # orders 3^7 over F_729 (residue degree 6) and 5^5 over F_625; the
-        # closed forms of u = t = 1 are those of bench/bench_gate.py:
-        # b = (1, ..., 1, p^(4n) + 1) and the Hilbert sum of the different
+        # orders 3^7 over F_729 (residue degree 6), 5^5 over F_625 and 7^5
+        # over F_2401; the closed forms of u = t = 1 are those of
+        # bench/bench_gate.py: b = (1, ..., 1, p^(4n) + 1), and Hilbert's sum
+        # of the different, p^(2n+1) - 1 at i = 0 and 1 and p - 1 at each of
+        # the p^(4n) values i = 2..b_top (looping over them takes seconds at
+        # (7,2))
         rep = verify_family(variant, p, n, 1, 1)
         assert rep.passed
         assert rep.group.order == p**(2 * n + 1)
         lower = [1] * (2 * n) + [p**(4 * n) + 1]
         assert list(rep.filtration.lower_multiset) == lower
         assert rep.filtration.different_val == rep.filtration.hilbert_sum \
-            == loop_hilbert_sum(p, lower)
+            == 2 * (p**(2 * n + 1) - 1) + (p - 1) * p**(4 * n)
 
     def test_n2_m_tower(self):
         rep = verify_family("M", 3, 2, 1, 1)
@@ -669,10 +671,10 @@ class TestGeneralParameters:
     @pytest.mark.parametrize("p, n, d, r, m", [(3, 2, 4, 2, (0, 0, 1, 1, 2)),
                                                (7, 1, 2, 3, (0, 1, 2))])
     def test_certified_tower_needs_no_exact_fallback(self, monkeypatch, p, n, d, r, m):
-        # certified H towers with nonzero floor exponents, whose generator
-        # stage (3,2) and scaffold stage (7,1) need more than three capped
-        # tries; the exact chain would take minutes there, so the patched
-        # fallback raises at once instead of running it
+        # certified H towers with nonzero floor exponents; the generator
+        # stage of (3,2) needs three capped tries, and the exact chain would
+        # take minutes there, so the patched fallback raises at once instead
+        # of running it
         real = localfield._norm_valuation
 
         def capped_only(x, w):
@@ -688,80 +690,49 @@ class TestGeneralParameters:
         assert verify_tower(params).passed
 
 
-class TestPrecisionRetry:
-    """Only the scaffold stage takes a window: a precision failure retries
-    that stage with a doubled window and never rebuilds the exact stages."""
+def windowed_x_vtop(report) -> int:
+    """v_top(X) the way the scaffold stage once measured it, kept as the
+    test oracle of reading it from v_top(Y) and v_0(t_top): X = Y t_top^(-1)
+    with the inverse taken to a series window, from default_window up,
+    doubled on PrecisionError, for at most three windows."""
+    gen_data = report.generator
+    window = default_window(report.params)
+    for attempt in range(3):
+        try:
+            return elt_valuation_top(gen_data.element * gen_data.cofactors[-1].inverse(window))
+        except PrecisionError:
+            if attempt == 2:
+                raise
+            window *= 2
 
-    @staticmethod
-    def _count_stages(monkeypatch, oracle_mod):
-        runs = {}
-        for name in ("build_tower", "enumerate_group", "construct_generator"):
-            real = getattr(oracle_mod, name)
 
-            def counted(*args, _real=real, _name=name):
-                runs[_name] = runs.get(_name, 0) + 1
-                return _real(*args)
+class TestNoWindow:
+    """No stage of a verify takes a window: X's valuation is read from Y's
+    and t_top's, ``prec`` is only echoed, and a PrecisionError from any
+    stage is still the CLI's exit 3."""
 
-            monkeypatch.setattr(oracle_mod, name, counted)
-        return runs
-
-    def test_verify_tower_doubles_on_precision_failure(self, monkeypatch):
-        from extraspecial import PrecisionError
-        runs = self._count_stages(monkeypatch, oracle_mod)
-        windows = []
-        real = oracle_mod.scaffold_row_check
-
-        def flaky(tower, gen_data, gens, window):
-            windows.append(window)
-            if len(windows) < 3:
-                raise PrecisionError("forced")
-            return real(tower, gen_data, gens, window)
-
-        monkeypatch.setattr(oracle_mod, "scaffold_row_check", flaky)
-        rep = oracle_mod.verify_family("H", 3, 1, 1, 1, prec=100)
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_x_vtop_matches_the_windowed_x(self, variant, p, n):
+        rep = verify_family(variant, p, n, 1, 1)
         assert rep.passed
-        assert windows == [100, 200, 400]
-        assert rep.prec == 400
-        assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
+        assert rep.scaffold.x_vtop == windowed_x_vtop(rep) == -rep.plan.b[-1]
 
-    def test_window_one_retries_on_real_arithmetic(self, monkeypatch):
-        # no forced failure: window 1 cannot certify v_top(X), window 2 can
-        runs = self._count_stages(monkeypatch, oracle_mod)
-        windows = []
-        real = oracle_mod.scaffold_row_check
-
-        def spy(tower, gen_data, gens, window):
-            windows.append(window)
-            return real(tower, gen_data, gens, window)
-
-        monkeypatch.setattr(oracle_mod, "scaffold_row_check", spy)
-        rep = oracle_mod.verify_family("H", 3, 1, 1, 1, prec=1)
+    @pytest.mark.parametrize("p, n, d, r, m", [(3, 1, 2, 1, (0, 1, 2)), (7, 1, 2, 3, (0, 1, 2)),
+                                               (3, 2, 4, 2, (0, 0, 1, 1, 2))])
+    def test_x_vtop_with_t_top_off_the_units(self, p, n, d, r, m):
+        # nonzero floor exponents make v_0(t_top) < 0, which the standard
+        # family's m = (0, ..., 0, t) never does
+        field = residue_field(p, d)
+        rep = verify_tower(TowerParams(p=p, n=n, variant="H", e0=INF, r=r, m=m,
+                                       leads=default_leads(field, n), field=field))
         assert rep.passed
-        assert windows == [1, 2]
-        assert rep.prec == 2
-        assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
-
-    def test_verify_tower_gives_up_after_three(self, monkeypatch):
-        from extraspecial import PrecisionError
-        runs = self._count_stages(monkeypatch, oracle_mod)
-        errors = []
-
-        def always_fail(tower, gen_data, gens, window):
-            errors.append(PrecisionError(f"forced at {window}"))
-            raise errors[-1]
-
-        monkeypatch.setattr(oracle_mod, "scaffold_row_check", always_fail)
-        with pytest.raises(PrecisionError) as info:
-            oracle_mod.verify_family("H", 3, 1, 1, 1, prec=64)
-        assert [str(e) for e in errors] == ["forced at 64", "forced at 128", "forced at 256"]
-        assert info.value is errors[-1]
-        assert runs == {"build_tower": 1, "enumerate_group": 1, "construct_generator": 1}
+        assert rep.generator.v0_cofactors[-1] < 0
+        assert rep.scaffold.x_vtop == windowed_x_vtop(rep) == -rep.plan.b[-1]
 
     def test_cli_reports_precision_failure(self, monkeypatch, capsys):
-        from extraspecial import PrecisionError
         from extraspecial.cli import main
 
-        def always_fail(tower, gen_data, gens, window):
+        def always_fail(tower, gen_data, gens):
             raise PrecisionError("forced")
 
         monkeypatch.setattr(oracle_mod, "scaffold_row_check", always_fail)
@@ -774,7 +745,8 @@ class TestPrecisionRetry:
 
 
 class TestExactness:
-    """Everything before the scaffold stage's inverse is exact arithmetic."""
+    """A verify is exact arithmetic from end to end: it values only exact
+    elements, and takes no inverse and no determinant level norm."""
 
     @pytest.mark.parametrize("setup", ["h_setup", "m_setup"])
     def test_tower_and_generator_series_are_exact(self, request, setup):
@@ -787,14 +759,31 @@ class TestExactness:
         assert series
         assert all(s.prec == math.inf for s in series)
 
-    def test_x_carries_the_window_and_refuses_at_one(self, h_setup):
-        tower, gens, _, gen_data, _ = h_setup
-        x_elem = gen_data.element * gen_data.cofactors[-1].inverse(window=64)
-        assert any(c.prec < math.inf for c in x_elem.coeffs.values())
-        with pytest.raises(PrecisionError):
-            scaffold_row_check(tower, gen_data, gens, 1)
-        rep = scaffold_row_check(tower, gen_data, gens, 2)
-        assert rep.ok and rep.x_vtop == -82
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_verify_values_only_exact_elements(self, monkeypatch, variant, p, n):
+        valued, calls = [], {"inverse": 0, "level_norm": 0}
+        real_valuation = localfield.elt_valuation
+        real_inverse = LaurentSeries.inverse
+        real_level_norm = localfield._level_norm
+
+        def valuation_spy(x):
+            valued.append(all(c.is_exact for c in x.coeffs.values()))
+            return real_valuation(x)
+
+        def inverse_spy(self, *args, **kwargs):
+            calls["inverse"] += 1
+            return real_inverse(self, *args, **kwargs)
+
+        def level_norm_spy(x, i):
+            calls["level_norm"] += 1
+            return real_level_norm(x, i)
+
+        monkeypatch.setattr(localfield, "elt_valuation", valuation_spy)
+        monkeypatch.setattr(LaurentSeries, "inverse", inverse_spy)
+        monkeypatch.setattr(localfield, "_level_norm", level_norm_spy)
+        assert verify_family(variant, p, n, 1, 1).passed
+        assert valued and all(valued)
+        assert calls == {"inverse": 0, "level_norm": 0}
 
 
 def _fill(x: TowerElement, window: int, rng: random.Random) -> TowerElement:
