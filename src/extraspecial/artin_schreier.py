@@ -51,7 +51,7 @@ class ASConstantSpec(Record, frozen=True):
                 raise ValueError("constant valuations must be integers")
             if lead.field != self.field:
                 raise ValueError("leading coefficient from a different residue field")
-            if lead.idx == 0:
+            if not lead:
                 raise ValueError("leading coefficients must be nonzero")
 
     @property

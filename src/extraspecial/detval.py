@@ -62,8 +62,8 @@ def ring_det(rows):
 
 
 def frobenius_matrix(betas: list) -> list[list]:
-    """The k x k matrix with entry (i, j) = phi^(j-1)(beta_i), for series or
-    residue field elements beta_i."""
+    """The k x k matrix with entry (i, j) = phi^(j-1)(beta_i), for series
+    beta_i."""
     out = []
     for b in betas:
         row = [b]

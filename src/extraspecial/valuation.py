@@ -1,9 +1,11 @@
 """Exact arithmetic substrate: the infinity INF, small finite fields, and
 truncated Laurent series with valuation tracking.
 
-:class:`LaurentSeries` stores coefficients as plain field indices 0..q-1 and
-computes on them through the field's exp/log/Zech tables; :class:`FFElem`
-wraps an index only where an element enters or leaves a series.
+F_q has one arithmetic: :class:`LaurentSeries` stores coefficients as plain
+field indices 0..q-1 and computes on them through the field's exp/log/Zech
+tables.  :class:`FFElem` is a value with no sums or products: it wraps an
+index only where an element enters or leaves a series, and takes powers for
+the parser and the default leads.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe for unrestricted parallel use.
@@ -131,7 +133,8 @@ def _find_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 class FFElem:
-    """An element of a :class:`ResidueField`, stored as a basis index."""
+    """An element of a :class:`ResidueField`, stored as a basis index: a
+    value with powers, but no sums or products (those are the series')."""
 
     __slots__ = ("field", "idx")
 
@@ -139,61 +142,14 @@ class FFElem:
         self.field = field
         self.idx = idx
 
-    def _check(self, other) -> "FFElem":
-        if isinstance(other, int):
-            return self.field(other)
-        if isinstance(other, FFElem):
-            if other.field != self.field:
-                raise ValueError("elements of different residue fields")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return FFElem(self.field, self.field._add_idx(self.idx, o.idx))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FFElem(self.field, self.field._neg_idx(self.idx))
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return FFElem(self.field, self.field._mul_idx(self.idx, o.idx))
-
-    __rmul__ = __mul__
-
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
+        """x^e on the tables; a negative e needs x nonzero."""
+        if e < 0 and self.idx == 0:
+            raise ZeroDivisionError("negative power of zero in residue field")
         return FFElem(self.field, self.field._pow_idx(self.idx, e))
-
-    def inverse(self) -> "FFElem":
-        if self.idx == 0:
-            raise ZeroDivisionError("inverse of zero in residue field")
-        return FFElem(self.field, self.field._pow_idx(self.idx, self.field.q - 2))
-
-    def frobenius(self) -> "FFElem":
-        return self ** self.field.p
 
     def __bool__(self):
         return self.idx != 0
-
-    def is_zero(self) -> bool:
-        return self.idx == 0
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -225,11 +181,13 @@ class ResidueField:
     smallest monic irreducible of degree d, found by brute-force factor
     search.
 
-    Arithmetic runs on tables built once, by polynomial arithmetic modulo
-    the modulus, for the generator g (the least index of multiplicative
-    order q-1): ``exp[j] = g^j``, ``log[g^j] = j`` and the Zech logarithms
-    ``zech[j] = log(1 + g^j)``, None where 1 + g^j = 0.  Products and powers
-    add or scale logarithms; sums use g^i + g^j = g^i (1 + g^(j-i)).
+    The field holds tables built once, by polynomial arithmetic modulo the
+    modulus, for the generator g (the least index of multiplicative order
+    q-1): ``exp[j] = g^j``, ``log[g^j] = j`` and the Zech logarithms
+    ``zech[j] = log(1 + g^j)``, None where 1 + g^j = 0.  The arithmetic on
+    them is the series layer's: :class:`LaurentSeries` products add
+    logarithms and its sums use g^i + g^j = g^i (1 + g^(j-i)).  The field
+    itself only negates and raises to powers (scaling a logarithm).
     """
 
     def __init__(self, p: int, d: int = 1):
@@ -273,25 +231,10 @@ class ResidueField:
 
     # -- index arithmetic ---------------------------------------------------
 
-    def _add_idx(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la = self._log[a]
-        # a negative difference indexes from the end: that is the reduction mod q-1
-        z = self._zech[self._log[b] - la]
-        return 0 if z is None else self._exp[la + z]
-
     def _neg_idx(self, a: int) -> int:
         if a == 0:
             return 0
         return self._exp[self._log[a] + self._half]
-
-    def _mul_idx(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
 
     def _pow_idx(self, a: int, e: int) -> int:
         if e == 0:

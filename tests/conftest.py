@@ -31,6 +31,11 @@ def elem_from_index(field, idx: int):
     return field(_idx_to_poly(idx, field.d, field.p))
 
 
+def const(field, x) -> LaurentSeries:
+    """The exact constant series x: F_q's arithmetic is the series'."""
+    return LaurentSeries.monomial(field, x)
+
+
 def random_elem(field, rng: random.Random, nonzero=False):
     lo = 1 if nonzero else 0
     return elem_from_index(field, rng.randrange(lo, field.q))

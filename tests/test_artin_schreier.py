@@ -121,7 +121,7 @@ class TestValidateReduced:
 
     def test_permuting_equal_run_keeps_verdict(self, f27):
         g = f27.gen()
-        runs = [(-1, f27.one()), (-1, g), (-1, g * g), (-7, g)]
+        runs = [(-1, f27.one()), (-1, g), (-1, g**2), (-7, g)]
         base = validate_reduced_AS(spec_of(f27, INF, runs))
         shuffled = [runs[2], runs[0], runs[1], runs[3]]
         assert validate_reduced_AS(spec_of(f27, INF, shuffled)).ok == base.ok

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from extraspecial import (INF, FFElem, LaurentSeries, PrecisionError, ResidueField,
                           residue_field)
-from extraspecial.valuation import (_idx_to_poly, _poly_mod, _poly_mul, extended_json,
-                                    parse_extended)
-from conftest import elem_from_index, random_elem, random_series
+from extraspecial.valuation import (_idx_to_poly, _poly_mod, _poly_mul, _poly_trim,
+                                    extended_json, parse_extended)
+from conftest import const, elem_from_index, random_elem, random_series
 
 
 class TestExtended:
@@ -68,12 +69,29 @@ class TestResidueField:
         assert len(powers) == 8 and (g**8) == f9.one()
 
     def test_frobenius_is_identity_on_prime_field(self, f9):
-        assert f9(2).frobenius() == f9(2)
+        for c in range(3):
+            assert const(f9, c).frobenius() == const(f9, c)
+        assert const(f9, f9.gen()).frobenius() != const(f9, f9.gen())
 
     def test_inverse(self, f25):
         for i in range(1, 25):
             x = elem_from_index(f25, i)
-            assert x * x.inverse() == f25.one()
+            assert ref_mul_index(f25, x.idx, (x ** -1).idx) == 1
+
+    @pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3)])
+    def test_negative_powers(self, p, d):
+        field = residue_field(p, d)
+        for i in range(1, field.q):
+            x = elem_from_index(field, i)
+            for j in (1, 2, p, field.q - 2, field.q - 1, field.q + 3):
+                assert ref_mul_index(field, (x ** -j).idx, (x ** j).idx) == 1
+        for e in (1, 2, field.q - 1):
+            with pytest.raises(ZeroDivisionError):
+                field.zero() ** -e
+
+    def test_parse_negative_power(self, f9):
+        assert f9.parse_element("g^-1") == f9.gen() ** 7
+        assert f9.format_element(f9.parse_element("g^-1")) == "g^7"
 
     def test_format_parse_roundtrip(self, f9):
         for x in (elem_from_index(f9, i) for i in range(9)):
@@ -83,36 +101,64 @@ class TestResidueField:
 SUPPORTED_FIELDS = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3, 4)]
 
 
-def poly_mul_idx(field, a: int, b: int) -> int:
-    """Reference product: polynomial multiplication modulo the modulus."""
-    p, d = field.p, field.d
-    prod = _poly_mul(_idx_to_poly(a, d, p), _idx_to_poly(b, d, p), p)
-    return field(_poly_mod(prod, field.modulus, p)).idx
+# The reference F_q: elements as trimmed coordinate tuples over F_p (the
+# power basis of the modulus), summed coordinatewise and multiplied as
+# polynomials modulo the modulus.  It reads none of the field's tables.
 
 
-def poly_pow_idx(field, a: int, e: int) -> int:
-    out = 1
+def coords(field, idx: int) -> tuple[int, ...]:
+    return _poly_trim(list(_idx_to_poly(idx, field.d, field.p)))
+
+
+def coord_add(field, a, b):
+    return _poly_trim([(x + y) % field.p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def coord_neg(field, a):
+    return tuple(-x % field.p for x in a)
+
+
+def coord_mul(field, a, b):
+    return _poly_mod(_poly_mul(a, b, field.p), field.modulus, field.p)
+
+
+def coord_pow(field, a, e: int):
+    out = (1,)
     for bit in bin(e)[2:]:
-        out = poly_mul_idx(field, out, out)
+        out = coord_mul(field, out, out)
         if bit == "1":
-            out = poly_mul_idx(field, out, a)
+            out = coord_mul(field, out, a)
     return out
+
+
+def ref_mul_index(field, a: int, b: int) -> int:
+    """Reference product: polynomial multiplication modulo the modulus."""
+    return field(coord_mul(field, coords(field, a), coords(field, b))).idx
+
+
+def ref_pow_index(field, a: int, e: int) -> int:
+    return field(coord_pow(field, coords(field, a), e)).idx
 
 
 def poly_order(field, a: int) -> int:
     k, acc = 1, a
     while acc != 1:
-        acc = poly_mul_idx(field, acc, a)
+        acc = ref_mul_index(field, acc, a)
         k += 1
     return k
 
 
 def check_field_ops(field, a: int, b: int) -> None:
-    """The table arithmetic against coordinate-wise add and polynomial mul."""
-    ca, cb = _idx_to_poly(a, field.d, field.p), _idx_to_poly(b, field.d, field.p)
-    assert field._add_idx(a, b) == field(tuple(x + y for x, y in zip(ca, cb))).idx
-    assert field._neg_idx(a) == field(tuple(-x for x in ca)).idx
-    assert field._mul_idx(a, b) == poly_mul_idx(field, a, b)
+    """The table arithmetic, on constant series, against coordinatewise
+    add and polynomial mul."""
+    ca, cb = coords(field, a), coords(field, b)
+    x, y = const(field, FFElem(field, a)), const(field, FFElem(field, b))
+    assert x + y == const(field, coord_add(field, ca, cb))
+    assert -x == const(field, coord_neg(field, ca))
+    assert x - y == const(field, coord_add(field, ca, coord_neg(field, cb)))
+    product = const(field, coord_mul(field, ca, cb))
+    assert x * y == product
+    assert x * FFElem(field, b) == product
 
 
 class TestFieldTablesAgainstPolynomials:
@@ -124,10 +170,10 @@ class TestFieldTablesAgainstPolynomials:
             for b in range(q):
                 check_field_ops(field, a, b)
             for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 1):
-                assert field._pow_idx(a, e) == poly_pow_idx(field, a, e)
+                assert field._pow_idx(a, e) == ref_pow_index(field, a, e)
             if a:
                 x = field(_idx_to_poly(a, d, p))
-                assert poly_mul_idx(field, a, x.inverse().idx) == 1
+                assert ref_mul_index(field, a, (x ** -1).idx) == 1
                 assert field.gen() ** field.discrete_log(x) == x
 
     @pytest.mark.parametrize("p,d", [(5, 4), (7, 4)])
@@ -138,10 +184,10 @@ class TestFieldTablesAgainstPolynomials:
             a, b = rng.randrange(field.q), rng.randrange(field.q)
             check_field_ops(field, a, b)
             e = rng.randrange(3 * field.q)
-            assert field._pow_idx(a, e) == poly_pow_idx(field, a, e)
+            assert field._pow_idx(a, e) == ref_pow_index(field, a, e)
             if a:
                 x = field(_idx_to_poly(a, d, p))
-                assert poly_mul_idx(field, a, x.inverse().idx) == 1
+                assert ref_mul_index(field, a, (x ** -1).idx) == 1
                 assert field.gen() ** field.discrete_log(x) == x
 
     @pytest.mark.parametrize("p,d", SUPPORTED_FIELDS)
@@ -182,7 +228,7 @@ class TestSeriesExamples:
     def test_monomial_inverse_with_coefficient(self, f9):
         c = f9.gen() ** 3
         inv = LaurentSeries.monomial(f9, c, -1).inverse(window=4)
-        want = LaurentSeries.monomial(f9, c.inverse(), 1)
+        want = LaurentSeries.monomial(f9, c ** -1, 1)
         assert inv.truncate(want.prec) == want.truncate(inv.prec)
 
     def test_frobenius_monomial(self, f9):
@@ -334,10 +380,11 @@ class TestInverseRoundtrip:
 
 
 class RefSeries:
-    """Reference series arithmetic, one coefficient at a time on FFElem.
+    """Reference series arithmetic, one coefficient at a time on the
+    reference F_q: coordinate tuples, not the field's tables.
 
-    ``coeffs`` maps exponents below ``prec`` to nonzero field elements; the
-    rules are those :class:`LaurentSeries` documents."""
+    ``coeffs`` maps exponents below ``prec`` to nonzero coordinate tuples;
+    the rules are those :class:`LaurentSeries` documents."""
 
     def __init__(self, field, coeffs, prec=math.inf):
         self.field = field
@@ -346,7 +393,7 @@ class RefSeries:
 
     @classmethod
     def of(cls, s: LaurentSeries) -> "RefSeries":
-        return cls(s.field, {e: FFElem(s.field, c) for e, c in s.coeffs.items()}, s.prec)
+        return cls(s.field, {e: coords(s.field, c) for e, c in s.coeffs.items()}, s.prec)
 
     def valuation(self):
         if self.coeffs:
@@ -357,31 +404,33 @@ class RefSeries:
 
     def __add__(self, other):
         prec = min(self.prec, other.prec)
-        zero = self.field.zero()
-        out = {e: self.coeffs.get(e, zero) + other.coeffs.get(e, zero)
+        out = {e: coord_add(self.field, self.coeffs.get(e, ()), other.coeffs.get(e, ()))
                for e in set(self.coeffs) | set(other.coeffs)}
         return RefSeries(self.field, out, prec)
 
     def __neg__(self):
-        return RefSeries(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        f = self.field
+        return RefSeries(f, {e: coord_neg(f, c) for e, c in self.coeffs.items()}, self.prec)
 
     def bound(self):
         """v >= bound: the valuation, or N for an imprecise zero O(pi^N)."""
         return min(self.coeffs) if self.coeffs else self.prec
 
     def __mul__(self, other):
+        f = self.field
         prec = min(self.bound() + other.prec, other.bound() + self.prec)
         out = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
-                out[ea + eb] = out.get(ea + eb, self.field.zero()) + ca * cb
-        return RefSeries(self.field, out, prec)
+                out[ea + eb] = coord_add(f, out.get(ea + eb, ()), coord_mul(f, ca, cb))
+        return RefSeries(f, out, prec)
 
     def scale(self, c):
-        c = self.field(c)
+        f = self.field
+        c = coords(f, f(c).idx)
         if not c:
-            return RefSeries(self.field, {}, math.inf)
-        return RefSeries(self.field, {e: x * c for e, x in self.coeffs.items()}, self.prec)
+            return RefSeries(f, {}, math.inf)
+        return RefSeries(f, {e: coord_mul(f, x, c) for e, x in self.coeffs.items()}, self.prec)
 
     def inverse(self, window=None):
         v = self.valuation()
@@ -393,25 +442,27 @@ class RefSeries:
             w = window
         else:
             w = int(self.prec - v) if window is None else min(window, int(self.prec - v))
-        lead_inv = self.coeffs[v].inverse()
-        unit = {e - v: c * lead_inv for e, c in self.coeffs.items()}
-        zero = self.field.zero()
-        inv = [self.field.one()]
+        f = self.field
+        lead_inv = coord_pow(f, self.coeffs[v], f.q - 2)
+        unit = {e - v: coord_mul(f, c, lead_inv) for e, c in self.coeffs.items()}
+        inv = [(1,)]
         for k in range(1, w):
-            acc = zero
+            acc = ()
             for j, u in unit.items():
                 if 0 < j <= k:
-                    acc = acc + u * inv[k - j]
-            inv.append(-acc)
-        return RefSeries(self.field, {k - v: c * lead_inv for k, c in enumerate(inv)}, -v + w)
+                    acc = coord_add(f, acc, coord_mul(f, u, inv[k - j]))
+            inv.append(coord_neg(f, acc))
+        return RefSeries(f, {k - v: coord_mul(f, c, lead_inv) for k, c in enumerate(inv)},
+                         -v + w)
 
     def frobenius(self):
-        p = self.field.p
-        return RefSeries(self.field, {p * e: c**p for e, c in self.coeffs.items()}, p * self.prec)
+        f, p = self.field, self.field.p
+        return RefSeries(f, {p * e: coord_pow(f, c, p) for e, c in self.coeffs.items()},
+                         p * self.prec)
 
 
 def outcome(fn):
-    """A series as (exponent -> FFElem, prec), or the type of the exception raised."""
+    """A series as (exponent -> coordinates, prec), or the type of the exception raised."""
     try:
         s = fn()
     except (PrecisionError, ZeroDivisionError, ValueError) as exc:
@@ -507,4 +558,5 @@ class TestCoefficientEdge:
         assert s == LaurentSeries(b, {0: b.gen()})
         assert s + LaurentSeries(b, {1: 1}) == LaurentSeries(b, {0: b.gen(), 1: 1})
         assert a(b.gen()) == b.gen()
-        assert a.gen() * b.gen() == b.gen() ** 2
+        assert const(a, a.gen()) * const(b, b.gen()) == const(b, b.gen() ** 2)
+        assert const(a, a.gen()) * b.gen() == const(b, b.gen() ** 2)
