@@ -6,12 +6,14 @@ alpha_top^p = alpha_top + E + a_top, where E is the variant-specific cross
 term.  Elements are kept reduced by one accumulator, TowerAlgebra._collect:
 every product, sum and Galois image merges its terms there and rewrites
 exponents >= p from the top generator down (the relations are triangular).
-Valuations are iterated norms, one p-dimensional level at a time.  An
-exact element takes the closed form N(c alpha + d) = c^p A + d^p - c^(p-1) d
-on a level where it is linear, and at the bottom level of a ramified
-alpha_1 the minimum over its monomials, with no norm.  An element with a
-window takes the determinant of the multiplication matrix (ring_det) on
-every level, an exact one on each nonlinear level above the bottom.
+Valuations are iterated norms, one p-dimensional level at a time, and the
+chain certifies the leading term of the norm: the valuation and its
+leading coefficient.  An exact element takes the closed form
+N(c alpha + d) = c^p A + d^p - c^(p-1) d on a level where it is linear, and
+at the bottom level of a ramified alpha_1 the minimizing monomial, with no
+norm.  An element with a window takes the determinant of the
+multiplication matrix (ring_det) on every level, an exact one on each
+nonlinear level above the bottom.
 
 The tower is exact: its constants, relations and Galois images have exact
 series coefficients (prec = inf), and the oracle values only exact
@@ -20,7 +22,7 @@ The tower drops a coefficient only when the series layer says it is
 exactly zero, so an imprecise zero O(pi^N) stays in the element and flows
 through the norms under the series rules, and a valuation the window
 cannot certify raises PrecisionError.  The module makes one precision
-decision, and it never changes an answer: elt_valuation runs its norm
+decision, and it never changes an answer: elt_leading_term runs the norm
 chain at a capped relative precision first, and falls back to the exact
 chain when the cap cannot certify.
 """
@@ -129,6 +131,10 @@ class TowerElement:
     def is_zero(self) -> bool:
         """Exactly zero; an imprecise zero coefficient keeps the element nonzero."""
         return not self.coeffs
+
+    def __bool__(self):
+        raise TypeError("a tower element has no truth value: an imprecise zero "
+                        "coefficient is neither zero nor nonzero; use is_zero()")
 
     def support_level(self) -> int:
         """Highest generator index present, plus one; 0 for scalars."""
@@ -450,17 +456,28 @@ def _bottom_break(algebra: TowerAlgebra) -> int | None:
     return u1 if u1 > 0 and u1 % algebra.p else None
 
 
-def _bottom_valuation(x: TowerElement, u1: int) -> int:
-    """v_K1(x) = min_j (p v_0(c_j) - j u_1) for nonzero x = sum_j c_j
-    alpha_1^j, under the condition of _bottom_break.  A coefficient with a
-    window bounds its term below by p prec - j u_1; unless every such bound
-    lies above the minimum, the window cannot certify it: PrecisionError."""
+def _leading_term(s: LaurentSeries) -> LaurentSeries:
+    """The lowest monomial of a series that is not exactly zero; an
+    imprecise zero raises PrecisionError."""
+    v = s.valuation()
+    return LaurentSeries.monomial(s.field, FFElem(s.field, s.coeffs[v]), v)
+
+
+def _bottom_leading_term(x: TowerElement, u1: int) -> LaurentSeries:
+    """The leading term of N_(K1/K0)(x) for nonzero x = sum_j c_j alpha_1^j,
+    under the condition of _bottom_break: a monomial of exponent
+    v_K1(x) = min_j (p v_0(c_j) - j u_1).  The monomials' valuations are
+    distinct mod p, so one j takes the minimum, and as the norm is
+    multiplicative with N(alpha_1) = a_1, the leading term is
+    lead(c_j)^p lead(a_1)^j.  A coefficient with a window bounds its term
+    below by p prec - j u_1; unless every such bound lies above the
+    minimum, the window cannot certify it: PrecisionError."""
     p = x.algebra.p
-    terms, bounds = [], []
+    terms, bounds = {}, []
     for exps, c in x.coeffs.items():
         j = exps[0]
         if c.coeffs:
-            terms.append(p * min(c.coeffs) - j * u1)
+            terms[p * min(c.coeffs) - j * u1] = j, c
         if not c.is_exact:
             bounds.append(p * c.prec - j * u1)
     if not terms:
@@ -468,7 +485,9 @@ def _bottom_valuation(x: TowerElement, u1: int) -> int:
     v = min(terms)
     if any(b <= v for b in bounds):
         raise PrecisionError("insufficient precision: a window reaches the bottom-level minimum")
-    return v
+    j, c = terms[v]
+    a1 = x.algebra.relations[0].constant_series()
+    return _leading_term(c).frobenius() * _leading_term(a1) ** j
 
 
 # The capped chain keeps CAP_START coefficients of relative precision and
@@ -492,18 +511,24 @@ def _cap(x: TowerElement, w: int) -> TowerElement:
     return TowerElement(x.algebra, out)
 
 
-def _norm_valuation(x: TowerElement, w: int | None) -> Fraction:
-    """v_0(x) for nonzero x through the norm chain, with every coefficient
-    capped to relative precision w before each level norm, or exact for w
-    None.
+def _norm_valuation(x: TowerElement, w: int | None) -> tuple[Fraction, FFElem]:
+    """The leading term of N_(L/K_0)(x) for nonzero x, L the whole algebra:
+    v_0(x) and the leading coefficient, through the norm chain, with every
+    coefficient capped to relative precision w before each level norm, or
+    exact for w None.
 
     Which norm a level takes is decided from x itself.  When every
     coefficient of x is exact, a level where the element is linear in
     alpha_i takes the closed form _linear_norm, and in an algebra that
-    meets _bottom_break the chain stops at level 1 and reads the minimum
-    over monomials (_bottom_valuation).  Every other level takes the
-    ring_det of _level_norm.  A windowed x, which no oracle stage builds,
-    keeps ring_det on every level."""
+    meets _bottom_break the chain stops at level 1 and reads the leading
+    term of the last norm from the minimizing monomial (_bottom_leading_term).
+    Every other level takes the ring_det of _level_norm.  A windowed x,
+    which no oracle stage builds, keeps ring_det on every level.
+
+    The chain ends with N_(K_l/K_0)(x), l the support level of x, and
+    N_(L/K_0)(x) is its p^(k-l)-th power, k the generator count; so the
+    coefficient the chain ends with is raised to p^(k-l).  Without that,
+    elements of different support levels would not share one scale."""
     algebra = x.algebra
     exact = all(c.is_exact for c in x.coeffs.values())
     u1 = _bottom_break(algebra) if exact else None
@@ -521,13 +546,18 @@ def _norm_valuation(x: TowerElement, w: int | None) -> Fraction:
     if cur.is_zero():
         raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
     if u1 and level:
-        return Fraction(_bottom_valuation(cur, u1), algebra.p**level)
-    return Fraction(cur.constant_series().valuation(), algebra.p**level)
+        lead = _bottom_leading_term(cur, u1)
+    else:
+        lead = _leading_term(cur.constant_series())
+    ((v, c),) = lead.coeffs.items()
+    p = algebra.p
+    return Fraction(v, p**level), FFElem(algebra.field, c) ** p**(algebra.nvars - level)
 
 
-def elt_valuation(x: TowerElement) -> Fraction | float:
-    """v_0(x) in (1/p^k) * Z, k the generator count of the algebra of x,
-    through iterated level norms (_norm_valuation).
+def elt_leading_term(x: TowerElement) -> tuple[Fraction, FFElem]:
+    """The leading term of N_(L/K_0)(x) for nonzero x (_norm_valuation):
+    v_0(x) in (1/p^k) * Z, k the generator count of the algebra of x, and
+    the leading coefficient of the norm.
 
     Only the leading term of the last norm is needed, so the chain runs at
     capped relative precision first (the model of Caruso, Roe and Vaccon,
@@ -539,11 +569,9 @@ def elt_valuation(x: TowerElement) -> Fraction | float:
     exact chain decides, and its result or PrecisionError is returned
     unchanged.  The cap never changes the answer, only its cost.
 
-    Exact zero maps to INF; an imprecise zero or a norm whose leading
-    coefficient escapes the tracked window raises PrecisionError.
+    An imprecise zero or a norm whose leading coefficient escapes the
+    tracked window raises PrecisionError.
     """
-    if x.is_zero():
-        return INF
     w = CAP_START
     for _ in range(CAP_TRIES):
         try:
@@ -551,6 +579,11 @@ def elt_valuation(x: TowerElement) -> Fraction | float:
         except PrecisionError:
             w *= 2
     return _norm_valuation(x, None)
+
+
+def elt_valuation(x: TowerElement) -> Fraction | float:
+    """v_0(x), read from elt_leading_term; exact zero maps to INF."""
+    return INF if x.is_zero() else elt_leading_term(x)[0]
 
 
 def elt_valuation_top(x: TowerElement) -> int:

@@ -3,24 +3,30 @@ its valuation, the measured ramification filtration, scaffold row bounds,
 and the elementary-layer breaks, all compared against planner predictions.
 
 Everything is computed by brute force in exact arithmetic over F_q((pi)):
-the filtration from first definitions (valuations of sigma(pi_L) - pi_L,
-which are constant on each class of cyclic subgroups, so measured once per
-class: the group stage confirms the presentation of H(n) or M(n) that
-makes the classes, or stops the verify), the valuations through iterated
-norms.  Every element a verify values is exact: the scaffold stage reads
-v_top(X) of X = t_top^(-1) Y from v_top(Y) and v_0(t_top), and builds no X.
+the filtration from first definitions (valuations of sigma(pi_L) - pi_L
+and their leading coefficients, Serre's theta, measured on the 2n + 1
+generators; the group stage confirms the presentation of H(n) or M(n)
+that fills every other element from them, or stops the verify), the
+valuations through iterated norms.  Every element a verify values is
+exact: the scaffold stage reads v_top(X) of X = t_top^(-1) Y from v_top(Y)
+and v_0(t_top), and builds no X.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
+from .artin_schreier import fp_rank
 from .detval import frobenius_matrix, ring_det, ti_valuations
 from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra,
-                         TowerElement, TowerParams, build_tower, elt_valuation_top,
-                         enumerate_group, galois_generators, group_structure)
+                         TowerElement, TowerParams, build_tower, elt_leading_term,
+                         elt_valuation_top, enumerate_group, galois_generators,
+                         group_structure)
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
 from .record import Record
-from .valuation import INF, LaurentSeries, exact_log, extended_json
+from .valuation import INF, FFElem, LaurentSeries, exact_log, extended_json
 
 
 class OracleMismatch(RuntimeError):
@@ -117,10 +123,11 @@ def _uniformizer_exponents(vtop: int, pk: int) -> tuple[int, int]:
     return x, y
 
 
-def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> int:
-    """v_top((sigma - 1) pi_L) = 1 + v_top(sigma(Y) - Y) - vtop, for any
-    uniformizer pi_L = Y^x pi^y (x vtop + y p^k = 1, p^k the degree of the
-    algebra of Y), where vtop = v_top(Y).
+def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> tuple[int, FFElem]:
+    """i(sigma) = v_top((sigma - 1) pi_L) = 1 + v_top(sigma(Y) - Y) - vtop, for
+    any uniformizer pi_L = Y^x pi^y (x vtop + y p^k = 1, p^k the degree of
+    the algebra of Y), where vtop = v_top(Y); and theta, the leading
+    coefficient of N_(L/K_0)(sigma(Y) - Y).
 
     With delta = sigma(Y) - Y, (sigma - 1) pi_L = pi_L ((1 + delta/Y)^x - 1).
     When v(delta) > v(Y), the binomial term x delta/Y dominates strictly (p
@@ -129,15 +136,23 @@ def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> int:
     The dominance always holds in a totally ramified p-extension: every
     sigma != 1 lies in G_1, so sigma(Y)/Y is a principal unit.  A
     measurement without it is an OracleMismatch, not a fallback.
+
+    So sigma(pi_L)/pi_L - 1 and x delta/Y share their leading coefficient,
+    which is Serre's theta(sigma) in U^m/U^(m+1) = F_q, m = i(sigma) - 1
+    (Local Fields IV 2, Prop. 7).  The norm of an element c pi_L^v (1 + ...)
+    has the leading coefficient c^(p^k) N(pi_L)^v, so among the sigma of one
+    value i(sigma) the returned theta is s(theta(sigma)) for one F_p-linear
+    bijection s of F_q.
     """
     delta = sigma.apply(y_elem) - y_elem
     if delta.is_zero():
         raise OracleMismatch("a nontrivial automorphism fixes the generator")
-    v_delta = elt_valuation_top(delta)
+    v0, theta = elt_leading_term(delta)
+    v_delta = int(v0 * delta.algebra.p**delta.algebra.nvars)
     if v_delta <= vtop:
         raise OracleMismatch(
             f"v_top(sigma(Y) - Y) = {v_delta} <= v_top(Y) = {vtop}: sigma is not in G_1")
-    return 1 + v_delta - vtop
+    return 1 + v_delta - vtop, theta
 
 
 class FiltrationReport(Record):
@@ -162,19 +177,6 @@ class FiltrationReport(Record):
         }
 
 
-def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The representative of the class of cyclic subgroups holding the
-    nontrivial normal-form word ``word`` of H(n) or M(n): (P / c, 0) for a
-    prefix P != 0 whose first nonzero entry is c, and (0, ..., 0, 1) for a
-    central word."""
-    prefix = word[:-1]
-    lead = next((e for e in prefix if e), 0)
-    if not lead:
-        return prefix + (1,)
-    inverse = pow(lead, -1, p)
-    return tuple(e * inverse % p for e in prefix) + (0,)
-
-
 def ramification_filtration(tower: Tower, gen_data: GeneratorData,
                             table: GroupTable) -> FiltrationReport:
     """Find i(sigma) = v_L(sigma(pi_L) - pi_L) for every nontrivial group
@@ -187,41 +189,53 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     telescope from the p^(2n+1) words of the table down to 1.
 
     The table's group must be one that :func:`group_structure` confirmed as
-    H(n) or M(n).  One element per class of cyclic subgroups is measured and
-    its value fills the class: (p^(2n) - 1)/(p - 1) + 1 measurements for
-    p^(2n+1) - 1 elements.  This is exact:
+    H(n) or M(n).  Only the 2n + 1 generators are measured, from the table's
+    power walks, each with its theta (:func:`_shift_valuation`); every word
+    is filled from them.  A word of prefix 0 takes i(sigma_top), and any
+    other word the least i(sigma_j) over the j with e_j != 0.  This is
+    exact when, in each run of equal noncentral values below i(sigma_top),
+    the thetas are F_p-independent; a dependent run is an OracleMismatch.
     - i(sigma) >= m + 1 exactly when sigma is in G_m, a normal subgroup.
-      So i is a class function, i(tau sigma tau^(-1)) = i(sigma) (Serre,
-      Local Fields IV 1), and is constant on the generators of one cyclic
-      subgroup, since sigma is in G_m exactly when <sigma> is.
-    - The presentation makes G/Z = F_p^(2n), Z = <s_top> the center, with
-      the word prefix (e_1, ..., e_2n) as coordinates; in M(n), s_1^p is in
-      Z.  A noncentral sigma of prefix P has the conjugacy class sigma Z
-      (Z is the commutator subgroup and [sigma, G] = Z), and sigma^j, j
-      prime to p, has prefix jP.  So the words of prefix in F_p^* P make up
-      the classes of the generators of <sigma>, with the representative
-      (P / c, 0), c the first nonzero entry of P.  The p - 1 central words
-      generate Z and share (0, ..., 0, 1).
-    - The checks on a measurement give the same outcome across its class:
-      sigma fixes Y only if sigma = 1, since Y generates L (p does not
-      divide v_top(Y)), and v_top(sigma(Y) - Y) > v_top(Y) says sigma is in
-      G_1, which is normal.
+      Every nontrivial normal subgroup of a p-group meets the center, and
+      Z = <sigma_top> has order p, so every nontrivial G_m contains Z.  So
+      no element goes deeper than sigma_top, the p - 1 central words, which
+      generate Z, share i(sigma_top), and G_m/Z is a subspace of
+      G/Z = F_p^(2n), the word prefix (e_1, ..., e_2n) as coordinates; in
+      M(n), s_1^p is in Z.
+    - A word w with a nonzero prefix lies in G_(m-1), m the least i(sigma_j)
+      over its support, since every sigma_j there and Z do.  theta_(m-1):
+      G_(m-1)/G_m -> F_q is an injective homomorphism (Serre, Local Fields
+      IV 2, Prop. 7), so theta(w) is the sum of e_j theta(sigma_j) over the
+      j of the run at value m; the other sigma_j and Z lie in G_m, or, for
+      m = i(sigma_top), w can go no deeper.  With the run's thetas
+      independent, theta(w) != 0: w is not in G_m, and i(w) = m.
+    - The returned thetas are one F_p-linear bijection of the true ones
+      within a run, so their F_p-rank (artin_schreier.fp_rank) is the
+      run's.
     """
     p = tower.p
     k = tower.nvars
-    measured: dict[tuple[int, ...], int] = {}
-    ivals: dict[tuple[int, ...], int] = {}
-    for word in table.words[1:]:
-        rep = _cyclic_class(word, p)
-        if rep not in measured:
-            measured[rep] = _shift_valuation(table[rep], gen_data.element, gen_data.vtop)
-        ivals[word] = measured[rep]
+    measured = [_shift_valuation(walk[1], gen_data.element, gen_data.vtop)
+                for walk in table.powers]
+    gen_ivals = [i for i, _ in measured]
+    top = gen_ivals[-1]
+    for m in sorted({i for i in gen_ivals[:-1] if i < top}):
+        run = [j for j in range(k - 1) if gen_ivals[j] == m]
+        rank = fp_rank(tower.field, [measured[j][1] for j in run])
+        if rank < len(run):
+            names = ", ".join(f"sigma_{j + 1}" for j in run)
+            raise OracleMismatch(f"the thetas of {names} at i = {m} have F_p-rank {rank}: "
+                                 "a combination lies deeper")
+    by_prefix = {prefix: min((gen_ivals[j] for j, e in enumerate(prefix) if e), default=top)
+                 for prefix in itertools.product(range(p), repeat=k - 1)}
+    ivals = {word: by_prefix[word[:-1]] for word in table.words[1:]}
 
-    breaks = sorted({v - 1 for v in ivals.values()})
-    sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
+    counts = Counter(ivals.values())
+    breaks = sorted(v - 1 for v in counts)
+    sizes = [1 + sum(c for v, c in counts.items() if v - 1 >= b) for b in breaks]
     multiset = _jump_multiset(breaks, sizes, p, "filtration")
 
-    different_val = sum(ivals.values())
+    different_val = sum(v * c for v, c in counts.items())
     hilbert = _hilbert_sum(p, multiset)
     return FiltrationReport(ivals, tuple(multiset), different_val, hilbert,
                             _uniformizer_exponents(gen_data.vtop, p**k))
@@ -394,7 +408,7 @@ def _cp_break(tower: Tower, i: int) -> int:
     mini.set_relation(0, mini.from_series(tower.a[i - 1]))
     alpha = mini.gen(0)
     sigma = GaloisMap(mini, [alpha + mini.one()])
-    return _shift_valuation(sigma, alpha, elt_valuation_top(alpha)) - 1
+    return _shift_valuation(sigma, alpha, elt_valuation_top(alpha))[0] - 1
 
 
 def verify_elementary_layers(tower: Tower, filtration: FiltrationReport) -> LayersReport:

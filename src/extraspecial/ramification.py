@@ -151,10 +151,10 @@ def build_shift_tables(p: int, n: int, b: Sequence[int]) -> ShiftTables:
     forward = [(-v) % pn for v in shift]  # s -> r(-shift(s))
     if len(set(forward)) != pn:
         raise ValueError("shift residues do not form a bijection")
-    inverse = [0] * pn
+    backward = [0] * pn
     for s, t in enumerate(forward):
-        inverse[t] = s
-    return ShiftTables(p, n, b, tuple(shift), tuple(inverse))
+        backward[t] = s
+    return ShiftTables(p, n, b, tuple(shift), tuple(backward))
 
 
 class RamCheck(Record, frozen=True):

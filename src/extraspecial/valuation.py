@@ -389,6 +389,10 @@ class LaurentSeries:
         """Exactly zero; False for an imprecise zero, whose value is unknown."""
         return not self.coeffs and self.prec == math.inf
 
+    def __bool__(self):
+        raise TypeError("a series has no truth value: an imprecise zero is neither "
+                        "zero nor nonzero; use is_zero()")
+
     def valuation(self):
         """Least exponent with a nonzero coefficient; inf for exact zero."""
         if self.coeffs:

@@ -77,6 +77,8 @@ def test_check_sees_an_unused_import():
 # definitions no package code names, each with the reason it stays
 UNREACHED_ALLOWED = {
     "record.py:Record.replace": "the record API that tests use to build variants",
+    "valuation.py:LaurentSeries.inverse": "bench/bench_trace.py patches it by name; it goes "
+                                          "with that patching (ROADMAP item 5)",
 }
 
 

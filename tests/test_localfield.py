@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from extraspecial import (INF, LaurentSeries, PrecisionError, TowerAlgebra,
+from extraspecial import (INF, FFElem, LaurentSeries, PrecisionError, TowerAlgebra,
                           TowerElement, TowerParams, build_tower, construct_generator,
                           elt_valuation, elt_valuation_top, enumerate_group,
-                          galois_generators, group_structure, localfield, oracle,
-                          residue_field, verify_family, witt_carry)
+                          galois_generators, group_structure, localfield,
+                          residue_field, witt_carry)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
 from conftest import const, random_elem, random_series
@@ -142,6 +142,12 @@ class TestValuation:
     def test_zero(self, h_tower):
         assert elt_valuation(h_tower.algebra.zero()) == INF
 
+    def test_no_truth_value(self, h_tower):
+        # an imprecise zero coefficient is neither zero nor nonzero
+        for x in (h_tower.algebra.zero(), h_tower.alpha(1)):
+            with pytest.raises(TypeError, match=r"use is_zero\(\)"):
+                bool(x)
+
     def test_imprecise_zero_coefficient_is_kept_and_refused(self):
         # (1 + O(pi^5)) - 1 is O(pi^5), not 0: the tower keeps it and the
         # valuation refuses to guess
@@ -194,7 +200,7 @@ TIER1_TOWERS = [(v, p, n) for p, n in [(3, 1), (3, 2), (5, 1), (7, 1)] for v in 
 def exact_chain(x):
     """v_0(x) through the exact norm chain: the capped chain's fallback,
     kept here as its test oracle."""
-    return INF if x.is_zero() else localfield._norm_valuation(x, None)
+    return INF if x.is_zero() else localfield._norm_valuation(x, None)[0]
 
 
 def valuation_outcome(fn, x):
@@ -238,23 +244,16 @@ class TestCappedValuation:
 
     @pytest.mark.parametrize("variant, p", [("H", 3), ("M", 3), ("H", 5)])
     def test_oracle_elements_match_exact_chain(self, monkeypatch, variant, p):
-        measured = []
-        real = localfield.elt_valuation
-
-        def record(x):
-            measured.append(x)
-            return real(x)
-
-        monkeypatch.setattr(localfield, "elt_valuation", record)
-        # the filtration measures every element, not one per class of cyclic
-        # subgroups, so that each sigma(Y) - Y is among the elements checked
-        monkeypatch.setattr(oracle, "_cyclic_class", lambda word, p: word)
-        assert verify_family(variant, p, 1, 1, 1).passed
-        assert len(measured) > 20
-        want = [valuation_outcome(exact_chain, x) for x in measured]
+        # sigma(Y) - Y for every word: the capped chain certifies the exact
+        # chain's leading term, valuation and coefficient, at every first cap
+        tower = make_tower(variant, p)
+        table = enumerate_group(tower, galois_generators(tower))
+        y = construct_generator(tower).element
+        deltas = [table[w].apply(y) - y for w in table.words[1:]]
+        want = [localfield._norm_valuation(x, None) for x in deltas]
         for start in (1, 2, 8):
             monkeypatch.setattr(localfield, "CAP_START", start)
-            assert [valuation_outcome(real, x) for x in measured] == want
+            assert [localfield.elt_leading_term(x) for x in deltas] == want
 
     @pytest.mark.parametrize("N, attempts", [(1, [8]), (2, [8, 16]), (3, [8, 16, 32]),
                                              (5, [8, 16, 32, 64, 128, 256]),
@@ -295,19 +294,27 @@ class TestCappedValuation:
         assert capped.coeffs[(0, 1, 0)] is imprecise
 
 
-def ring_det_chain(x):
-    """v_0(x) through the exact _level_norm determinant on every level: the
-    norm chain before the closed forms, kept here as their test oracle."""
-    if x.is_zero():
-        return INF
+def ring_det_leading(x):
+    """The leading term of N_(L/K_0)(x), v_0(x) and the leading coefficient,
+    through the exact _level_norm determinant on every level: the norm
+    chain before the closed forms, kept here as their test oracle.  The
+    chain ends with N_(K_l/K_0)(x), l the support level, and N_(L/K_0)(x)
+    is its p^(k-l)-th power."""
     level = x.support_level()
     cur = x
     for i in range(level - 1, -1, -1):
         cur = localfield._level_norm(cur, i)
-    v = cur.constant_series().valuation()
+    norm = cur.constant_series()
+    v = norm.valuation()
     if v == INF:
         raise ConstructionError("nonzero element has exactly zero norm; algebra is not a domain")
-    return Fraction(v, x.algebra.p**level)
+    p, k = x.algebra.p, x.algebra.nvars
+    return Fraction(v, p**level), FFElem(norm.field, norm.coeffs[v]) ** p**(k - level)
+
+
+def ring_det_chain(x):
+    """v_0(x) from ring_det_leading; INF for exact zero."""
+    return INF if x.is_zero() else ring_det_leading(x)[0]
 
 
 def linear_element(algebra, rng, level):
@@ -384,6 +391,11 @@ class TestClosedFormNorms:
         assert not any(isinstance(o, tuple) for o in want[:len(exact)])
         assert any(isinstance(o, tuple) for o in want[len(exact):])
         assert [valuation_outcome(elt_valuation, x) for x in elements] == want
+        # the closed forms and the bottom rule also give the norm's leading
+        # coefficient
+        nonzero = [x for x in exact if not x.is_zero()]
+        assert [localfield.elt_leading_term(x) for x in nonzero] == \
+            [ring_det_leading(x) for x in nonzero]
 
     def test_exact_linear_elements_take_no_determinant(self, monkeypatch, h_tower):
         calls = []
@@ -457,7 +469,7 @@ class TestClosedFormNorms:
         elements = [algebra.gen(0) - pole, pole * algebra.gen(0) + 1]
         elements += [element_below(algebra, rng, 1, rng.randint(1, 2), terms=3) for _ in range(6)]
         for x in elements:
-            assert elt_valuation(x) == ring_det_chain(x)
+            assert localfield.elt_leading_term(x) == ring_det_leading(x)
 
     def test_bottom_valuation_reads_windows(self, h_tower):
         f = h_tower.field
@@ -472,20 +484,42 @@ class TestClosedFormNorms:
                        algebra.zero())
 
         exact = LaurentSeries.monomial(f, 1, 0)
-        # terms 3 v_0(c_j) - j: 0 from c_0, -1 from c_1, -2 from c_2
-        assert localfield._bottom_valuation(elt(exact, exact, exact), u1) == -2
+        # terms 3 v_0(c_j) - j: 0 from c_0, -1 from c_1, -2 from c_2; a_1 = pi^-1,
+        # so the leading term lead(c_j)^3 lead(a_1)^j of the minimum is pi^-2
+        assert localfield._bottom_leading_term(elt(exact, exact, exact), u1) == \
+            LaurentSeries.monomial(f, 1, -2)
         # a known lead with a window certifies its term
-        assert localfield._bottom_valuation(
-            elt(exact, exact, exact.truncate(1)), u1) == -2
+        assert localfield._bottom_leading_term(
+            elt(exact, exact, exact.truncate(1)), u1) == LaurentSeries.monomial(f, 1, -2)
         # an imprecise zero whose bound 3N - j lies above the minimum
         above = LaurentSeries(f, {}, prec=1)
-        assert localfield._bottom_valuation(elt(above, exact), u1) == -1
+        assert localfield._bottom_leading_term(elt(above, exact), u1) == \
+            LaurentSeries.monomial(f, 1, -1)
         # ... and one whose bound -3 does not
         below = LaurentSeries(f, {}, prec=-1)
         with pytest.raises(PrecisionError):
-            localfield._bottom_valuation(elt(below, exact), u1)
+            localfield._bottom_leading_term(elt(below, exact), u1)
         with pytest.raises(PrecisionError):
-            localfield._bottom_valuation(elt(below, below), u1)
+            localfield._bottom_leading_term(elt(below, below), u1)
+
+
+    def test_bottom_leading_term_is_the_norms(self, f9):
+        # a_1 = g pi^-1: lead(c_j)^3 lead(a_1)^j against the 3 x 3 determinant
+        g = f9.gen()
+        algebra = TowerAlgebra(f9, 1)
+        algebra.set_relation(0, algebra.from_series(LaurentSeries.monomial(f9, g, -1)))
+        u1 = localfield._bottom_break(algebra)
+        assert u1 == 1
+        rng = random.Random(4240)
+        for _ in range(8):
+            x = element_below(algebra, rng, 1, rng.randint(1, 2), terms=3)
+            norm = localfield._level_norm(x, 0).constant_series()
+            v = norm.valuation()
+            assert localfield._bottom_leading_term(x, u1) == \
+                LaurentSeries.monomial(f9, FFElem(f9, norm.coeffs[v]), v)
+        # c_2 = g takes the minimum -2: g^3 g^2
+        x = algebra.gen(0) ** 2 * LaurentSeries.monomial(f9, g, 0) + 1
+        assert localfield._bottom_leading_term(x, u1) == LaurentSeries.monomial(f9, g**5, -2)
 
 
 class TestGaloisGenerators:

@@ -20,9 +20,8 @@ from extraspecial import (INF, ConstructionError, GaloisMap, LaurentSeries, Orac
 from extraspecial import localfield
 from extraspecial import oracle as oracle_mod
 from extraspecial.detval import _twist_valuation, frobenius_matrix
-from extraspecial.oracle import (FiltrationReport, _cp_break, _cyclic_class, _hilbert_sum,
-                                 _jump_multiset, _plog, _shift_valuation,
-                                 _uniformizer_exponents)
+from extraspecial.oracle import (FiltrationReport, _cp_break, _hilbert_sum, _jump_multiset,
+                                 _plog, _shift_valuation, _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
 from conftest import random_elem
 from test_localfield import (TIER1_TOWERS, as_other_variant, eager_products, exact_chain,
@@ -160,7 +159,7 @@ def full_filtration(tower, gen_data, table) -> FiltrationReport:
     x, y = _uniformizer_exponents(gen_data.vtop, p**k)
     ivals = {}
     for word in table.words[1:]:
-        ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)
+        ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)[0]
         assert ivals[word] >= 2
 
     breaks = sorted({v - 1 for v in ivals.values()})
@@ -170,6 +169,39 @@ def full_filtration(tower, gen_data, table) -> FiltrationReport:
         raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
     hilbert = loop_hilbert_sum(p, multiset)
     return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()), hilbert, (x, y))
+
+
+def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The representative of the class of cyclic subgroups holding the
+    nontrivial normal-form word ``word`` of H(n) or M(n): (P / c, 0) for a
+    prefix P != 0 whose first nonzero entry is c, and (0, ..., 0, 1) for a
+    central word."""
+    prefix = word[:-1]
+    lead = next((e for e in prefix if e), 0)
+    if not lead:
+        return prefix + (1,)
+    scale = pow(lead, -1, p)
+    return tuple(e * scale % p for e in prefix) + (0,)
+
+
+def class_filtration(tower, gen_data, table) -> FiltrationReport:
+    """Reference: the class loop that the generator measurements replaced.
+    i(sigma) is a class function and constant on the generators of one
+    cyclic subgroup, so it measures one representative per class of cyclic
+    subgroups, (p^(2n) - 1)/(p - 1) + 1 of them, and fills the class."""
+    p = tower.p
+    measured, ivals = {}, {}
+    for word in table.words[1:]:
+        rep = _cyclic_class(word, p)
+        if rep not in measured:
+            measured[rep] = _shift_valuation(table[rep], gen_data.element, gen_data.vtop)[0]
+        ivals[word] = measured[rep]
+    breaks = sorted({v - 1 for v in ivals.values()})
+    sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
+    multiset = _jump_multiset(breaks, sizes, p, "filtration")
+    return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()),
+                            _hilbert_sum(p, multiset),
+                            _uniformizer_exponents(gen_data.vtop, p**tower.nvars))
 
 
 def loop_hilbert_sum(p, multiset) -> int:
@@ -230,9 +262,17 @@ def _tower_id(params) -> str:
     return f"{params.variant}-{params.p}-{params.n}-m{''.join(map(str, params.m))}"
 
 
+def _unit_words(k: int) -> set:
+    """The identity and the 2n noncentral unit words, the products
+    enumerate_group builds to read each generator's word."""
+    return {tuple(int(i == j) for j in range(k)) for i in range(-1, k - 1)}
+
+
 class TestCyclicClasses:
-    """The filtration measures one element per class of cyclic subgroups of
-    the group whose presentation group_structure confirmed."""
+    """The filtration measures the 2n + 1 generators of the group whose
+    presentation group_structure confirmed, with their thetas, and fills
+    every word from them; the class loop over the cyclic subgroups, and the
+    loop over every element, are its references."""
 
     @pytest.fixture(scope="class", params=CLASS_TOWERS, ids=_tower_id)
     def staged(self, request):
@@ -240,15 +280,49 @@ class TestCyclicClasses:
 
     def test_matches_full_filtration(self, staged, monkeypatch):
         tower, table, gen_data = staged
-        p, n = tower.p, tower.n
-        shortcut, calls = _count_measurements(
+        filled, calls = _count_measurements(
             monkeypatch, lambda: ramification_filtration(tower, gen_data, table))
-        assert calls == (p**(2 * n) - 1) // (p - 1) + 1
-        assert shortcut == full_filtration(tower, gen_data, table)
-        # on m = (0, 1, 2) the noncentral words take two values, so a class
-        # map that merged noncentral classes would show there
-        noncentral = {v for w, v in shortcut.ivals.items() if any(w[:-1])}
+        assert calls == tower.nvars
+        assert set(table.built) == _unit_words(tower.nvars)
+        assert filled == full_filtration(tower, gen_data, table)
+        # on m = (0, 1, 2) the noncentral words take two values, so a fill
+        # that ignored the generators' values would show there
+        noncentral = {v for w, v in filled.ivals.items() if any(w[:-1])}
         assert len(noncentral) == (2 if tower.params.m == (0, 1, 2) else 1)
+
+    @pytest.mark.parametrize("params", [CLASS_TOWERS[i] for i in (0, 1, 2, 3, 7, 9)],
+                             ids=_tower_id)
+    def test_thetas_add_within_a_break(self, params):
+        # theta_m is a homomorphism on G_m / G_(m+1), so the theta of every
+        # word, read from its own sigma(Y) - Y, is the F_q-sum of e_j theta_j
+        # over the generators of its value; the norm's p^(k-l) twist puts the
+        # thetas of elements of different support levels on one scale
+        tower, table, gen_data = _staged(params)
+        y, vtop, f = gen_data.element, gen_data.vtop, tower.field
+        gens = [_shift_valuation(walk[1], y, vtop) for walk in table.powers]
+        for word in table.words[1:]:
+            i, theta = _shift_valuation(table[word], y, vtop)
+            total = sum((LaurentSeries.monomial(f, t) * e
+                         for e, (i_j, t) in zip(word, gens) if e and i_j == i),
+                        LaurentSeries.zero(f))
+            assert total == LaurentSeries.monomial(f, theta), word
+
+    def test_matches_the_class_loop_on_the_sweep(self):
+        draws = 0
+        for params in sweep_draws(SWEEP_SEED, SWEEP_COUNT):
+            if not plan(params).certified:
+                continue
+            tower, table, gen_data = _staged(params)
+            assert ramification_filtration(tower, gen_data, table) == \
+                class_filtration(tower, gen_data, table), params
+            draws += 1
+        assert draws > 20
+
+    @pytest.mark.parametrize("variant", ["H", "M"])
+    def test_matches_the_class_loop_at_7_2(self, variant):
+        tower, table, gen_data = _staged(family_params(variant, 7, 2, 1, 1, INF, None))
+        assert ramification_filtration(tower, gen_data, table) == \
+            class_filtration(tower, gen_data, table)
 
     @staticmethod
     def _tables(monkeypatch) -> list:
@@ -260,19 +334,20 @@ class TestCyclicClasses:
         return tables
 
     @pytest.mark.parametrize("params", CLASS_TOWERS[:8], ids=_tower_id)
-    def test_confirmed_verify_builds_the_class_representatives(self, params, monkeypatch):
+    def test_confirmed_verify_builds_only_the_unit_words(self, params, monkeypatch):
         tables = self._tables(monkeypatch)
-        assert verify_tower(params).passed
+        report, calls = _count_measurements(monkeypatch, lambda: verify_tower(params))
+        assert report.passed
         (table,) = tables
-        p, k = params.p, 2 * params.n + 1
-        reps = {_cyclic_class(w, p) for w in table.words[1:]}
-        assert len(reps) == (p**(k - 1) - 1) // (p - 1) + 1
-        assert set(table.built) == reps | {table.words[0]}
+        k = 2 * params.n + 1
+        # 2n + 1 generators, and one generator per degree-p layer
+        assert calls == k + 2 * params.n
+        assert set(table.built) == _unit_words(k)
 
     @pytest.mark.parametrize("params", CLASS_TOWERS[:8], ids=_tower_id)
     def test_failed_presentation_stops_verify(self, params, monkeypatch):
         # a tower read against the other variant's presentation: verify_tower
-        # raises before the filtration measures a class or builds a product
+        # raises before the filtration measures a generator or builds a product
         tables = self._tables(monkeypatch)
         real = oracle_mod.group_structure
 
@@ -286,9 +361,7 @@ class TestCyclicClasses:
             verify_tower(params)
         assert measured == []
         (table,) = tables
-        k = 2 * params.n + 1
-        assert set(table.built) == {tuple(int(i == j) for j in range(k))
-                                    for i in range(-1, k - 1)}
+        assert set(table.built) == _unit_words(2 * params.n + 1)
 
     def test_class_representatives(self):
         assert _cyclic_class((2, 4, 3), 5) == (1, 2, 0)
@@ -459,7 +532,7 @@ def every_power_break(tower, i) -> int:
     alpha = mini.gen(0)
     vtop = elt_valuation_top(alpha)
     sigma = GaloisMap(mini, [alpha + mini.one()])
-    breaks = {_shift_valuation(s, alpha, vtop) - 1 for s in sigma.powers()[1:]}
+    breaks = {_shift_valuation(s, alpha, vtop)[0] - 1 for s in sigma.powers()[1:]}
     assert len(breaks) == 1, breaks
     return breaks.pop()
 
@@ -506,6 +579,18 @@ def _trip_fixed_generator():
     _shift_valuation(GaloisMap.identity(tower.algebra), gen_data.element, gen_data.vtop)
 
 
+def _trip_dependent_run():
+    # sigma_1 and sigma_2 share i = 2 < i(sigma_top) = 83; fed equal thetas,
+    # their run is F_p-dependent
+    tower, gens, gen_data = _h31()
+    table = enumerate_group(tower, gens)
+    real = oracle_mod._shift_valuation
+    one = tower.field.one()
+    with mock.patch.object(oracle_mod, "_shift_valuation",
+                           lambda *args: (real(*args)[0], one)):
+        ramification_filtration(tower, gen_data, table)
+
+
 def _trip_scaffold(first, last):
     tower, gens, gen_data = _h31()
     scaffold_row_check(_moved_b(tower, first, last), gen_data, gens)
@@ -523,6 +608,8 @@ MISMATCH_TRIPS = {
     "fixed_generator": (_trip_fixed_generator, "a nontrivial automorphism fixes the generator"),
     "outside_g1": (lambda: _shift_valuation(*unramified_layer(), 0),
                    "v_top(sigma(Y) - Y) = 0 <= v_top(Y) = 0: sigma is not in G_1"),
+    "dependent_run": (_trip_dependent_run, "the thetas of sigma_1, sigma_2 at i = 2 have "
+                      "F_p-rank 1: a combination lies deeper"),
     "x_valuation": (lambda: _trip_scaffold(0, 1), "v_top(X) = -82, expected -83"),
     "mu_row": (lambda: _trip_scaffold(1, 0), "v_top(mu_1) = -81 != b_1 - b_top = -80"),
 }
@@ -584,10 +671,11 @@ class TestVerifyFamily:
         assert rep.group.commutator_words[(1, 2)] == (0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("variant, p, n", [("H", 3, 3), ("M", 3, 3), ("H", 5, 2),
-                                               ("M", 5, 2), ("H", 7, 2), ("M", 7, 2)])
+                                               ("M", 5, 2), ("H", 7, 2), ("M", 7, 2),
+                                               ("H", 5, 3), ("M", 5, 3)])
     def test_large_tower_closed_forms(self, variant, p, n):
-        # orders 3^7 over F_729 (residue degree 6), 5^5 over F_625 and 7^5
-        # over F_2401; the closed forms of u = t = 1 are those of
+        # orders 3^7 over F_729 (residue degree 6), 5^5 over F_625, 7^5
+        # over F_2401 and 5^7 over F_15625; the closed forms of u = t = 1 are those of
         # bench/bench_gate.py: b = (1, ..., 1, p^(4n) + 1), and Hilbert's sum
         # of the different, p^(2n+1) - 1 at i = 0 and 1 and p - 1 at each of
         # the p^(4n) values i = 2..b_top (looping over them takes seconds at
@@ -762,7 +850,7 @@ class TestExactness:
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
     def test_verify_values_only_exact_elements(self, monkeypatch, variant, p, n):
         valued, calls = [], {"inverse": 0, "level_norm": 0}
-        real_valuation = localfield.elt_valuation
+        real_valuation = localfield.elt_leading_term
         real_inverse = LaurentSeries.inverse
         real_level_norm = localfield._level_norm
 
@@ -778,7 +866,9 @@ class TestExactness:
             calls["level_norm"] += 1
             return real_level_norm(x, i)
 
-        monkeypatch.setattr(localfield, "elt_valuation", valuation_spy)
+        # every valuation and leading term of a verify runs elt_leading_term
+        monkeypatch.setattr(localfield, "elt_leading_term", valuation_spy)
+        monkeypatch.setattr(oracle_mod, "elt_leading_term", valuation_spy)
         monkeypatch.setattr(LaurentSeries, "inverse", inverse_spy)
         monkeypatch.setattr(localfield, "_level_norm", level_norm_spy)
         assert verify_family(variant, p, n, 1, 1).passed

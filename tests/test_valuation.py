@@ -262,6 +262,13 @@ class TestPrecisionSemantics:
         assert (z * LaurentSeries(f9, {}, prec=-2)).prec == 8
         assert (z * LaurentSeries.zero(f9)).is_zero()
 
+    def test_no_truth_value(self, f9):
+        # an imprecise zero is neither zero nor nonzero, so no series is truthy
+        for s in (LaurentSeries.zero(f9), LaurentSeries(f9, {}, prec=10),
+                  LaurentSeries.one(f9)):
+            with pytest.raises(TypeError, match=r"use is_zero\(\)"):
+                bool(s)
+
     def test_mul_precision_rule(self, f9):
         a = LaurentSeries(f9, {-1: f9(1)}, prec=5)
         b = LaurentSeries(f9, {2: f9(2)}, prec=7)
