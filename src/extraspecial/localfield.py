@@ -586,14 +586,19 @@ def elt_valuation(x: TowerElement) -> Fraction | float:
     return INF if x.is_zero() else elt_leading_term(x)[0]
 
 
+def top_valuation(v0: Fraction, algebra: TowerAlgebra) -> int:
+    """v_top = p^k v_0 as an integer, k the generator count of the algebra
+    (2n+1 for a tower)."""
+    # v_0 is in (1/p^level) Z, level <= k, so the product is an integer
+    return int(v0 * algebra.p**algebra.nvars)
+
+
 def elt_valuation_top(x: TowerElement) -> int:
-    """v_top(x) = p^k v_0(x) as an integer, k the generator count of the
-    algebra of x (2n+1 for a tower)."""
+    """v_top(x), the top_valuation of elt_valuation(x)."""
     v = elt_valuation(x)
     if v == INF:
         raise ValueError("valuation of zero requested in top normalization")
-    # v is in (1/p^level) Z, level <= k, so the product is an integer
-    return int(v * x.algebra.p**x.algebra.nvars)
+    return top_valuation(v, x.algebra)
 
 
 # ---------------------------------------------------------------------------

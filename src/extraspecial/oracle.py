@@ -22,7 +22,7 @@ from .detval import frobenius_matrix, ring_det, ti_valuations
 from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra,
                          TowerElement, TowerParams, build_tower, elt_leading_term,
                          elt_valuation_top, enumerate_group, galois_generators,
-                         group_structure)
+                         group_structure, top_valuation)
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
 from .record import Record
@@ -148,7 +148,7 @@ def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> tuple
     if delta.is_zero():
         raise OracleMismatch("a nontrivial automorphism fixes the generator")
     v0, theta = elt_leading_term(delta)
-    v_delta = int(v0 * delta.algebra.p**delta.algebra.nvars)
+    v_delta = top_valuation(v0, delta.algebra)
     if v_delta <= vtop:
         raise OracleMismatch(
             f"v_top(sigma(Y) - Y) = {v_delta} <= v_top(Y) = {vtop}: sigma is not in G_1")

@@ -6,8 +6,8 @@ import pytest
 from extraspecial import (INF, FFElem, LaurentSeries, PrecisionError, TowerAlgebra,
                           TowerElement, TowerParams, build_tower, construct_generator,
                           elt_valuation, elt_valuation_top, enumerate_group,
-                          galois_generators, group_structure, localfield,
-                          residue_field, witt_carry)
+                          galois_generators, group_structure, localfield, oracle,
+                          residue_field, verify_family, witt_carry)
 from extraspecial.localfield import ConstructionError, GaloisMap, PlanRejection
 from extraspecial.planner import default_leads
 from conftest import const, random_elem, random_series
@@ -244,16 +244,29 @@ class TestCappedValuation:
 
     @pytest.mark.parametrize("variant, p", [("H", 3), ("M", 3), ("H", 5)])
     def test_oracle_elements_match_exact_chain(self, monkeypatch, variant, p):
-        # sigma(Y) - Y for every word: the capped chain certifies the exact
-        # chain's leading term, valuation and coefficient, at every first cap
+        # every element a verify values (Y, the filtration's and the layers'
+        # Galois differences, the scaffold elements), and sigma(Y) - Y for
+        # every word: the capped chain certifies the exact chain's leading
+        # term, valuation and coefficient, at every first cap
+        real = localfield.elt_leading_term
+        measured = []
+
+        def record(x):
+            measured.append(x)
+            return real(x)
+
+        monkeypatch.setattr(localfield, "elt_leading_term", record)
+        monkeypatch.setattr(oracle, "elt_leading_term", record)
+        assert verify_family(variant, p, 1, 1, 1).passed
+        assert len(measured) >= 9
         tower = make_tower(variant, p)
         table = enumerate_group(tower, galois_generators(tower))
         y = construct_generator(tower).element
-        deltas = [table[w].apply(y) - y for w in table.words[1:]]
-        want = [localfield._norm_valuation(x, None) for x in deltas]
+        elements = measured + [table[w].apply(y) - y for w in table.words[1:]]
+        want = [localfield._norm_valuation(x, None) for x in elements]
         for start in (1, 2, 8):
             monkeypatch.setattr(localfield, "CAP_START", start)
-            assert [localfield.elt_leading_term(x) for x in deltas] == want
+            assert [real(x) for x in elements] == want
 
     @pytest.mark.parametrize("N, attempts", [(1, [8]), (2, [8, 16]), (3, [8, 16, 32]),
                                              (5, [8, 16, 32, 64, 128, 256]),
