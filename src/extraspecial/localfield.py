@@ -29,7 +29,6 @@ chain when the cap cannot certify.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .artin_schreier import witt_carry
@@ -661,12 +660,8 @@ class GroupTable:
         self.powers = powers    # gens[i].powers(), walked once
         identity = powers[0][0]
         p, k = identity.algebra.p, identity.algebra.nvars
-        self.words = tuple(itertools.product(range(p), repeat=k))
-        self.built: dict[tuple[int, ...], GaloisMap] = {self.words[0]: identity}
-
-    @property
-    def order(self) -> int:
-        return len(self.words)
+        self.order = p**k
+        self.built: dict[tuple[int, ...], GaloisMap] = {(0,) * k: identity}
 
     def __getitem__(self, word: tuple[int, ...]) -> GaloisMap:
         m = self.built.get(word)

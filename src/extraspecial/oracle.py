@@ -15,7 +15,6 @@ and v_0(t_top), and builds no X.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .artin_schreier import fp_rank
 from .detval import frobenius_matrix, ring_det, ti_valuations
@@ -26,31 +25,11 @@ from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
 from .record import Record
-from .valuation import INF, FFElem, LaurentSeries, exact_log, extended_json
+from .valuation import INF, FFElem, LaurentSeries, extended_json
 
 
 class OracleMismatch(RuntimeError):
     """A measured quantity disagrees with its predicted value."""
-
-
-def _plog(ratio: int, p: int) -> int:
-    """Exact base-p logarithm; OracleMismatch when ratio is not a p-power."""
-    out = exact_log(p, ratio)
-    if out is None:
-        raise OracleMismatch(f"{ratio} is not a power of p = {p}")
-    return out
-
-
-def _jump_multiset(jumps: list, sizes: list[int], p: int, what: str) -> list:
-    """Each jump repeated log_p(sizes[i] / sizes[i+1]) times: ``sizes[i]`` is
-    the order of the subgroup at ``jumps[i]``, trivial past the last jump."""
-    sizes = sizes + [1]
-    out: list = []
-    for jump, at, after in zip(jumps, sizes, sizes[1:]):
-        if at % after:
-            raise OracleMismatch(f"{what} sizes {at}/{after} not nested")
-        out.extend([jump] * _plog(at // after, p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +135,56 @@ def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> tuple
 
 
 class FiltrationReport(Record):
-    ivals: dict
+    p: int
+    gen_ivals: tuple[int, ...]  # i(sigma_1), ..., i(sigma_2n), i(sigma_top)
     lower_multiset: tuple[int, ...]
     different_val: int
     hilbert_sum: int
     uniformizer: tuple[int, int]
 
+    @classmethod
+    def from_generators(cls, p: int, gen_ivals: tuple[int, ...],
+                        uniformizer: tuple[int, int]) -> "FiltrationReport":
+        """The filtration :attr:`ivals` fills from the generator values:
+        |G_b| = p^(1 + #{j : i(sigma_j) - 1 >= b}) for b < i(sigma_top), so
+        the lower breaks are the i(sigma_j) - 1; a noncentral value above
+        i(sigma_top) is an OracleMismatch.  The different, the sum of i(w)
+        over w != 1, is (p - 1) i(sigma_top) for the central words plus,
+        for each d >= 1, p words per nonzero prefix of least value >= d:
+        p^#{j : i(sigma_j) >= d} - 1 prefixes, constant for d in (d', d],
+        d' < d consecutive distinct noncentral values (d' = 0 first)."""
+        noncentral, top = gen_ivals[:-1], gen_ivals[-1]
+        for j, i in enumerate(noncentral):
+            if i > top:
+                raise OracleMismatch(f"i(sigma_{j + 1}) = {i} > i(sigma_top) = {top}: "
+                                     f"sigma_{j + 1} lies deeper than the center")
+        lower = tuple(sorted(i - 1 for i in gen_ivals))
+        different, prev = (p - 1) * top, 0
+        for d in sorted(set(noncentral)):
+            different += p * (d - prev) * (p ** sum(1 for i in noncentral if i >= d) - 1)
+            prev = d
+        return cls(p, gen_ivals, lower, different, _hilbert_sum(p, lower), uniformizer)
+
     @property
     def consistent(self) -> bool:
         return self.different_val == self.hilbert_sum
 
+    @property
+    def ivals(self) -> dict:
+        """i(w) for every word w != 1, in itertools.product order, filled
+        from the generator values: a word of prefix 0 takes i(sigma_top),
+        any other the least i(sigma_j) over the j with e_j != 0."""
+        p, top = self.p, self.gen_ivals[-1]
+        out = {}
+        for prefix in itertools.product(range(p), repeat=len(self.gen_ivals) - 1):
+            i = min((v for v, e in zip(self.gen_ivals, prefix) if e), default=top)
+            out.update((prefix + (e,), i) for e in range(p))
+        del out[(0,) * len(self.gen_ivals)]
+        return out
+
     def to_dict(self) -> dict:
         return {
-            "ivals": {",".join(map(str, w)): v for w, v in sorted(self.ivals.items())},
+            "ivals": {",".join(map(str, w)): v for w, v in self.ivals.items()},
             "lower_multiset": list(self.lower_multiset),
             "different_val": self.different_val,
             "hilbert_sum": self.hilbert_sum,
@@ -179,22 +195,20 @@ class FiltrationReport(Record):
 
 def ramification_filtration(tower: Tower, gen_data: GeneratorData,
                             table: GroupTable) -> FiltrationReport:
-    """Find i(sigma) = v_L(sigma(pi_L) - pi_L) for every nontrivial group
-    element and derive the lower ramification multiset from the jumps.
+    """Find i(sigma) = v_L(sigma(pi_L) - pi_L) on the 2n + 1 generators and
+    read the filtration from them (:meth:`FiltrationReport.from_generators`).
 
     The reported uniformizer is pi_L = Y^x pi^y with x vtop(Y) + y p^(2n+1)
     = 1 and |x| minimal; the filtration does not depend on this choice.  The
-    Hilbert sum recomputed from the multiset must match the direct sum of
-    the i(sigma).  The multiset has 2n+1 entries: its subgroup orders
-    telescope from the p^(2n+1) words of the table down to 1.
+    Hilbert sum from the lower multiset must match the sum of the i(sigma)
+    over the group.
 
     The table's group must be one that :func:`group_structure` confirmed as
     H(n) or M(n).  Only the 2n + 1 generators are measured, from the table's
     power walks, each with its theta (:func:`_shift_valuation`); every word
-    is filled from them.  A word of prefix 0 takes i(sigma_top), and any
-    other word the least i(sigma_j) over the j with e_j != 0.  This is
-    exact when, in each run of equal noncentral values below i(sigma_top),
-    the thetas are F_p-independent; a dependent run is an OracleMismatch.
+    is filled from them (:attr:`FiltrationReport.ivals`).  This is exact
+    when, in each run of equal noncentral values below i(sigma_top), the
+    thetas are F_p-independent; a dependent run is an OracleMismatch.
     - i(sigma) >= m + 1 exactly when sigma is in G_m, a normal subgroup.
       Every nontrivial normal subgroup of a p-group meets the center, and
       Z = <sigma_top> has order p, so every nontrivial G_m contains Z.  So
@@ -217,7 +231,7 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     k = tower.nvars
     measured = [_shift_valuation(walk[1], gen_data.element, gen_data.vtop)
                 for walk in table.powers]
-    gen_ivals = [i for i, _ in measured]
+    gen_ivals = tuple(i for i, _ in measured)
     top = gen_ivals[-1]
     for m in sorted({i for i in gen_ivals[:-1] if i < top}):
         run = [j for j in range(k - 1) if gen_ivals[j] == m]
@@ -226,19 +240,8 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
             names = ", ".join(f"sigma_{j + 1}" for j in run)
             raise OracleMismatch(f"the thetas of {names} at i = {m} have F_p-rank {rank}: "
                                  "a combination lies deeper")
-    by_prefix = {prefix: min((gen_ivals[j] for j, e in enumerate(prefix) if e), default=top)
-                 for prefix in itertools.product(range(p), repeat=k - 1)}
-    ivals = {word: by_prefix[word[:-1]] for word in table.words[1:]}
-
-    counts = Counter(ivals.values())
-    breaks = sorted(v - 1 for v in counts)
-    sizes = [1 + sum(c for v, c in counts.items() if v - 1 >= b) for b in breaks]
-    multiset = _jump_multiset(breaks, sizes, p, "filtration")
-
-    different_val = sum(v * c for v, c in counts.items())
-    hilbert = _hilbert_sum(p, multiset)
-    return FiltrationReport(ivals, tuple(multiset), different_val, hilbert,
-                            _uniformizer_exponents(gen_data.vtop, p**k))
+    return FiltrationReport.from_generators(p, gen_ivals,
+                                            _uniformizer_exponents(gen_data.vtop, p**k))
 
 
 def _hilbert_sum(p: int, multiset) -> int:
@@ -416,36 +419,31 @@ def verify_elementary_layers(tower: Tower, filtration: FiltrationReport) -> Laye
     upper-number multiset of the elementary abelian floor K_(2n)/K_0.
 
     The floor multiset is read off the measured filtration through the
-    quotient rule for upper numbering: the subgroup fixing the floor is
-    factored out and the surviving jumps counted.
+    quotient rule for upper numbering: the floor's group is G/Z, Z the
+    subgroup fixing the floor, and its upper filtration is G^v Z/Z.
 
-    That subgroup is {sigma_top^e : e < p}, the words of prefix 0.  The
-    unit words :func:`enumerate_group` checked carry the proof, so no map is
-    read here: sigma_i shifts alpha_j, j <= 2n, by 1 if i = j and by 0
+    Z is {sigma_top^e : e < p}, the words of prefix 0.  The unit words
+    :func:`enumerate_group` checked carry the proof, so no map is read
+    here: sigma_i shifts alpha_j, j <= 2n, by 1 if i = j and by 0
     otherwise, and such shifts add under composition, since
     sigma(alpha_j + c) = sigma(alpha_j) + c for a constant c.  So the map of
     word w shifts alpha_j by e_j, and it fixes the floor exactly when the
     prefix of w is 0.  sigma_top adds 1 to alpha_top, so in characteristic
-    p its order is p."""
+    p its order is p.
+
+    G^v = G_b, b = psi(v), and by the fill (:attr:`FiltrationReport.ivals`)
+    G_b Z/Z is spanned by the sigma_j, j <= 2n, with i(sigma_j) - 1 >= b.
+    So the floor's upper jumps are the phi(i(sigma_j) - 1), j <= 2n: the
+    upper numbers of the lower multiset but the last, phi(i(sigma_top) - 1),
+    as phi is increasing."""
     p = tower.p
     n = tower.n
-    k = tower.nvars
     u = tower.plan_report.u
     layers = tuple(LayerCheck(i, u[i - 1], _cp_break(tower, i)) for i in range(1, 2 * n + 1))
-
-    # m sigma_top^e moves only m's last exponent: m Fix is the words sharing m's prefix
-    def coset_count(lower_value) -> int:
-        return len({w[:-1] for w, v in filtration.ivals.items() if v - 1 >= lower_value}
-                   | {(0,) * (k - 1)})
-
-    # Herbrand's function is increasing: the i-th distinct lower and upper jumps match
-    distinct_upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
-    sizes = [coset_count(b) for b in sorted(set(filtration.lower_multiset))]
-    measured = _jump_multiset(distinct_upper, sizes, p, "quotient filtration")
-
+    measured = lower_to_upper(p, filtration.lower_multiset)[:-1]
     expected = tuple(sorted(u[:2 * n]))
     measured_t = tuple(int(x) for x in measured)
-    lower_meas = tuple(int(x) for x in upper_to_lower(p, measured)) if measured else ()
+    lower_meas = tuple(int(x) for x in upper_to_lower(p, measured))
     ok = all(c.ok for c in layers) and measured_t == expected
     return LayersReport(layers, expected, measured_t, lower_meas, ok)
 

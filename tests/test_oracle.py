@@ -1,8 +1,11 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -20,12 +23,14 @@ from extraspecial import (INF, ConstructionError, GaloisMap, LaurentSeries, Orac
 from extraspecial import localfield
 from extraspecial import oracle as oracle_mod
 from extraspecial.detval import _twist_valuation, frobenius_matrix
-from extraspecial.oracle import (FiltrationReport, _cp_break, _hilbert_sum, _jump_multiset,
-                                 _plog, _shift_valuation, _uniformizer_exponents)
+from extraspecial.oracle import (FiltrationReport, _cp_break, _hilbert_sum, _shift_valuation,
+                                 _uniformizer_exponents)
 from extraspecial.planner import family_params, plan
+from extraspecial.ramification import upper_to_lower
+from extraspecial.valuation import exact_log
 from conftest import random_elem
 from test_localfield import (TIER1_TOWERS, as_other_variant, eager_products, exact_chain,
-                             make_tower, map_key, valuation_outcome)
+                             make_tower, map_key, table_words, valuation_outcome)
 
 
 @pytest.fixture(scope="module")
@@ -144,31 +149,64 @@ class TestFiltration:
         pk = 27
         x, y = _uniformizer_exponents(gen_data.vtop, pk)
         assert x == -1
-        for word in table.words[1:]:
+        for word in table_words(table)[1:]:
             sy = table[word].apply(gen_data.element)
             direct = y * pk + elt_valuation_top(gen_data.element - sy) \
                 - 2 * gen_data.vtop
             assert filtration.ivals[word] == direct
 
 
-def full_filtration(tower, gen_data, table) -> FiltrationReport:
-    """Reference: the per-element loop the class shortcut replaced, which
-    measures i(sigma) on every nontrivial element."""
-    p = tower.p
-    k = tower.nvars
-    x, y = _uniformizer_exponents(gen_data.vtop, p**k)
-    ivals = {}
-    for word in table.words[1:]:
-        ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)[0]
-        assert ivals[word] >= 2
+def _jump_multiset(jumps: list, sizes: list[int], p: int) -> list:
+    """Reference: each jump repeated log_p(sizes[i] / sizes[i+1]) times,
+    ``sizes[i]`` the order of the subgroup at ``jumps[i]``, trivial past the
+    last jump; each ratio must be a power of p."""
+    sizes = sizes + [1]
+    out: list = []
+    for jump, at, after in zip(jumps, sizes, sizes[1:]):
+        log = exact_log(p, at // after)
+        assert at % after == 0 and log is not None, f"sizes {at}/{after} not p-power nested"
+        out.extend([jump] * log)
+    return out
 
+
+def per_word_report(p: int, ivals: dict, uniformizer) -> FiltrationReport:
+    """Reference: the filtration read from i(sigma) of every word, the way
+    it was before the closed forms: the breaks and their multiplicities from
+    the orders |G_b| through _jump_multiset, the different as the sum of
+    the i(sigma), and the generator values from the unit words."""
+    k = len(next(iter(ivals)))
     breaks = sorted({v - 1 for v in ivals.values()})
     sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
-    multiset = _jump_multiset(breaks, sizes, p, "filtration")
-    if len(multiset) != k:
-        raise OracleMismatch(f"derived {len(multiset)} breaks, expected {k}")
-    hilbert = loop_hilbert_sum(p, multiset)
-    return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()), hilbert, (x, y))
+    multiset = _jump_multiset(breaks, sizes, p)
+    assert len(multiset) == k, f"derived {len(multiset)} breaks, expected {k}"
+    gen_ivals = tuple(ivals[tuple(int(i == j) for j in range(k))] for i in range(k))
+    return FiltrationReport(p, gen_ivals, tuple(multiset), sum(ivals.values()),
+                            _hilbert_sum(p, multiset), uniformizer)
+
+
+def floor_upper_by_cosets(p: int, filtration: FiltrationReport) -> list:
+    """Reference: the floor's upper jumps by the coset count the closed form
+    replaced: each distinct upper jump of G repeated log_p of the ratio of
+    the numbers of prefixes, the cosets m Z of the floor-fixing Z, that G_b
+    meets at consecutive distinct lower breaks b."""
+    k = len(filtration.gen_ivals)
+    ivals = filtration.ivals
+    sizes = [len({w[:-1] for w, v in ivals.items() if v - 1 >= b} | {(0,) * (k - 1)})
+             for b in sorted(set(filtration.lower_multiset))]
+    return _jump_multiset(sorted(set(lower_to_upper(p, filtration.lower_multiset))), sizes, p)
+
+
+def full_filtration(tower, gen_data, table) -> tuple[FiltrationReport, dict]:
+    """Reference: the per-element loop the class shortcut replaced, which
+    measures i(sigma) on every nontrivial element; the report and the
+    measured map."""
+    p = tower.p
+    ivals = {}
+    for word in table_words(table)[1:]:
+        ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)[0]
+        assert ivals[word] >= 2
+    report = per_word_report(p, ivals, _uniformizer_exponents(gen_data.vtop, p**tower.nvars))
+    return report.replace(hilbert_sum=loop_hilbert_sum(p, report.lower_multiset)), ivals
 
 
 def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -184,24 +222,21 @@ def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(e * scale % p for e in prefix) + (0,)
 
 
-def class_filtration(tower, gen_data, table) -> FiltrationReport:
+def class_filtration(tower, gen_data, table) -> tuple[FiltrationReport, dict]:
     """Reference: the class loop that the generator measurements replaced.
     i(sigma) is a class function and constant on the generators of one
     cyclic subgroup, so it measures one representative per class of cyclic
-    subgroups, (p^(2n) - 1)/(p - 1) + 1 of them, and fills the class."""
+    subgroups, (p^(2n) - 1)/(p - 1) + 1 of them, and fills the class; the
+    report and the measured map."""
     p = tower.p
     measured, ivals = {}, {}
-    for word in table.words[1:]:
+    for word in table_words(table)[1:]:
         rep = _cyclic_class(word, p)
         if rep not in measured:
             measured[rep] = _shift_valuation(table[rep], gen_data.element, gen_data.vtop)[0]
         ivals[word] = measured[rep]
-    breaks = sorted({v - 1 for v in ivals.values()})
-    sizes = [1 + sum(1 for v in ivals.values() if v - 1 >= b) for b in breaks]
-    multiset = _jump_multiset(breaks, sizes, p, "filtration")
-    return FiltrationReport(ivals, tuple(multiset), sum(ivals.values()),
-                            _hilbert_sum(p, multiset),
-                            _uniformizer_exponents(gen_data.vtop, p**tower.nvars))
+    uniformizer = _uniformizer_exponents(gen_data.vtop, p**tower.nvars)
+    return per_word_report(p, ivals, uniformizer), ivals
 
 
 def loop_hilbert_sum(p, multiset) -> int:
@@ -227,6 +262,55 @@ class TestHilbertSum:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_loop(self, p, lower):
         assert _hilbert_sum(p, lower) == loop_hilbert_sum(p, lower)
+
+
+@st.composite
+def generator_values(draw):
+    """p and i(sigma_1), ..., i(sigma_2n), i(sigma_top): every value >= 2,
+    none above i(sigma_top), and often equal to it.  p^(2n+1) <= 3125 keeps
+    the per-word reference small."""
+    p, n = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]))
+    top = draw(st.integers(2, 40))
+    noncentral = draw(st.lists(st.integers(2, top) | st.just(top),
+                               min_size=2 * n, max_size=2 * n))
+    return p, tuple(noncentral) + (top,)
+
+
+class TestClosedForms:
+    """The lower multiset, the different and the floor's upper jumps read
+    from the 2n + 1 generator values, against the per-word reference on the
+    filled map; no tower is built."""
+
+    @given(generator_values())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_per_word_reference(self, drawn):
+        p, gen_ivals = drawn
+        n = (len(gen_ivals) - 1) // 2
+        report = FiltrationReport.from_generators(p, gen_ivals, (1, 0))
+        assert report == per_word_report(p, report.ivals, (1, 0))
+        floor = floor_upper_by_cosets(p, report)
+        # the layer stage reads only p, n and u of the tower besides _cp_break
+        tower = SimpleNamespace(p=p, n=n, plan_report=SimpleNamespace(u=(1,) * (2 * n)))
+        with mock.patch.object(oracle_mod, "_cp_break", lambda tower, i: 1):
+            layers = verify_elementary_layers(tower, report)
+        assert layers.sub_upper_measured == tuple(int(x) for x in floor)
+        assert layers.sub_lower_measured == tuple(int(x) for x in upper_to_lower(p, floor))
+
+    @given(generator_values(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_value_above_the_center_is_refused(self, drawn, data):
+        # the per-word orders |G_b| stop being nested powers of p exactly
+        # when some noncentral value exceeds i(sigma_top)
+        p, gen_ivals = drawn
+        j = data.draw(st.integers(0, len(gen_ivals) - 2))
+        deeper = list(gen_ivals)
+        deeper[j] = gen_ivals[-1] + data.draw(st.integers(1, 5))
+        deeper = tuple(deeper)
+        with pytest.raises(OracleMismatch, match=f"^i\\(sigma_{j + 1}\\) = {deeper[j]} > "):
+            FiltrationReport.from_generators(p, deeper, (1, 0))
+        filled = FiltrationReport.from_generators(p, gen_ivals, (1, 0)).replace(gen_ivals=deeper)
+        with pytest.raises(AssertionError, match="not p-power nested"):
+            per_word_report(p, filled.ivals, (1, 0))
 
 
 def _staged(params):
@@ -284,7 +368,9 @@ class TestCyclicClasses:
             monkeypatch, lambda: ramification_filtration(tower, gen_data, table))
         assert calls == tower.nvars
         assert set(table.built) == _unit_words(tower.nvars)
-        assert filled == full_filtration(tower, gen_data, table)
+        assert (filled, filled.ivals) == full_filtration(tower, gen_data, table)
+        # the report writes the fill in its own order, which is the sorted one
+        assert list(filled.ivals) == sorted(filled.ivals)
         # on m = (0, 1, 2) the noncentral words take two values, so a fill
         # that ignored the generators' values would show there
         noncentral = {v for w, v in filled.ivals.items() if any(w[:-1])}
@@ -300,7 +386,7 @@ class TestCyclicClasses:
         tower, table, gen_data = _staged(params)
         y, vtop, f = gen_data.element, gen_data.vtop, tower.field
         gens = [_shift_valuation(walk[1], y, vtop) for walk in table.powers]
-        for word in table.words[1:]:
+        for word in table_words(table)[1:]:
             i, theta = _shift_valuation(table[word], y, vtop)
             total = sum((LaurentSeries.monomial(f, t) * e
                          for e, (i_j, t) in zip(word, gens) if e and i_j == i),
@@ -313,16 +399,16 @@ class TestCyclicClasses:
             if not plan(params).certified:
                 continue
             tower, table, gen_data = _staged(params)
-            assert ramification_filtration(tower, gen_data, table) == \
-                class_filtration(tower, gen_data, table), params
+            filled = ramification_filtration(tower, gen_data, table)
+            assert (filled, filled.ivals) == class_filtration(tower, gen_data, table), params
             draws += 1
         assert draws > 20
 
     @pytest.mark.parametrize("variant", ["H", "M"])
     def test_matches_the_class_loop_at_7_2(self, variant):
         tower, table, gen_data = _staged(family_params(variant, 7, 2, 1, 1, INF, None))
-        assert ramification_filtration(tower, gen_data, table) == \
-            class_filtration(tower, gen_data, table)
+        filled = ramification_filtration(tower, gen_data, table)
+        assert (filled, filled.ivals) == class_filtration(tower, gen_data, table)
 
     @staticmethod
     def _tables(monkeypatch) -> list:
@@ -441,7 +527,7 @@ class TestElementaryLayers:
             table = enumerate_group(tower, gens)
             group_structure(tower, gens, table)
             filtration = ramification_filtration(tower, construct_generator(tower), table)
-            fixing = [g for g in map(table.__getitem__, table.words)
+            fixing = [g for g in map(table.__getitem__, table_words(table))
                       if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
             sizes = []
             for b in sorted(set(filtration.lower_multiset)):
@@ -450,7 +536,7 @@ class TestElementaryLayers:
                 sizes.append(len({frozenset(map_key(g.compose(h)) for h in fixing)
                                   for g in group}))
             upper = sorted(set(lower_to_upper(p, filtration.lower_multiset)))
-            composed = tuple(int(x) for x in _jump_multiset(upper, sizes, p, "reference"))
+            composed = tuple(int(x) for x in _jump_multiset(upper, sizes, p))
             rep = verify_elementary_layers(tower, filtration)
             assert rep.sub_upper_measured == composed == tuple(sorted(tower.plan_report.u[:2]))
 
@@ -591,6 +677,20 @@ def _trip_dependent_run():
         ramification_filtration(tower, gen_data, table)
 
 
+def _trip_deeper_than_center():
+    # sigma_1 reads one above i(sigma_top) = 83
+    tower, gens, gen_data = _h31()
+    table = enumerate_group(tower, gens)
+    real = oracle_mod._shift_valuation
+
+    def deeper(sigma, *args):
+        i, theta = real(sigma, *args)
+        return (84 if sigma is table.powers[0][1] else i), theta
+
+    with mock.patch.object(oracle_mod, "_shift_valuation", deeper):
+        ramification_filtration(tower, gen_data, table)
+
+
 def _trip_scaffold(first, last):
     tower, gens, gen_data = _h31()
     scaffold_row_check(_moved_b(tower, first, last), gen_data, gens)
@@ -599,9 +699,6 @@ def _trip_scaffold(first, last):
 # name -> (a call that trips one check, the message it must raise); on
 # H(3,1) v_0 of the cofactors is (-3, -3, 0), v_top(Y) = -82 and b = (1, 1, 82)
 MISMATCH_TRIPS = {
-    "plog": (lambda: _plog(12, 3), "12 is not a power of p = 3"),
-    "nested_sizes": (lambda: _jump_multiset([1, 2], [9, 2], 3, "filtration"),
-                     "filtration sizes 9/2 not nested"),
     "cofactor": (_trip_cofactor, "cofactor 1 has valuation -3, formula gives -2"),
     "generator": (lambda: construct_generator(_moved_b(_h31()[0], first=1)),
                   "generator valuation -82 != predicted -83"),
@@ -610,6 +707,8 @@ MISMATCH_TRIPS = {
                    "v_top(sigma(Y) - Y) = 0 <= v_top(Y) = 0: sigma is not in G_1"),
     "dependent_run": (_trip_dependent_run, "the thetas of sigma_1, sigma_2 at i = 2 have "
                       "F_p-rank 1: a combination lies deeper"),
+    "deeper_than_center": (_trip_deeper_than_center, "i(sigma_1) = 84 > i(sigma_top) = 83: "
+                           "sigma_1 lies deeper than the center"),
     "x_valuation": (lambda: _trip_scaffold(0, 1), "v_top(X) = -82, expected -83"),
     "mu_row": (lambda: _trip_scaffold(1, 0), "v_top(mu_1) = -81 != b_1 - b_top = -80"),
 }
@@ -620,6 +719,20 @@ def test_check_fires(name):
     trip, message = MISMATCH_TRIPS[name]
     with pytest.raises(OracleMismatch, match=f"^{re.escape(message)}$"):
         trip()
+
+
+# SHA-256 of the JSON report of each large tower at u = t = 1, which the
+# 173 digests (at most 343 words) do not reach; never re-recorded
+LARGE_TOWER_SHA256 = {
+    ("H", 3, 3): "afb82980acbb2ecc7042538a61b4a7f4fdc204e093ea99f98b1240640e18127d",
+    ("M", 3, 3): "ca5189bdc02d50ce4b0b400067f913a4730b1e5cf1e3370d03a1d9bf05792445",
+    ("H", 5, 2): "e36bc5d3e18125a77859bb1c883ef8ca3f34248874ac91887c0a80c57dba7a5b",
+    ("M", 5, 2): "f15b57657f0ffe1b3dcb2e0e6d49beb5c63d280757b8dc20061cfe4db48f9f90",
+    ("H", 7, 2): "39d61a34090addd98c93f52db957dde15bef910f6e18ec926aa7492c575a0d79",
+    ("M", 7, 2): "a099a57286b06350400753b60da769ffa9a3c1f1bd5fc40f22cd48fc517b78e2",
+    ("H", 5, 3): "164888a46c927dcb5bbe346499341d5377da9923c6176e5132b01f8034d52289",
+    ("M", 5, 3): "fb1213c8c94ce76d9ddad12761532bddb7f0a0b091994aab6e4914098ab3430d",
+}
 
 
 class TestVerifyFamily:
@@ -670,9 +783,7 @@ class TestVerifyFamily:
         assert rep.group.commutator_words[(2, 4)] == (0, 0, 0, 0, 1)
         assert rep.group.commutator_words[(1, 2)] == (0, 0, 0, 0, 0)
 
-    @pytest.mark.parametrize("variant, p, n", [("H", 3, 3), ("M", 3, 3), ("H", 5, 2),
-                                               ("M", 5, 2), ("H", 7, 2), ("M", 7, 2),
-                                               ("H", 5, 3), ("M", 5, 3)])
+    @pytest.mark.parametrize("variant, p, n", LARGE_TOWER_SHA256)
     def test_large_tower_closed_forms(self, variant, p, n):
         # orders 3^7 over F_729 (residue degree 6), 5^5 over F_625, 7^5
         # over F_2401 and 5^7 over F_15625; the closed forms of u = t = 1 are those of
@@ -687,6 +798,10 @@ class TestVerifyFamily:
         assert list(rep.filtration.lower_multiset) == lower
         assert rep.filtration.different_val == rep.filtration.hilbert_sum \
             == 2 * (p**(2 * n + 1) - 1) + (p - 1) * p**(4 * n)
+        # the report byte for byte: this string is the stdout of
+        # `oracle verify ... --output json`
+        text = json.dumps(rep.to_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == LARGE_TOWER_SHA256[variant, p, n]
 
     def test_n2_m_tower(self):
         rep = verify_family("M", 3, 2, 1, 1)
@@ -841,7 +956,7 @@ class TestExactness:
         tower, _, table, gen_data, _ = request.getfixturevalue(setup)
         y = gen_data.element
         elements = [rel for rel in tower.algebra.relations] + [y]
-        elements += [table[w].apply(y) - y for w in table.words]
+        elements += [table[w].apply(y) - y for w in table_words(table)]
         series = [c for x in elements for c in x.coeffs.values()]
         series += list(gen_data.cofactors) + list(tower.omegas) + list(tower.a)
         assert series
