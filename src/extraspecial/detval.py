@@ -22,10 +22,9 @@ class _Minor:
 def ring_det(rows):
     """Determinant over any commutative ring, by expansion along the first
     column with each minor expanded once.  It expands the twist determinant
-    Y and the level norms of localfield._level_norm: every level of an
-    element with a window, which no oracle stage builds, and the nonlinear
-    levels of exact elements.  Linear levels and the bottom level of exact
-    elements have closed forms.
+    Y and the level norms of localfield._level_norm on nonlinear levels,
+    which no oracle stage builds.  Linear levels and the bottom level have
+    closed forms, window or not.
 
     Columns are used left to right, so a minor is fixed by the rows it
     keeps.  Each minor is expanded once, through this function by name, and

@@ -8,12 +8,11 @@ every product, sum and Galois image merges its terms there and rewrites
 exponents >= p from the top generator down (the relations are triangular).
 Valuations are iterated norms, one p-dimensional level at a time, and the
 chain certifies the leading term of the norm: the valuation and its
-leading coefficient.  An exact element takes the closed form
-N(c alpha + d) = c^p A + d^p - c^(p-1) d on a level where it is linear, and
-at the bottom level of a ramified alpha_1 the minimizing monomial, with no
-norm.  An element with a window takes the determinant of the
-multiplication matrix (ring_det) on every level, an exact one on each
-nonlinear level above the bottom.
+leading coefficient.  Each level's rule is read from the element's shape,
+window or not: the closed form N(c alpha + d) = c^p A + d^p - c^(p-1) d on a
+level where it is linear, at the bottom level of a ramified alpha_1 the
+minimizing monomial, with no norm, and the determinant of the
+multiplication matrix (ring_det) only on a nonlinear level.
 
 The tower is exact: its constants, relations and Galois images have exact
 series coefficients (prec = inf), and the oracle values only exact
@@ -399,10 +398,10 @@ def build_tower(params: TowerParams) -> Tower:
 
 def _level_norm(x: TowerElement, i: int) -> TowerElement:
     """Determinant of multiplication-by-x on the basis 1..alpha_i^(p-1) over
-    the subalgebra on generators below i.  Requires support(x) <= i.  A
-    windowed element takes every level here; an exact one only a level
-    where it is not linear in alpha_i, and never the bottom level of an
-    algebra that meets _bottom_break."""
+    the subalgebra on generators below i.  Requires support(x) <= i.  The
+    norm chain takes it only on a level where x is not linear in alpha_i,
+    and never at the bottom level of an algebra that meets _bottom_break;
+    no element a verify values has such a level."""
     algebra = x.algebra
     p = algebra.p
     gen = algebra.gen(i)
@@ -498,8 +497,9 @@ CAP_TRIES = 7
 def _cap(x: TowerElement, w: int) -> TowerElement:
     """x with every coefficient series that reaches w terms above its own
     valuation v cut to O(pi^(v + w)).  Shorter series, exact zeros and
-    imprecise zeros are kept as they are, so ring_det still skips the
-    exact zeros."""
+    imprecise zeros are kept as they are, and a cut series keeps its leading
+    term, so the cap leaves the element's monomials, and with them each
+    level's rule, as they were."""
     out = {}
     for e, c in x.coeffs.items():
         if c.coeffs:
@@ -516,28 +516,28 @@ def _norm_valuation(x: TowerElement, w: int | None) -> tuple[Fraction, FFElem]:
     coefficient capped to relative precision w before each level norm, or
     exact for w None.
 
-    Which norm a level takes is decided from x itself.  When every
-    coefficient of x is exact, a level where the element is linear in
-    alpha_i takes the closed form _linear_norm, and in an algebra that
-    meets _bottom_break the chain stops at level 1 and reads the leading
-    term of the last norm from the minimizing monomial (_bottom_leading_term).
-    Every other level takes the ring_det of _level_norm.  A windowed x,
-    which no oracle stage builds, keeps ring_det on every level.
+    Which norm a level takes is read from the shape of the element, whether
+    or not a coefficient has a window: a level where it is linear in alpha_i
+    takes the closed form _linear_norm, and in an algebra that meets
+    _bottom_break the chain stops at level 1 and reads the leading term of
+    the last norm from the minimizing monomial (_bottom_leading_term, which
+    bounds the windows).  Only a nonlinear level takes the ring_det of
+    _level_norm.  The closed form is a ring identity, so on windowed
+    coefficients the series rules carry what the window leaves known.
 
     The chain ends with N_(K_l/K_0)(x), l the support level of x, and
     N_(L/K_0)(x) is its p^(k-l)-th power, k the generator count; so the
     coefficient the chain ends with is raised to p^(k-l).  Without that,
     elements of different support levels would not share one scale."""
     algebra = x.algebra
-    exact = all(c.is_exact for c in x.coeffs.values())
-    u1 = _bottom_break(algebra) if exact else None
+    u1 = _bottom_break(algebra)
     level = x.support_level()
     cur = x
     for i in range(level - 1, 0 if u1 else -1, -1):
         if w is not None:
             cur = _cap(cur, w)
-        parts = cur.split_by_var(i) if exact else None
-        if parts is not None and parts.keys() <= {0, 1}:
+        parts = cur.split_by_var(i)
+        if parts.keys() <= {0, 1}:
             zero = algebra.zero()
             cur = _linear_norm(parts.get(1, zero), parts.get(0, zero), i)
         else:

@@ -64,9 +64,8 @@ def test_criterion_3_oracle_h1_end_to_end():
     assert rep.b_match
     # (c) generator valuation
     assert rep.generator.vtop == -82
-    # (d) Hilbert different cross-check
+    # (d) the different, by Hilbert's formula from the measured breaks
     assert rep.filtration.different_val == 214
-    assert rep.filtration.hilbert_sum == 214
     assert rep.passed
     assert elapsed < 300, f"oracle took {elapsed:.1f} s"
     _report(3, f"H(1) oracle: order 27, b={{1,1,82}}, v(Y)=-82, different 214, "

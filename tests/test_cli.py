@@ -366,12 +366,13 @@ _CONVERT = _command(["ram", "convert"], p=_P, lower=st.none() | _INT_LIST,
 _TABLES = _command(["ram", "tables"], p=_P, n=_N, b=_INT_LIST, output=_OUTPUT)
 # oracle verify: the H(3,1) command with one flag spoiled, so that it is
 # rejected before any tower is built
-_ORACLE_H31 = {"variant": "H", "p": "3", "n": "1", "u": "1", "t": "1"}
-_ORACLE = st.sampled_from([
+ORACLE_H31 = {"variant": "H", "p": "3", "n": "1", "u": "1", "t": "1"}
+ORACLE_SPOILS = [
     ("prec", "0"), ("prec", "-5"), ("p", "1"), ("p", "4"), ("p", "11"), ("n", "0"),
     ("n", "4"), ("q", "10"), ("q", "1"), ("u", "3"), ("u", "0"), ("t", "-1"),
-]).flatmap(lambda kv: _command(["oracle", "verify"],
-                               **{k: st.just(v) for k, v in {**_ORACLE_H31, kv[0]: kv[1]}.items()}))
+]
+_ORACLE = st.sampled_from(ORACLE_SPOILS).flatmap(lambda kv: _command(
+    ["oracle", "verify"], **{k: st.just(v) for k, v in {**ORACLE_H31, kv[0]: kv[1]}.items()}))
 
 
 def _no_float(text):

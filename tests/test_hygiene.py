@@ -2,7 +2,9 @@
 function, class and method of the package is named by other package code,
 every field of a package ``Record`` is read as an attribute by package code,
 every ``raise OracleMismatch`` of ``oracle.py`` is the raising frame of a
-trip in ``test_oracle.MISMATCH_TRIPS``, no package module imports
+trip in ``test_oracle.MISMATCH_TRIPS``, every function and method that a
+traced run of the CLI never enters is listed in ``CLI_UNREACHED`` with the
+reason it stays, no package module imports
 ``dataclasses`` or ``inspect`` (whose import, with what it pulls in, is a
 large part of a CLI process's start-up), and every source file parses at
 the Python floor that pyproject.toml declares.
@@ -13,6 +15,7 @@ string annotations (``-> "TowerElement"``) count as used imports.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -270,3 +273,133 @@ def test_parses_at_python_floor(path):
 def test_floor_check_sees_newer_syntax():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)
+
+
+# -- the definitions a CLI run never enters -------------------------------------
+
+# a fresh interpreter, so that no cache of an earlier test (residue_field's
+# tables, say) hides a call; the trace is set before any package import
+_TRACE = """\
+import contextlib, io, json, sys
+entered = set()
+
+def tracer(frame, event, arg):
+    entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.settrace(tracer)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    exec(sys.argv[1])
+sys.settrace(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def _entered(run: str, path: Path) -> set[tuple[str, int]]:
+    """(file, first line) of each code object a fresh interpreter enters
+    while it runs the statements ``run``, imports included, with ``path``
+    on its module path; the CLI's output is discarded."""
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    out = subprocess.run([sys.executable, "-c", _TRACE, run], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return {(str(Path(f).resolve()), line) for f, line in json.loads(out.stdout)}
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, first line) of each top-level function and each
+    method of a top-level class, dunders included.  The first line is the
+    first decorator's, as in ``co_firstlineno``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                     if isinstance(sub, ast.FunctionDef)]
+        else:
+            found = []
+        for qual, fn in found:
+            yield qual, min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+
+
+def _never_entered(paths, entered: set[tuple[str, int]]) -> set[str]:
+    """``file:qualname`` of each function of ``paths`` that ``entered``
+    does not hold."""
+    return {f"{path.name}:{qual}" for path in paths
+            for qual, line in _functions(ast.parse(path.read_text(), filename=str(path)))
+            if (str(path.resolve()), line) not in entered}
+
+
+# the definitions the CLI run of test_cli_enters_every_definition never
+# enters, each with the reason it stays
+CLI_UNREACHED = {
+    "localfield.py:_level_norm": "the norm of a level where an element is not linear; every "
+                                 "element a verify values is linear on every level (the "
+                                 "induction in CHANGES.md). It moves to the tests once "
+                                 "bench/bench_trace.py stops patching localfield.ring_det "
+                                 "by name (ROADMAP item 4)",
+    "localfield.py:TowerAlgebra.from_scalar": "coerces an int or FFElem operand of tower "
+                                              "arithmetic; the stages mix in none",
+    "localfield.py:TowerElement.__rsub__": "a scalar minus an element; the stages subtract "
+                                           "tower elements only",
+    "localfield.py:TowerElement.__bool__": "refuses a truth value; nothing asks for one",
+    "localfield.py:TowerElement.__str__": "the text of an element, for test failures",
+    "localfield.py:TowerElement.__repr__": "the text of an element, for test failures",
+    "localfield.py:GaloisMap.__eq__": "map equality, for the tests; is_identity compares "
+                                      "images",
+    "record.py:Record.__eq__": "record equality, for the tests",
+    "record.py:Record.__repr__": "the text of a record, for test failures",
+    "record.py:Record._values": "the field tuple of __eq__, __repr__, replace and hashing",
+    "record.py:Record.replace": "the record API that tests use to build variants",
+    "record.py:_field_hash": "hashes a frozen record; no CLI path keys by one",
+    "record.py:_refuse_assignment": "refuses a write to a frozen record; nothing writes one",
+    "record.py:_refuse_deletion": "refuses a deletion from a frozen record; nothing deletes one",
+    "valuation.py:FFElem.__eq__": "value equality, for the tests",
+    "valuation.py:FFElem.__hash__": "FFElem is a hashable value; no CLI path hashes one",
+    "valuation.py:FFElem.__repr__": "the text of an element, for test failures",
+    "valuation.py:LaurentSeries.__sub__": "series subtraction; the tower layer negates and adds",
+    "valuation.py:LaurentSeries.__rsub__": "a scalar minus a series; as __sub__",
+    "valuation.py:LaurentSeries.__bool__": "refuses a truth value; nothing asks for one",
+    "valuation.py:LaurentSeries.__str__": "the text of a series, for test failures",
+    "valuation.py:LaurentSeries.__repr__": "the text of a series, for test failures",
+    "valuation.py:LaurentSeries.inverse": UNREACHED_ALLOWED["valuation.py:LaurentSeries.inverse"],
+    "valuation.py:ResidueField.zero": "the field's zero, for the tests",
+    "valuation.py:ResidueField.__hash__": "a field is a hashable value; no CLI path hashes one",
+    "valuation.py:ResidueField.__repr__": "the text of a field, for test failures",
+}
+
+
+def test_cli_enters_every_definition():
+    # the oracle ladder in JSON, each subcommand in text and JSON, both
+    # directions of `ram convert`, and the spoiled oracle argv of test_cli
+    from test_cli import ORACLE_H31, ORACLE_SPOILS
+    from test_oracle import LADDER
+    argvs = [["oracle", "verify", "--variant", v, "--p", str(p), "--n", str(n),
+              "--u", "1", "--t", "1", "--output", "json"] for v, p, n in LADDER]
+    for output in ("text", "json"):
+        argvs += [argv + ["--output", output] for argv in [
+            ["plan", "--variant", "H", "--p", "3", "--n", "1", "--r", "1", "--m", "0,0,1",
+             "--leads", "1,g,1"],
+            ["example", "--p", "3", "--n", "1", "--u", "1", "--t", "1", "--variant", "M"],
+            ["verdict", "--p", "3", "--n", "1", "--c", "64", "--u1", "1"],
+            ["ram", "convert", "--p", "3", "--lower", "1,1,82"],
+            ["ram", "convert", "--p", "3", "--upper", "26,26,116"],
+            ["ram", "tables", "--p", "3", "--n", "2", "--b", "1,10"],
+            ["oracle", "verify", "--variant", "H", "--p", "3", "--n", "1", "--u", "1",
+             "--t", "1"]]]
+    argvs += [["oracle", "verify", *(x for k, v in {**ORACLE_H31, flag: value}.items()
+                                     for x in (f"--{k}", v))]
+              for flag, value in ORACLE_SPOILS]
+    run = f"from extraspecial.cli import main\nfor argv in {argvs!r}:\n    main(argv)"
+    entered = _entered(run, ROOT / "src")
+    assert _never_entered(sorted(PACKAGE.glob("*.py")), entered) == set(CLI_UNREACHED)
+
+
+def test_trace_sees_a_dead_helper(tmp_path):
+    planted = ("class Box:\n    def __init__(self):\n        self.v = 1\n"
+               "    @property\n    def value(self):\n        return self.v\n"
+               "    def __repr__(self):\n        return 'Box'\n"
+               "def helper():\n    return Box()\n"
+               "def main():\n    return Box().value\n")
+    path = tmp_path / "planted.py"
+    path.write_text(planted)
+    entered = _entered("import planted\nplanted.main()", tmp_path)
+    assert _never_entered([path], entered) == {"planted.py:helper", "planted.py:Box.__repr__"}

@@ -378,9 +378,9 @@ def oracle_elements(tower):
 
 
 class TestClosedFormNorms:
-    """Exact elements take the closed-form level norm on linear levels and
-    the minimum over monomials at the bottom level; the ring_det chain on
-    every level is the reference, and elements with a window keep it."""
+    """Every element, window or not, takes the closed-form level norm on
+    linear levels and the minimum over monomials at the bottom level; the
+    ring_det chain on every level is the reference."""
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
     def test_seeded_elements_match_ring_det_chain(self, variant, p, n):
@@ -404,7 +404,13 @@ class TestClosedFormNorms:
         want = [valuation_outcome(ring_det_chain, x) for x in elements]
         assert not any(isinstance(o, tuple) for o in want[:len(exact)])
         assert any(isinstance(o, tuple) for o in want[len(exact):])
-        assert [valuation_outcome(elt_valuation, x) for x in elements] == want
+        got = [valuation_outcome(elt_valuation, x) for x in elements]
+        assert got[:len(exact)] == want[:len(exact)]
+        # a windowed element gives the ring_det chain's value where that chain
+        # certifies one, and refuses where it refuses, though the closed
+        # forms may word the refusal differently
+        assert [o[0] if isinstance(o, tuple) else o for o in got[len(exact):]] == \
+            [o[0] if isinstance(o, tuple) else o for o in want[len(exact):]]
         # the closed forms and the bottom rule also give the norm's leading
         # coefficient
         nonzero = [x for x in exact if not x.is_zero()]
@@ -424,11 +430,10 @@ class TestClosedFormNorms:
         x = linear_element(h_tower.algebra, rng, 3)
         elt_valuation(x)
         assert calls == []
-        # a windowed element keeps the determinant on every level
+        # nor does the same element with a window
         valuation_outcome(elt_valuation, windowed_variants(x, rng)[0])
-        assert calls == [2, 1, 0]
+        assert calls == []
         # a nonlinear level above the bottom takes the determinant there only
-        del calls[:]
         elt_valuation(element_below(h_tower.algebra, rng, 2, 2, terms=1) + h_tower.alpha(3))
         assert calls == [1]
 

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -127,10 +128,12 @@ class TestFiltration:
         assert all(v > 1 for v in filtration.ivals.values())
 
     def test_different_cross_check(self, h_setup):
+        # Hilbert's sum over the breaks against the sum of i(w) over the
+        # filled map; the report writes the one value under both keys
         _, _, _, _, filtration = h_setup
-        assert filtration.different_val == 214
-        assert filtration.hilbert_sum == 214
-        assert filtration.consistent
+        assert filtration.different_val == sum(filtration.ivals.values()) == 214
+        d = filtration.to_dict()
+        assert (d["different_val"], d["hilbert_sum"], d["consistent"]) == (214, 214, True)
 
     def test_breaks_reconstruct_shift_values(self, h_setup):
         _, _, _, _, filtration = h_setup
@@ -180,8 +183,7 @@ def per_word_report(p: int, ivals: dict, uniformizer) -> FiltrationReport:
     multiset = _jump_multiset(breaks, sizes, p)
     assert len(multiset) == k, f"derived {len(multiset)} breaks, expected {k}"
     gen_ivals = tuple(ivals[tuple(int(i == j) for j in range(k))] for i in range(k))
-    return FiltrationReport(p, gen_ivals, tuple(multiset), sum(ivals.values()),
-                            _hilbert_sum(p, multiset), uniformizer)
+    return FiltrationReport(p, gen_ivals, tuple(multiset), sum(ivals.values()), uniformizer)
 
 
 def floor_upper_by_cosets(p: int, filtration: FiltrationReport) -> list:
@@ -199,14 +201,16 @@ def floor_upper_by_cosets(p: int, filtration: FiltrationReport) -> list:
 def full_filtration(tower, gen_data, table) -> tuple[FiltrationReport, dict]:
     """Reference: the per-element loop the class shortcut replaced, which
     measures i(sigma) on every nontrivial element; the report and the
-    measured map."""
+    measured map.  The measured different obeys Hilbert's formula, summed
+    over every i by the reference loop."""
     p = tower.p
     ivals = {}
     for word in table_words(table)[1:]:
         ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)[0]
         assert ivals[word] >= 2
     report = per_word_report(p, ivals, _uniformizer_exponents(gen_data.vtop, p**tower.nvars))
-    return report.replace(hilbert_sum=loop_hilbert_sum(p, report.lower_multiset)), ivals
+    assert report.different_val == loop_hilbert_sum(p, report.lower_multiset)
+    return report, ivals
 
 
 def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -293,8 +297,20 @@ class TestClosedForms:
         tower = SimpleNamespace(p=p, n=n, plan_report=SimpleNamespace(u=(1,) * (2 * n)))
         with mock.patch.object(oracle_mod, "_cp_break", lambda tower, i: 1):
             layers = verify_elementary_layers(tower, report)
-        assert layers.sub_upper_measured == tuple(int(x) for x in floor)
-        assert layers.sub_lower_measured == tuple(int(x) for x in upper_to_lower(p, floor))
+        assert layers.sub_upper_measured == tuple(floor)
+        assert layers.sub_lower_measured == upper_to_lower(p, floor)
+
+    def test_a_non_integral_floor_jump_fails(self):
+        # the lower breaks (1, 2, 4) at p = 3 give the floor the upper jumps 1
+        # and 4/3, which no integral u matches; truncated they read as (1, 1)
+        report = FiltrationReport.from_generators(3, (2, 3, 5), (1, 0))
+        tower = SimpleNamespace(p=3, n=1, plan_report=SimpleNamespace(u=(1, 1)))
+        with mock.patch.object(oracle_mod, "_cp_break", lambda tower, i: 1):
+            layers = verify_elementary_layers(tower, report)
+        assert layers.sub_upper_measured == (1, Fraction(4, 3))
+        assert all(c.ok for c in layers.layers)
+        assert not layers.ok
+        assert layers.to_dict()["sub_upper_measured"] == [1, "4/3"]
 
     @given(generator_values(), st.data())
     @settings(max_examples=50, deadline=None)
@@ -796,8 +812,7 @@ class TestVerifyFamily:
         assert rep.group.order == p**(2 * n + 1)
         lower = [1] * (2 * n) + [p**(4 * n) + 1]
         assert list(rep.filtration.lower_multiset) == lower
-        assert rep.filtration.different_val == rep.filtration.hilbert_sum \
-            == 2 * (p**(2 * n + 1) - 1) + (p - 1) * p**(4 * n)
+        assert rep.filtration.different_val == 2 * (p**(2 * n + 1) - 1) + (p - 1) * p**(4 * n)
         # the report byte for byte: this string is the stdout of
         # `oracle verify ... --output json`
         text = json.dumps(rep.to_dict(), indent=2) + "\n"
