@@ -81,8 +81,7 @@ def _render_oracle(d: dict) -> None:
           f"predicted {d['generator']['vtop_predicted']}")
     print(f"lower breaks: predicted {d['predicted_b']}, measured {d['measured_b']} "
           f"-> match: {d['b_match']}")
-    print(f"different: {d['filtration']['different_val']} "
-          f"(hilbert recount {d['filtration']['hilbert_sum']})")
+    print(f"different: {d['filtration']['different_val']}")
     print(f"scaffold: min row contribution {d['scaffold']['min_contribution']} "
           f">= precision {d['scaffold']['cfrak']}: {d['scaffold']['ok']}")
     print(f"elementary layers ok: {d['layers']['ok']}")

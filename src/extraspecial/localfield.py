@@ -612,7 +612,7 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
     j <= 2n; its effect on the top generator is the unique exact root
     translate dictated by the variant, with the free F_p summand pinned to 0.
     sigma_top adds 1 to alpha_top and fixes every other alpha_j.  This is
-    the shape GroupTable.word_of reads: the word of a normal-form product is
+    the shape :func:`word_of` reads: the word of a normal-form product is
     the F_p shifts it makes, and enumerate_group refuses generators of any
     other shape.  Every image is verified against the relations at
     construction; a failure raises ConstructionError.
@@ -648,55 +648,44 @@ def _fp_shift(x: TowerElement, y: TowerElement) -> int | None:
     return e if e < c.field.p else None
 
 
-class GroupTable:
-    """The p^k automorphisms sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, k =
-    2n + 1, indexed by their normal-form words.  A map is built when its
-    word is first read, and kept: ``table[word]`` composes the map of the
-    word with its last nonzero exponent e_i set to 0 with sigma_i^e_i from
-    the kept walk ``powers[i]``.  A stage that reads only some words builds
-    only those and the words they rest on."""
-
-    def __init__(self, powers: list[list[GaloisMap]]):
-        self.powers = powers    # gens[i].powers(), walked once
-        identity = powers[0][0]
-        p, k = identity.algebra.p, identity.algebra.nvars
-        self.order = p**k
-        self.built: dict[tuple[int, ...], GaloisMap] = {(0,) * k: identity}
-
-    def __getitem__(self, word: tuple[int, ...]) -> GaloisMap:
-        m = self.built.get(word)
-        if m is None:
-            i = max(j for j, e in enumerate(word) if e)
-            base = self[word[:i] + (0,) * (len(word) - i)]
-            m = self.built[word] = base.compose(self.powers[i][word[i]])
-        return m
-
-    def word_of(self, m: GaloisMap) -> tuple[int, ...]:
-        """The word of m, read from its images: e_j = m(alpha_j) - alpha_j
-        for j < k, and e_k = m(alpha_k) - T(alpha_k), T the element of word
-        (e_1, ..., e_(k-1), 0).  Each must be an exact constant of F_p, or
-        m is not in the table: ConstructionError."""
-        word = tuple(_fp_shift(m.images[j], m.algebra.gen(j)) for j in range(m.algebra.nvars - 1))
-        if None not in word:
-            word += (_fp_shift(m.images[-1], self[word + (0,)].images[-1]),)
-        if None in word:
-            raise ConstructionError("group is not closed under composition")
-        return word
+def _product(walks: list[list[GaloisMap]], word: tuple[int, ...]) -> GaloisMap:
+    """sigma_1^e1 sigma_2^e2 ..., folded left to right over the walk entries
+    ``walks[j][e_j]`` with e_j != 0: one map composes nothing, and the word 0
+    is the identity."""
+    m = None
+    for walk, e in zip(walks, word):
+        if e:
+            m = walk[e] if m is None else m.compose(walk[e])
+    return walks[0][0] if m is None else m
 
 
-def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> GroupTable:
-    """The table of the products sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p,
-    once each generator reads as its unit word.  It walks each generator's
-    powers once and builds no product beyond those the unit check reads;
-    the rest are built when a stage reads them.  :func:`group_structure`
-    proves that the products are pairwise distinct and closed under
-    composition, without building them."""
+def word_of(walks: list[list[GaloisMap]], m: GaloisMap) -> tuple[int, ...]:
+    """The word of m, read from its images: e_j = m(alpha_j) - alpha_j for
+    j < k, and e_k = m(alpha_k) - T(alpha_k), T the product of the prefix
+    (e_1, ..., e_(k-1)) over the power walks.  Each must be an exact
+    constant of F_p, or m is no product sigma_1^e1 ... sigma_k^ek:
+    ConstructionError."""
+    word = tuple(_fp_shift(m.images[j], m.algebra.gen(j)) for j in range(m.algebra.nvars - 1))
+    if None not in word:
+        word += (_fp_shift(m.images[-1], _product(walks, word).images[-1]),)
+    if None in word:
+        raise ConstructionError("group is not closed under composition")
+    return word
+
+
+def enumerate_group(tower: Tower, gens: list[GaloisMap]) -> list[list[GaloisMap]]:
+    """The power walk of each generator (:meth:`GaloisMap.powers`), once
+    each generator reads as its unit word (:func:`word_of`).  The check
+    composes no map: a unit prefix reads against its generator itself, and
+    sigma_top against alpha_top.  :func:`group_structure` proves that the
+    p^k products sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, are the whole
+    group, without building them."""
     k = tower.nvars
-    table = GroupTable([g.powers() for g in gens])
+    walks = [g.powers() for g in gens]
     for i, g in enumerate(gens):
-        if table.word_of(g) != tuple(int(i == j) for j in range(k)):
+        if word_of(walks, g) != tuple(int(i == j) for j in range(k)):
             raise ConstructionError(f"generator {i + 1} does not read as its unit word")
-    return table
+    return walks
 
 
 class GroupReport(Record):
@@ -720,12 +709,15 @@ class GroupReport(Record):
         }
 
 
-def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> GroupReport:
+def group_structure(tower: Tower, gens: list[GaloisMap],
+                    walks: list[list[GaloisMap]]) -> GroupReport:
     """Measure generator orders, pairwise commutators and sigma_1^p, and
     confirm the presentation of H(n) or M(n); the first relation that fails
-    raises ConstructionError.  This check is also the one proof that the
-    table of :func:`enumerate_group` is the whole group sigma_1..sigma_k
-    generate, so every report belongs to a confirmed presentation.
+    raises ConstructionError.  The orders, the inverses and sigma_1^p are
+    read from the power walks of :func:`enumerate_group`.  This check is
+    also the one proof that the p^k normal-form products are the whole
+    group sigma_1..sigma_k generate, so every report belongs to a confirmed
+    presentation.
 
     The presentation, with k = 2n + 1, s_top = s_k and p odd:
       every s_i has order p, except that in M(n) s_1 has order p^2 and
@@ -748,33 +740,33 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
 
     Closure.  When the check passes, the maps satisfy these relations, so
     the group they generate is a quotient of the presented one (von Dyck)
-    and has at most p^k elements.  The p^k products the table's words name
-    are pairwise distinct, as each generator reads as its unit word: words
-    with different prefixes shift some alpha_j, j < k, by different amounts,
-    and words with one prefix differ by s_k^d, 0 < d < p, which moves
-    alpha_k by d.  So the products fill the group, and the table is closed.
-    The proof reads only the generators, their walks, the commutators and
-    sigma_1^p, so it holds for a table none of whose other products is
-    ever built.  When the check fails nothing is proved, and the first
-    failed relation raises ConstructionError: the oracle verifies only
-    towers whose group is H(n) or M(n).  A commutator or sigma_1^p whose
-    word cannot be read, as it shifts some alpha_j by anything but an exact
-    constant of F_p, raises ConstructionError too.
+    and has at most p^k elements.  The p^k normal-form products
+    s_1^e_1 ... s_k^e_k, 0 <= e_i < p, are pairwise distinct, as each
+    generator reads as its unit word: words with different prefixes shift
+    some alpha_j, j < k, by different amounts, and words with one prefix
+    differ by s_k^d, 0 < d < p, which moves alpha_k by d.  So the products
+    fill the group, and it is closed under composition.  The proof reads
+    only the generators, their walks, the commutators and sigma_1^p, so it
+    holds with none of the other products ever built.  When the check
+    fails nothing is proved, and the first failed relation raises
+    ConstructionError: the oracle verifies only towers whose group is H(n)
+    or M(n).  A commutator or sigma_1^p whose word cannot be read, as it
+    shifts some alpha_j by anything but an exact constant of F_p, raises
+    ConstructionError too.
     """
     p = tower.p
     n = tower.n
     k = tower.nvars
     variant = tower.params.variant
-    powers = table.powers
-    gen_orders = tuple(len(pw) for pw in powers)
+    gen_orders = tuple(len(walk) for walk in walks)
 
     commutators = {}
     for i in range(k):
         for j in range(i + 1, k):
-            comm = gens[i].compose(gens[j]).compose(powers[i][-1]).compose(powers[j][-1])
-            commutators[(i + 1, j + 1)] = table.word_of(comm)
+            comm = gens[i].compose(gens[j]).compose(walks[i][-1]).compose(walks[j][-1])
+            commutators[(i + 1, j + 1)] = word_of(walks, comm)
 
-    sigma1_p_word = table.word_of(powers[0][p % gen_orders[0]])
+    sigma1_p_word = word_of(walks, walks[0][p % gen_orders[0]])
 
     def fail(relation, measured, expected):
         raise ConstructionError(f"{relation} is {measured}, the presentation of "
@@ -794,5 +786,5 @@ def group_structure(tower: Tower, gens: list[GaloisMap], table: GroupTable) -> G
         fail(f"the word of sigma_1^{p}", sigma1_p_word, central + (0,))
     if variant == "M" and (sigma1_p_word[:-1] != central or not sigma1_p_word[-1]):
         fail(f"the word of sigma_1^{p}", sigma1_p_word, "sigma_top^w, w != 0 mod p")
-    return GroupReport(variant, table.order, gen_orders, commutators, sigma1_p_word,
+    return GroupReport(variant, p**k, gen_orders, commutators, sigma1_p_word,
                        sigma1_p_word[-1] if variant == "M" else None)

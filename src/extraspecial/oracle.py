@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from .artin_schreier import fp_rank
 from .detval import frobenius_matrix, ring_det, ti_valuations
-from .localfield import (GaloisMap, GroupReport, GroupTable, Tower, TowerAlgebra,
-                         TowerElement, TowerParams, build_tower, elt_leading_term,
-                         elt_valuation_top, enumerate_group, galois_generators,
-                         group_structure, top_valuation)
+from .localfield import (GaloisMap, GroupReport, Tower, TowerAlgebra, TowerElement,
+                         TowerParams, build_tower, elt_leading_term, elt_valuation_top,
+                         enumerate_group, galois_generators, group_structure,
+                         top_valuation)
 from .planner import PlanReport, family_params
 from .ramification import lower_to_upper, upper_to_lower
 from .record import Record
@@ -183,19 +183,19 @@ class FiltrationReport(Record):
 
 
 def ramification_filtration(tower: Tower, gen_data: GeneratorData,
-                            table: GroupTable) -> FiltrationReport:
+                            gens: list[GaloisMap]) -> FiltrationReport:
     """Find i(sigma) = v_L(sigma(pi_L) - pi_L) on the 2n + 1 generators and
     read the filtration from them (:meth:`FiltrationReport.from_generators`).
 
     The reported uniformizer is pi_L = Y^x pi^y with x vtop(Y) + y p^(2n+1)
     = 1 and |x| minimal; the filtration does not depend on this choice.
 
-    The table's group must be one that :func:`group_structure` confirmed as
-    H(n) or M(n).  Only the 2n + 1 generators are measured, from the table's
-    power walks, each with its theta (:func:`_shift_valuation`); every word
-    is filled from them (:attr:`FiltrationReport.ivals`).  This is exact
-    when, in each run of equal noncentral values below i(sigma_top), the
-    thetas are F_p-independent; a dependent run is an OracleMismatch.
+    ``gens`` must generate a group whose presentation :func:`group_structure`
+    confirmed as H(n) or M(n).  Only these 2n + 1 generators are measured,
+    each with its theta (:func:`_shift_valuation`); every word is filled
+    from them (:attr:`FiltrationReport.ivals`).  This is exact when, in each
+    run of equal noncentral values below i(sigma_top), the thetas are
+    F_p-independent; a dependent run is an OracleMismatch.
     - i(sigma) >= m + 1 exactly when sigma is in G_m, a normal subgroup.
       Every nontrivial normal subgroup of a p-group meets the center, and
       Z = <sigma_top> has order p, so every nontrivial G_m contains Z.  So
@@ -216,8 +216,7 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     """
     p = tower.p
     k = tower.nvars
-    measured = [_shift_valuation(walk[1], gen_data.element, gen_data.vtop)
-                for walk in table.powers]
+    measured = [_shift_valuation(sigma, gen_data.element, gen_data.vtop) for sigma in gens]
     gen_ivals = tuple(i for i, _ in measured)
     top = gen_ivals[-1]
     for m in sorted({i for i in gen_ivals[:-1] if i < top}):
@@ -484,10 +483,10 @@ def verify_tower(params: TowerParams, prec: int | None = None) -> OracleReport:
         raise ValueError(f"precision window prec = {prec} must be positive")
     tower = build_tower(params)
     gens = galois_generators(tower)
-    table = enumerate_group(tower, gens)
-    group = group_structure(tower, gens, table)
+    walks = enumerate_group(tower, gens)
+    group = group_structure(tower, gens, walks)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table)
+    filtration = ramification_filtration(tower, gen_data, gens)
     scaffold = scaffold_row_check(tower, gen_data, gens)
     layers = verify_elementary_layers(tower, filtration)
     b_match = tuple(filtration.lower_multiset) == tuple(tower.plan_report.b)

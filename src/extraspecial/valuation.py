@@ -258,9 +258,6 @@ class ResidueField:
             return FFElem(self, _poly_to_idx(value, self.p))
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
-    def zero(self) -> FFElem:
-        return FFElem(self, 0)
-
     def one(self) -> FFElem:
         return FFElem(self, 1)
 

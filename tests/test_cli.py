@@ -211,6 +211,7 @@ class TestOracle:
         assert lines[0] == "tower H p=3 n=1 q=9 prec=328"
         assert lines[1] == "group: order 27, generator orders [3, 3, 3]"
         assert "lower breaks: predicted [1, 1, 82], measured [1, 1, 82] -> match: True" in lines
+        assert "different: 214" in lines
         assert lines[-1] == "PASS: True"
 
     def test_verify_with_prec(self, capsys):
@@ -267,7 +268,7 @@ class TestOracle:
 
     def test_shift_outside_fp_is_verification_failure(self, capsys, monkeypatch):
         # a generator that shifts alpha_top by g, outside F_3, reads as no
-        # word of the group table: a ConstructionError, never a KeyError
+        # word of the group: a ConstructionError, never a KeyError
         import extraspecial.oracle as oracle
         from test_localfield import outside_fp
         galois_generators = oracle.galois_generators
@@ -292,8 +293,8 @@ class TestOracle:
         from test_localfield import as_other_variant
         group_structure = oracle.group_structure
 
-        def read_as_other(tower, gens, table):
-            return group_structure(as_other_variant(tower), gens, table)
+        def read_as_other(tower, gens, walks):
+            return group_structure(as_other_variant(tower), gens, walks)
 
         monkeypatch.setattr(oracle, "group_structure", read_as_other)
         code, out, err = run(capsys, "oracle", "verify", "--variant", variant, "--p", "3",

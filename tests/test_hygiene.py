@@ -361,7 +361,6 @@ CLI_UNREACHED = {
     "valuation.py:LaurentSeries.__str__": "the text of a series, for test failures",
     "valuation.py:LaurentSeries.__repr__": "the text of a series, for test failures",
     "valuation.py:LaurentSeries.inverse": UNREACHED_ALLOWED["valuation.py:LaurentSeries.inverse"],
-    "valuation.py:ResidueField.zero": "the field's zero, for the tests",
     "valuation.py:ResidueField.__hash__": "a field is a hashable value; no CLI path hashes one",
     "valuation.py:ResidueField.__repr__": "the text of a field, for test failures",
 }

@@ -261,9 +261,9 @@ class TestCappedValuation:
         assert verify_family(variant, p, 1, 1, 1).passed
         assert len(measured) >= 9
         tower = make_tower(variant, p)
-        table = enumerate_group(tower, galois_generators(tower))
+        products = list(eager_products(enumerate_group(tower, galois_generators(tower))).values())
         y = construct_generator(tower).element
-        elements = measured + [table[w].apply(y) - y for w in table_words(table)[1:]]
+        elements = measured + [m.apply(y) - y for m in products[1:]]
         want = [localfield._norm_valuation(x, None) for x in elements]
         for start in (1, 2, 8):
             monkeypatch.setattr(localfield, "CAP_START", start)
@@ -623,26 +623,43 @@ class TestComposition:
                 assert cubed.is_identity() == (variant == "H")
 
 
-def eager_products(tower, powers):
-    """The loop GroupTable's lazy build replaced, kept as a test reference:
-    every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, one letter at a
-    time, by normal-form word."""
-    elements = {(): GaloisMap.identity(tower.algebra)}
-    for pows in powers:
+def eager_products(walks):
+    """Reference: every product sigma_1^e1 ... sigma_k^ek, 0 <= e_i < p, one
+    letter at a time, by normal-form word in itertools.product order, the
+    identity first."""
+    identity = walks[0][0]
+    elements = {(): identity}
+    for walk in walks:
         new = {}
         for word, m in elements.items():
             new[word + (0,)] = m  # the e = 0 factor is the identity
-            for e in range(1, tower.p):
-                new[word + (e,)] = m.compose(pows[e])
+            for e in range(1, identity.algebra.p):
+                new[word + (e,)] = m.compose(walk[e])
         elements = new
     return elements
 
 
-def table_words(table) -> list:
-    """Every normal-form word of the table, in itertools.product order, the
-    identity first."""
-    algebra = table.powers[0][0].algebra
-    return list(itertools.product(range(algebra.p), repeat=algebra.nvars))
+def count_composes(monkeypatch, run) -> tuple:
+    """run() and the number of GaloisMap.compose calls it made."""
+    calls = 0
+    real = GaloisMap.compose
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return real(self, other)
+
+    monkeypatch.setattr(GaloisMap, "compose", counted)
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.setattr(GaloisMap, "compose", real)
+
+
+def walk_composes(walks) -> int:
+    """The compositions of the power walks: one per step, the last step the
+    one that returns to the identity."""
+    return sum(len(walk) - 1 for walk in walks)
 
 
 def outside_fp(m, j, c):
@@ -655,9 +672,8 @@ def outside_fp(m, j, c):
 class TestGroupStructure:
     def test_h_group(self, h_tower):
         gens = galois_generators(h_tower)
-        table = enumerate_group(h_tower, gens)
-        assert table.order == 27
-        rep = group_structure(h_tower, gens, table)
+        rep = group_structure(h_tower, gens, enumerate_group(h_tower, gens))
+        assert rep.order == 27
         assert rep.gen_orders == (3, 3, 3)
         assert rep.metacyclic_w is None
         assert rep.commutator_words[(1, 2)] == (0, 0, 1)
@@ -665,39 +681,34 @@ class TestGroupStructure:
         assert rep.commutator_words[(2, 3)] == (0, 0, 0)
 
     @pytest.mark.parametrize("variant", ["H", "M"])
-    def test_table_keeps_each_power_walk(self, variant, h_tower, m_tower):
+    def test_enumerate_group_returns_each_power_walk(self, variant, h_tower, m_tower):
         tower = h_tower if variant == "H" else m_tower
         gens = galois_generators(tower)
-        table = enumerate_group(tower, gens)
-        assert len(table.powers) == len(gens)
-        for pows, g in zip(table.powers, gens):
-            assert pows == g.powers()
+        walks = enumerate_group(tower, gens)
+        assert walks == [g.powers() for g in gens]
         # every word is the product of its generator powers, e = 0 factors included
-        for word in table_words(table):
+        for word in itertools.product(range(tower.p), repeat=tower.nvars):
             expected = GaloisMap.identity(tower.algebra)
-            for pows, e in zip(table.powers, word):
-                expected = expected.compose(pows[e])
-            assert table[word] == expected
+            for walk, e in zip(walks, word):
+                expected = expected.compose(walk[e])
+            assert localfield._product(walks, word) == expected
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
-    def test_lazy_products_match_eager_products(self, variant, p, n):
+    def test_products_match_eager_products(self, variant, p, n, monkeypatch):
         tower = make_tower(variant, p, n)
         gens = galois_generators(tower)
-        table = enumerate_group(tower, gens)
-        # enumerate_group builds only the unit words its check reads
+        # the unit check composes no map: only the power walks compose
+        walks, calls = count_composes(monkeypatch, lambda: enumerate_group(tower, gens))
+        assert calls == walk_composes(walks)
         k = tower.nvars
-        assert set(table.built) == {tuple(int(i == j) for j in range(k))
-                                    for i in range(-1, k - 1)}
-        eager = eager_products(tower, table.powers)
-        assert list(eager) == table_words(table)
+        eager = eager_products(walks)
+        assert list(eager) == list(itertools.product(range(p), repeat=k))
         for word, m in eager.items():
-            assert table[word].images == m.images
-        assert len(table.built) == table.order == p**k
+            assert localfield._product(walks, word).images == m.images
 
     def test_m_group(self, m_tower):
         gens = galois_generators(m_tower)
-        table = enumerate_group(m_tower, gens)
-        rep = group_structure(m_tower, gens, table)
+        rep = group_structure(m_tower, gens, enumerate_group(m_tower, gens))
         assert rep.gen_orders[0] == 9
         assert rep.gen_orders[1:] == (3, 3)
         assert rep.sigma1_p_word[:-1] == (0, 0)
@@ -705,15 +716,16 @@ class TestGroupStructure:
         assert rep.metacyclic_w == rep.sigma1_p_word[-1]
 
 
-def closure_loop(table, gens):
+def closure_loop(walks, gens):
     """The closure check group_structure's presentation proof replaced,
-    kept as a test reference: word_of(g m) for every generator g and table
-    element m, k p^k compositions and every product built.  The table holds
-    the identity and the group is finite, so passing is closure under
-    composition; a map outside the table raises ConstructionError."""
+    kept as a test reference: word_of(g m) for every generator g and every
+    product m of the walks, k p^k compositions and every product built.
+    The products hold the identity and the group is finite, so passing is
+    closure under composition; a map that is no product raises
+    ConstructionError."""
     for g in gens:
-        for word in table_words(table):
-            table.word_of(g.compose(table[word]))
+        for m in eager_products(walks).values():
+            localfield.word_of(walks, g.compose(m))
 
 
 def as_other_variant(tower):
@@ -728,27 +740,28 @@ class TestGroupClosure:
     relation that fails; the k p^k closure loop is the reference."""
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
-    def test_presentation_proves_closure(self, variant, p, n):
+    def test_presentation_proves_closure(self, variant, p, n, monkeypatch):
         tower = make_tower(variant, p, n)
         gens = galois_generators(tower)
-        table = enumerate_group(tower, gens)
-        assert table.order == p ** tower.nvars
-        built = set(table.built)
-        group_structure(tower, gens, table)
-        # the proof builds no product of the table
-        assert set(table.built) == built
-        closure_loop(table, gens)
+        walks = enumerate_group(tower, gens)
+        report, calls = count_composes(monkeypatch, lambda: group_structure(tower, gens, walks))
+        assert report.order == p ** tower.nvars
+        # the proof builds no product: three compositions per commutator,
+        # and every word it reads has the prefix 0
+        k = tower.nvars
+        assert calls == 3 * k * (k - 1) // 2
+        closure_loop(walks, gens)
 
     def test_commutator_shift_outside_fp_is_construction_error(self, h_tower):
         # sigma_top shifted by g, outside F_3: [sigma_1, sigma_top] shifts
         # alpha_top by g - 1, which no word reads
         gens = galois_generators(h_tower)
-        table = enumerate_group(h_tower, gens)
+        walks = enumerate_group(h_tower, gens)
         g = h_tower.field.gen()
         assert not g.in_prime_field
         bent = gens[:-1] + [outside_fp(gens[-1], 2, const(h_tower.field, g) - 1)]
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            group_structure(h_tower, bent, table)
+            group_structure(h_tower, bent, walks)
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
     def test_failed_presentation_names_the_relation(self, variant, p, n):
@@ -756,39 +769,39 @@ class TestGroupClosure:
         # against the other's presentation stops at the order of sigma_1
         tower = make_tower(variant, p, n)
         gens = galois_generators(tower)
-        table = enumerate_group(tower, gens)
+        walks = enumerate_group(tower, gens)
         order, needs = (p, p**2) if variant == "H" else (p**2, p)
         other = as_other_variant(tower)
         with pytest.raises(ConstructionError,
                            match=rf"^the order of sigma_1 is {order}, the presentation of "
                                  rf"{other.params.variant}\({n}\) needs {needs}$"):
-            group_structure(other, gens, table)
+            group_structure(other, gens, walks)
 
     def test_failed_commutator_names_the_relation(self, h_tower):
         # sigma_1 and sigma_2 swapped: their commutator is sigma_top^-1
         s1, s2, s3 = galois_generators(h_tower)
         swapped = [s2, s1, s3]
-        table = localfield.GroupTable([g.powers() for g in swapped])
+        walks = [g.powers() for g in swapped]
         with pytest.raises(ConstructionError,
                            match=r"^the word of \[sigma_1, sigma_2\] is \(0, 0, 2\), "
                                  r"the presentation of H\(1\) needs \(0, 0, 1\)$"):
-            group_structure(h_tower, swapped, table)
+            group_structure(h_tower, swapped, walks)
 
-    def test_failed_presentation_on_open_table_is_construction_error(self, h_tower):
+    def test_failed_presentation_on_open_walk_is_construction_error(self, h_tower):
         # sigma_1 in the walk of sigma_1 is shifted on alpha_top by g, outside
         # F_3.  The presentation reads only the generators, sigma_1^3 and the
         # last entry of each walk, so it stops at the order of sigma_1 without
         # reading that entry; the closure loop builds a product on it and
         # finds the shift
         gens = galois_generators(h_tower)
-        table = enumerate_group(h_tower, gens)
-        walk = list(table.powers[0])
+        walks = enumerate_group(h_tower, gens)
+        walk = list(walks[0])
         walk[1] = outside_fp(walk[1], 2, h_tower.field.gen())
-        open_table = localfield.GroupTable([walk] + table.powers[1:])
+        open_walks = [walk] + walks[1:]
         with pytest.raises(ConstructionError, match="^the order of sigma_1 is 3, "):
-            group_structure(as_other_variant(h_tower), gens, open_table)
+            group_structure(as_other_variant(h_tower), gens, open_walks)
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            closure_loop(open_table, gens)
+            closure_loop(open_walks, gens)
 
 
 def map_key(m):
@@ -800,22 +813,27 @@ def map_key(m):
 
 
 class TestWordReading:
-    """GroupTable.word_of reads a map's word from the shifts it makes."""
+    """word_of reads a map's word from the shifts it makes."""
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
-    def test_every_element_reads_its_own_word(self, variant, p, n):
+    def test_every_element_reads_its_own_word(self, variant, p, n, monkeypatch):
         tower = make_tower(variant, p, n)
-        table = enumerate_group(tower, galois_generators(tower))
-        for word in table_words(table):
-            assert table.word_of(table[word]) == word
-        assert len({map_key(m) for m in table.built.values()}) == p ** tower.nvars
+        walks = enumerate_group(tower, galois_generators(tower))
+        eager = eager_products(walks)
+        for word, m in eager.items():
+            got, calls = count_composes(monkeypatch, lambda: localfield.word_of(walks, m))
+            assert got == word
+            # the prefix product composes its nonzero letters, none for a
+            # zero or a unit prefix
+            assert calls == max(0, sum(map(bool, word[:-1])) - 1)
+        assert len({map_key(m) for m in eager.values()}) == p ** tower.nvars
         # a map that shifts alpha_top past a word's map by a constant outside
         # F_p is in no word
-        last = table[(p - 1,) * tower.nvars]
+        last = eager[(p - 1,) * tower.nvars]
         g = tower.field.gen()
         assert not g.in_prime_field
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            table.word_of(outside_fp(last, tower.nvars - 1, g))
+            localfield.word_of(walks, outside_fp(last, tower.nvars - 1, g))
 
     @pytest.mark.parametrize("variant", ["H", "M"])
     @pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0), (0, 2, 1)])
@@ -826,13 +844,13 @@ class TestWordReading:
             enumerate_group(tower, [gens[i] for i in order])
 
     def test_shift_outside_fp_is_not_a_word(self, h_tower):
-        table = enumerate_group(h_tower, galois_generators(h_tower))
+        walks = enumerate_group(h_tower, galois_generators(h_tower))
         algebra, g = h_tower.algebra, h_tower.field.gen()
         assert not g.in_prime_field
         images = [algebra.gen(j) for j in range(algebra.nvars)]
         images[0] = images[0] + g
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            table.word_of(GaloisMap(algebra, images, validate=False))
+            localfield.word_of(walks, GaloisMap(algebra, images, validate=False))
         alpha = algebra.gen(0)
         assert localfield._fp_shift(alpha + g, alpha) is None
         assert localfield._fp_shift(alpha + g + (2 - const(algebra.field, g)), alpha) == 2
@@ -1027,12 +1045,12 @@ class TestCollectAgainstDeletedAccumulators:
             assert same(got, TowerElement(algebra, reference_reduce(algebra, pending)))
             assert all(e < p for exps in got.coeffs for e in exps)
 
-    def test_apply_over_the_group_table(self, h_tower):
-        table = enumerate_group(h_tower, galois_generators(h_tower))
+    def test_apply_over_the_group(self, h_tower):
+        products = eager_products(enumerate_group(h_tower, galois_generators(h_tower)))
         y = construct_generator(h_tower).element
         xs = [y] + mixed_elements(h_tower.algebra, random.Random(105), 6)
-        assert table.order == 27
-        for sigma in map(table.__getitem__, table_words(table)):
+        assert len(products) == 27
+        for sigma in products.values():
             for x in xs:
                 assert same(sigma.apply(x), reference_apply(sigma, x))
 

@@ -30,30 +30,31 @@ from extraspecial.planner import family_params, plan
 from extraspecial.ramification import upper_to_lower
 from extraspecial.valuation import exact_log
 from conftest import random_elem
-from test_localfield import (TIER1_TOWERS, as_other_variant, eager_products, exact_chain,
-                             make_tower, map_key, table_words, valuation_outcome)
+from test_localfield import (TIER1_TOWERS, as_other_variant, count_composes, eager_products,
+                             exact_chain, make_tower, map_key, valuation_outcome,
+                             walk_composes)
 
 
 @pytest.fixture(scope="module")
 def h_setup():
     tower = make_tower("H")
     gens = galois_generators(tower)
-    table = enumerate_group(tower, gens)
-    group_structure(tower, gens, table)
+    walks = enumerate_group(tower, gens)
+    group_structure(tower, gens, walks)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table)
-    return tower, gens, table, gen_data, filtration
+    filtration = ramification_filtration(tower, gen_data, gens)
+    return tower, gens, walks, gen_data, filtration
 
 
 @pytest.fixture(scope="module")
 def m_setup():
     tower = make_tower("M")
     gens = galois_generators(tower)
-    table = enumerate_group(tower, gens)
-    group_structure(tower, gens, table)
+    walks = enumerate_group(tower, gens)
+    group_structure(tower, gens, walks)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, table)
-    return tower, gens, table, gen_data, filtration
+    filtration = ramification_filtration(tower, gen_data, gens)
+    return tower, gens, walks, gen_data, filtration
 
 
 class TestGenerator:
@@ -148,12 +149,12 @@ class TestFiltration:
     def test_shift_shortcut_matches_explicit_powers(self, h_setup):
         # the dominance shortcut must agree with literally expanding
         # sigma(Y)^x - Y^x; x = -1 here so the expansion is cheap
-        tower, _, table, gen_data, filtration = h_setup
+        tower, _, walks, gen_data, filtration = h_setup
         pk = 27
         x, y = _uniformizer_exponents(gen_data.vtop, pk)
         assert x == -1
-        for word in table_words(table)[1:]:
-            sy = table[word].apply(gen_data.element)
+        for word, m in list(eager_products(walks).items())[1:]:
+            sy = m.apply(gen_data.element)
             direct = y * pk + elt_valuation_top(gen_data.element - sy) \
                 - 2 * gen_data.vtop
             assert filtration.ivals[word] == direct
@@ -198,15 +199,15 @@ def floor_upper_by_cosets(p: int, filtration: FiltrationReport) -> list:
     return _jump_multiset(sorted(set(lower_to_upper(p, filtration.lower_multiset))), sizes, p)
 
 
-def full_filtration(tower, gen_data, table) -> tuple[FiltrationReport, dict]:
+def full_filtration(tower, gen_data, walks) -> tuple[FiltrationReport, dict]:
     """Reference: the per-element loop the class shortcut replaced, which
-    measures i(sigma) on every nontrivial element; the report and the
-    measured map.  The measured different obeys Hilbert's formula, summed
-    over every i by the reference loop."""
+    measures i(sigma) on every nontrivial product of the walks; the report
+    and the measured map.  The measured different obeys Hilbert's formula,
+    summed over every i by the reference loop."""
     p = tower.p
     ivals = {}
-    for word in table_words(table)[1:]:
-        ivals[word] = _shift_valuation(table[word], gen_data.element, gen_data.vtop)[0]
+    for word, m in list(eager_products(walks).items())[1:]:
+        ivals[word] = _shift_valuation(m, gen_data.element, gen_data.vtop)[0]
         assert ivals[word] >= 2
     report = per_word_report(p, ivals, _uniformizer_exponents(gen_data.vtop, p**tower.nvars))
     assert report.different_val == loop_hilbert_sum(p, report.lower_multiset)
@@ -226,7 +227,7 @@ def _cyclic_class(word: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(e * scale % p for e in prefix) + (0,)
 
 
-def class_filtration(tower, gen_data, table) -> tuple[FiltrationReport, dict]:
+def class_filtration(tower, gen_data, walks) -> tuple[FiltrationReport, dict]:
     """Reference: the class loop that the generator measurements replaced.
     i(sigma) is a class function and constant on the generators of one
     cyclic subgroup, so it measures one representative per class of cyclic
@@ -234,10 +235,11 @@ def class_filtration(tower, gen_data, table) -> tuple[FiltrationReport, dict]:
     report and the measured map."""
     p = tower.p
     measured, ivals = {}, {}
-    for word in table_words(table)[1:]:
+    for word in itertools.islice(itertools.product(range(p), repeat=tower.nvars), 1, None):
         rep = _cyclic_class(word, p)
         if rep not in measured:
-            measured[rep] = _shift_valuation(table[rep], gen_data.element, gen_data.vtop)[0]
+            sigma = localfield._product(walks, rep)
+            measured[rep] = _shift_valuation(sigma, gen_data.element, gen_data.vtop)[0]
         ivals[word] = measured[rep]
     uniformizer = _uniformizer_exponents(gen_data.vtop, p**tower.nvars)
     return per_word_report(p, ivals, uniformizer), ivals
@@ -332,9 +334,9 @@ class TestClosedForms:
 def _staged(params):
     tower = build_tower(params)
     gens = galois_generators(tower)
-    table = enumerate_group(tower, gens)
-    group_structure(tower, gens, table)
-    return tower, table, construct_generator(tower)
+    walks = enumerate_group(tower, gens)
+    group_structure(tower, gens, walks)
+    return tower, gens, walks, construct_generator(tower)
 
 
 def _count_measurements(monkeypatch, run) -> tuple:
@@ -362,12 +364,6 @@ def _tower_id(params) -> str:
     return f"{params.variant}-{params.p}-{params.n}-m{''.join(map(str, params.m))}"
 
 
-def _unit_words(k: int) -> set:
-    """The identity and the 2n noncentral unit words, the products
-    enumerate_group builds to read each generator's word."""
-    return {tuple(int(i == j) for j in range(k)) for i in range(-1, k - 1)}
-
-
 class TestCyclicClasses:
     """The filtration measures the 2n + 1 generators of the group whose
     presentation group_structure confirmed, with their thetas, and fills
@@ -379,12 +375,11 @@ class TestCyclicClasses:
         return _staged(request.param)
 
     def test_matches_full_filtration(self, staged, monkeypatch):
-        tower, table, gen_data = staged
-        filled, calls = _count_measurements(
-            monkeypatch, lambda: ramification_filtration(tower, gen_data, table))
-        assert calls == tower.nvars
-        assert set(table.built) == _unit_words(tower.nvars)
-        assert (filled, filled.ivals) == full_filtration(tower, gen_data, table)
+        tower, gens, walks, gen_data = staged
+        (filled, calls), composed = count_composes(monkeypatch, lambda: _count_measurements(
+            monkeypatch, lambda: ramification_filtration(tower, gen_data, gens)))
+        assert (calls, composed) == (tower.nvars, 0)
+        assert (filled, filled.ivals) == full_filtration(tower, gen_data, walks)
         # the report writes the fill in its own order, which is the sorted one
         assert list(filled.ivals) == sorted(filled.ivals)
         # on m = (0, 1, 2) the noncentral words take two values, so a fill
@@ -399,13 +394,13 @@ class TestCyclicClasses:
         # word, read from its own sigma(Y) - Y, is the F_q-sum of e_j theta_j
         # over the generators of its value; the norm's p^(k-l) twist puts the
         # thetas of elements of different support levels on one scale
-        tower, table, gen_data = _staged(params)
+        tower, gens, walks, gen_data = _staged(params)
         y, vtop, f = gen_data.element, gen_data.vtop, tower.field
-        gens = [_shift_valuation(walk[1], y, vtop) for walk in table.powers]
-        for word in table_words(table)[1:]:
-            i, theta = _shift_valuation(table[word], y, vtop)
+        measured = [_shift_valuation(sigma, y, vtop) for sigma in gens]
+        for word, m in list(eager_products(walks).items())[1:]:
+            i, theta = _shift_valuation(m, y, vtop)
             total = sum((LaurentSeries.monomial(f, t) * e
-                         for e, (i_j, t) in zip(word, gens) if e and i_j == i),
+                         for e, (i_j, t) in zip(word, measured) if e and i_j == i),
                         LaurentSeries.zero(f))
             assert total == LaurentSeries.monomial(f, theta), word
 
@@ -414,56 +409,63 @@ class TestCyclicClasses:
         for params in sweep_draws(SWEEP_SEED, SWEEP_COUNT):
             if not plan(params).certified:
                 continue
-            tower, table, gen_data = _staged(params)
-            filled = ramification_filtration(tower, gen_data, table)
-            assert (filled, filled.ivals) == class_filtration(tower, gen_data, table), params
+            tower, gens, walks, gen_data = _staged(params)
+            filled = ramification_filtration(tower, gen_data, gens)
+            assert (filled, filled.ivals) == class_filtration(tower, gen_data, walks), params
             draws += 1
         assert draws > 20
 
     @pytest.mark.parametrize("variant", ["H", "M"])
     def test_matches_the_class_loop_at_7_2(self, variant):
-        tower, table, gen_data = _staged(family_params(variant, 7, 2, 1, 1, INF, None))
-        filled = ramification_filtration(tower, gen_data, table)
-        assert (filled, filled.ivals) == class_filtration(tower, gen_data, table)
+        tower, gens, walks, gen_data = _staged(family_params(variant, 7, 2, 1, 1, INF, None))
+        filled = ramification_filtration(tower, gen_data, gens)
+        assert (filled, filled.ivals) == class_filtration(tower, gen_data, walks)
 
     @staticmethod
-    def _tables(monkeypatch) -> list:
-        """The group tables verify_tower builds, in order."""
-        tables = []
+    def _walks(monkeypatch) -> list:
+        """The power walks of each enumerate_group call of verify_tower, in order."""
+        walks = []
         real = oracle_mod.enumerate_group
         monkeypatch.setattr(oracle_mod, "enumerate_group",
-                            lambda *args: tables.append(real(*args)) or tables[-1])
-        return tables
+                            lambda *args: walks.append(real(*args)) or walks[-1])
+        return walks
 
     @pytest.mark.parametrize("params", CLASS_TOWERS[:8], ids=_tower_id)
-    def test_confirmed_verify_builds_only_the_unit_words(self, params, monkeypatch):
-        tables = self._tables(monkeypatch)
-        report, calls = _count_measurements(monkeypatch, lambda: verify_tower(params))
+    def test_confirmed_verify_builds_no_product(self, params, monkeypatch):
+        recorded = self._walks(monkeypatch)
+        (report, calls), composed = count_composes(
+            monkeypatch, lambda: _count_measurements(monkeypatch, lambda: verify_tower(params)))
         assert report.passed
-        (table,) = tables
+        (walks,) = recorded
         k = 2 * params.n + 1
         # 2n + 1 generators, and one generator per degree-p layer
         assert calls == k + 2 * params.n
-        assert set(table.built) == _unit_words(k)
+        # the power walks, and three compositions per commutator
+        assert composed == walk_composes(walks) + 3 * k * (k - 1) // 2
 
     @pytest.mark.parametrize("params", CLASS_TOWERS[:8], ids=_tower_id)
     def test_failed_presentation_stops_verify(self, params, monkeypatch):
         # a tower read against the other variant's presentation: verify_tower
-        # raises before the filtration measures a generator or builds a product
-        tables = self._tables(monkeypatch)
+        # raises before the filtration measures a generator, and builds no
+        # product
+        recorded = self._walks(monkeypatch)
         real = oracle_mod.group_structure
 
-        def read_as_other(tower, gens, table):
-            return real(as_other_variant(tower), gens, table)
+        def read_as_other(tower, gens, walks):
+            return real(as_other_variant(tower), gens, walks)
 
-        measured = []
+        measured, composed = [], []
+        compose = GaloisMap.compose
         monkeypatch.setattr(oracle_mod, "group_structure", read_as_other)
         monkeypatch.setattr(oracle_mod, "_shift_valuation", lambda *args: measured.append(args))
+        monkeypatch.setattr(GaloisMap, "compose",
+                            lambda *args: composed.append(args) or compose(*args))
         with pytest.raises(ConstructionError, match="^the order of sigma_1 is "):
             verify_tower(params)
         assert measured == []
-        (table,) = tables
-        assert set(table.built) == _unit_words(2 * params.n + 1)
+        (walks,) = recorded
+        k = 2 * params.n + 1
+        assert len(composed) == walk_composes(walks) + 3 * k * (k - 1) // 2
 
     def test_class_representatives(self):
         assert _cyclic_class((2, 4, 3), 5) == (1, 2, 0)
@@ -540,14 +542,15 @@ class TestElementaryLayers:
                                  leads=default_leads(field, 1), field=field)
             tower = build_tower(params)
             gens = galois_generators(tower)
-            table = enumerate_group(tower, gens)
-            group_structure(tower, gens, table)
-            filtration = ramification_filtration(tower, construct_generator(tower), table)
-            fixing = [g for g in map(table.__getitem__, table_words(table))
+            walks = enumerate_group(tower, gens)
+            group_structure(tower, gens, walks)
+            filtration = ramification_filtration(tower, construct_generator(tower), gens)
+            products = eager_products(walks)
+            fixing = [g for g in products.values()
                       if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
             sizes = []
             for b in sorted(set(filtration.lower_multiset)):
-                group = [table[w] for w, v in filtration.ivals.items() if v - 1 >= b]
+                group = [products[w] for w, v in filtration.ivals.items() if v - 1 >= b]
                 group.append(GaloisMap.identity(tower.algebra))
                 sizes.append(len({frozenset(map_key(g.compose(h)) for h in fixing)
                                   for g in group}))
@@ -556,11 +559,11 @@ class TestElementaryLayers:
             rep = verify_elementary_layers(tower, filtration)
             assert rep.sub_upper_measured == composed == tuple(sorted(tower.plan_report.u[:2]))
 
-    def test_layer_stages_reuse_the_table(self, m_setup, monkeypatch):
+    def test_layer_stages_reuse_the_walks(self, m_setup, monkeypatch):
         # group_structure reads the power walks enumerate_group kept, and the
         # layer stage walks no power: the coset counts compose no map of the
         # tower, and _cp_break measures each layer's generator once
-        tower, gens, table, _, filtration = m_setup
+        tower, gens, walks, _, filtration = m_setup
         calls = {"compose": 0, "powers": 0}
         compose, powers = GaloisMap.compose, GaloisMap.powers
 
@@ -579,16 +582,13 @@ class TestElementaryLayers:
         assert report.ok
         assert calls == {"compose": 0, "powers": 0}
         assert measured == 2 * tower.n
-        group_structure(tower, gens, table)
+        group_structure(tower, gens, walks)
         assert calls["powers"] == 0
-        # enumerate_group: one walk per generator, and one product for each
-        # unit word sigma_1..sigma_2n its check reads; closure is proved by
-        # the presentation, not composed, and no other product is built
+        # enumerate_group: one walk per generator, and its unit check builds
+        # no product; closure is proved by the presentation, not composed
         calls["compose"] = 0
         rebuilt = enumerate_group(tower, gens)
-        walks = sum(len(pw) - 1 for pw in rebuilt.powers)
-        assert calls["compose"] == walks + tower.nvars - 1
-        assert len(rebuilt.built) == tower.nvars
+        assert calls == {"compose": walk_composes(rebuilt), "powers": tower.nvars}
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
     def test_floor_fixing_set_from_every_image(self, variant, p, n):
@@ -598,7 +598,7 @@ class TestElementaryLayers:
         tower = make_tower(variant, p, n)
         gens = galois_generators(tower)
         k = tower.nvars
-        eager = eager_products(tower, enumerate_group(tower, gens).powers)
+        eager = eager_products(enumerate_group(tower, gens))
         fixing = {w for w, m in eager.items()
                   if all(m.images[j] == m.algebra.gen(j) for j in range(k - 1))}
         assert fixing == {(0,) * (k - 1) + (e,) for e in range(p)}
@@ -685,26 +685,24 @@ def _trip_dependent_run():
     # sigma_1 and sigma_2 share i = 2 < i(sigma_top) = 83; fed equal thetas,
     # their run is F_p-dependent
     tower, gens, gen_data = _h31()
-    table = enumerate_group(tower, gens)
     real = oracle_mod._shift_valuation
     one = tower.field.one()
     with mock.patch.object(oracle_mod, "_shift_valuation",
                            lambda *args: (real(*args)[0], one)):
-        ramification_filtration(tower, gen_data, table)
+        ramification_filtration(tower, gen_data, gens)
 
 
 def _trip_deeper_than_center():
     # sigma_1 reads one above i(sigma_top) = 83
     tower, gens, gen_data = _h31()
-    table = enumerate_group(tower, gens)
     real = oracle_mod._shift_valuation
 
     def deeper(sigma, *args):
         i, theta = real(sigma, *args)
-        return (84 if sigma is table.powers[0][1] else i), theta
+        return (84 if sigma is gens[0] else i), theta
 
     with mock.patch.object(oracle_mod, "_shift_valuation", deeper):
-        ramification_filtration(tower, gen_data, table)
+        ramification_filtration(tower, gen_data, gens)
 
 
 def _trip_scaffold(first, last):
@@ -773,8 +771,8 @@ class TestVerifyFamily:
         tower = build_tower(family_params(variant, 3, 1, 1, 1, INF, 27))
         assert tower.field.q == 27
         gens = galois_generators(tower)
-        table = enumerate_group(tower, gens)
-        assert [table.word_of(g) for g in gens] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        walks = enumerate_group(tower, gens)
+        assert [localfield.word_of(walks, g) for g in gens] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_second_family_member(self):
         # u = 2, t = 1: u = (2, 2, 11), b = (2, 2, 83)
@@ -968,10 +966,10 @@ class TestExactness:
 
     @pytest.mark.parametrize("setup", ["h_setup", "m_setup"])
     def test_tower_and_generator_series_are_exact(self, request, setup):
-        tower, _, table, gen_data, _ = request.getfixturevalue(setup)
+        tower, _, walks, gen_data, _ = request.getfixturevalue(setup)
         y = gen_data.element
         elements = [rel for rel in tower.algebra.relations] + [y]
-        elements += [table[w].apply(y) - y for w in table_words(table)]
+        elements += [m.apply(y) - y for m in eager_products(walks).values()]
         series = [c for x in elements for c in x.coeffs.values()]
         series += list(gen_data.cofactors) + list(tower.omegas) + list(tower.a)
         assert series

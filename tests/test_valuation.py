@@ -87,7 +87,7 @@ class TestResidueField:
                 assert ref_mul_index(field, (x ** -j).idx, (x ** j).idx) == 1
         for e in (1, 2, field.q - 1):
             with pytest.raises(ZeroDivisionError):
-                field.zero() ** -e
+                field(0) ** -e
 
     def test_parse_negative_power(self, f9):
         assert f9.parse_element("g^-1") == f9.gen() ** 7
