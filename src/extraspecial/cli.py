@@ -153,7 +153,7 @@ def _cmd_ram_convert(args) -> int:
         seq = RamSequence.from_lower(args.p, _int_list(args.lower))
     else:
         seq = RamSequence.from_upper(args.p, _int_list(args.upper))
-    ineq = check_ram_inequalities(args.p, seq.lower, seq.upper)
+    ineq = check_ram_inequalities(seq)
     d = {"schema": 1}
     d.update(seq.to_dict())
     d["inequalities"] = ineq.to_dict()

@@ -246,7 +246,8 @@ class GaloisMap:
     """An automorphism of the tower algebra, given by generator images.
 
     Construction verifies that every defining relation is respected
-    exactly: (sigma(alpha_i))^p - sigma(alpha_i) = sigma(rhs_i).
+    exactly: (sigma(alpha_i))^p - sigma(alpha_i) = sigma(rhs_i), with the
+    p-th power taken by :func:`_frobenius`, the one the norm chain takes.
     """
 
     __slots__ = ("algebra", "images", "_pow_cache")
@@ -258,9 +259,8 @@ class GaloisMap:
             raise ValueError("one image per generator required")
         self._pow_cache: dict[tuple[int, int], TowerElement] = {}
         if validate:
-            p = algebra.p
             for i, img in enumerate(self.images):
-                lhs = img**p - img
+                lhs = _frobenius(img) - img
                 rhs = self.apply(algebra.relations[i])
                 if lhs != rhs:
                     raise ConstructionError(
@@ -419,9 +419,10 @@ def _level_norm(x: TowerElement, i: int) -> TowerElement:
 def _frobenius(x: TowerElement) -> TowerElement:
     """x^p by substitution: sum_J c_J^p prod_j (alpha_j + rel_j)^(J_j), since
     x -> x^p is additive in characteristic p and alpha_j^p = alpha_j + rel_j.
-    The substitution is a GaloisMap kept once per algebra, so the powers of
-    its images are built once; repeated squaring would build dense
-    intermediate powers instead."""
+    The one p-th power of a tower element: the norm chain and the relation
+    check of every GaloisMap take it.  The substitution is a GaloisMap kept
+    once per algebra, so the powers of its images are built once; repeated
+    squaring would build dense intermediate powers instead."""
     algebra = x.algebra
     if algebra._frobenius_map is None:
         algebra._frobenius_map = GaloisMap(

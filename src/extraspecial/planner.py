@@ -252,7 +252,7 @@ def gms_verdict(p: int, n: int, cfrak, u1: int) -> str:
     rho = u1 % pn2t
     if rho == pn2t - 1 and cfrak >= 2 * pn2t - 1:
         return "free-and-hopf"
-    if cfrak >= rho and any((p**m - 1) % rho == 0 for m in range(1, 2 * n + 2)):
+    if cfrak >= rho and any(pow(p, m, rho) == 1 % rho for m in range(1, 2 * n + 2)):
         return "free"
     return "no-conclusion"
 

@@ -56,36 +56,28 @@ def upper_to_lower(p: int, upper: Sequence) -> tuple[Fraction, ...]:
 
 
 class RamSequence(Record, frozen=True):
-    """Matched lower/upper ramification sequences for one extension."""
+    """The ramification numbers of one extension, kept as the lower ones;
+    the upper ones are read from them by :func:`lower_to_upper`, so the two
+    always match."""
 
     p: int
     lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise ValueError("lower and upper sequences must have equal length")
-        if lower_to_upper(self.p, self.lower) != self.upper:
-            raise ValueError("upper sequence inconsistent with lower sequence")
-        # b_j <= p^(j-1) u_j, equality only at j = 1
-        for j in range(1, self.n + 1):
-            bound = self.p ** (j - 1) * self.upper[j - 1]
-            if self.lower[j - 1] > bound or (j > 1 and self.lower[j - 1] == bound):
-                raise ValueError(f"b_{j} violates b_j <= p^(j-1) u_j")
 
     @property
     def n(self) -> int:
         return len(self.lower)
 
+    @property
+    def upper(self) -> tuple[Fraction, ...]:
+        return lower_to_upper(self.p, self.lower)
+
     @classmethod
     def from_lower(cls, p: int, lower: Sequence) -> "RamSequence":
-        b = _as_fractions(lower, "lower ramification numbers")
-        return cls(p, b, lower_to_upper(p, b))
+        return cls(p, _as_fractions(lower, "lower ramification numbers"))
 
     @classmethod
     def from_upper(cls, p: int, upper: Sequence) -> "RamSequence":
-        u = _as_fractions(upper, "upper ramification numbers")
-        return cls(p, upper_to_lower(p, u), u)
+        return cls(p, upper_to_lower(p, upper))
 
     def to_dict(self) -> dict:
         return {
@@ -188,17 +180,14 @@ class RamCheckReport(Record, frozen=True):
         }
 
 
-def check_ram_inequalities(p: int, lower: Sequence, upper: Sequence) -> RamCheckReport:
-    """Evaluate the pairwise and absolute bounds tying lower to upper numbers.
+def check_ram_inequalities(seq: RamSequence) -> RamCheckReport:
+    """Evaluate the pairwise and absolute bounds tying the lower numbers of
+    ``seq`` to its upper ones.
 
     For every i <= j:  b_j - b_i <= p^(j-1) (u_j - u_i),
     and for every j:   b_j <= p^(j-1) u_j, with equality allowed only at j=1.
-    The input pair must be consistent under the conversion recursion.
     """
-    b = _as_fractions(lower, "lower ramification numbers")
-    u = _as_fractions(upper, "upper ramification numbers")
-    if len(b) != len(u) or lower_to_upper(p, b) != u:
-        raise ValueError("inconsistent (lower, upper) pair")
+    p, b, u = seq.p, seq.lower, seq.upper
     checks: list[RamCheck] = []
     n = len(b)
     for j in range(1, n + 1):

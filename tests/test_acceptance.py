@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from extraspecial import (INF, build_shift_tables,
+from extraspecial import (INF, RamSequence, build_shift_tables,
                           check_ram_inequalities, example_family, lower_to_upper,
                           residue_field, ring_det, upper_to_lower, validate_reduced_AS,
                           verify_family)
@@ -108,7 +108,7 @@ def test_criterion_6_ramification_machinery():
             b.append(b[-1] + rng.randint(0, 60))
         u = lower_to_upper(p, b)
         assert upper_to_lower(p, u) == tuple(b)
-        rep = check_ram_inequalities(p, b, u)
+        rep = check_ram_inequalities(RamSequence.from_lower(p, b))
         assert rep.all_hold
         first = next(c for c in rep.checks if c.name == "b1 <= p^0*u1")
         assert first.equality and first.slack == 0

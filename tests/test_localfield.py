@@ -465,11 +465,19 @@ class TestClosedFormNorms:
                 x = c * algebra.gen(i) + d
                 assert localfield._linear_norm(c, d, i) == localfield._level_norm(x, i)
 
-    def test_frobenius_substitutes_the_relations(self, m_tower):
-        rng = random.Random(4220)
-        for level in (1, 2, 3):
-            x = element_below(m_tower.algebra, rng, level, 2, terms=3)
-            assert localfield._frobenius(x) == x ** 3
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_frobenius_substitutes_the_relations(self, variant, p, n):
+        # the substitution against square-and-multiply, on seeded elements
+        # of every level and on the generator images the relation check
+        # raises to the p-th power
+        tower = make_tower(variant, p, n)
+        algebra = tower.algebra
+        rng = random.Random(4220 + 10 * p + n)
+        elements = [element_below(algebra, rng, level, min(2, p - 1), terms=3)
+                    for level in range(1, tower.nvars + 1)]
+        elements += [img for sigma in galois_generators(tower) for img in sigma.images]
+        for x in elements:
+            assert localfield._frobenius(x) == x ** p
 
     @pytest.mark.parametrize("a1", [LaurentSeries.monomial(residue_field(3, 2), 1, 1),
                                     LaurentSeries.monomial(residue_field(3, 2), 1, -3),
@@ -571,6 +579,16 @@ class TestGaloisGenerators:
         a1, a2, a3 = (h_tower.alpha(i) for i in (1, 2, 3))
         with pytest.raises(ConstructionError):
             GaloisMap(h_tower.algebra, (a1 + a2, a2, a3))
+        # sigma_1 of M(p, 1) with its top image missing the Witt carry
+        # D(1, alpha_1): the relation of the top generator fails
+        for p in (3, 7):
+            tower = make_tower("M", p, 1)
+            images = list(galois_generators(tower)[0].images)
+            top = tower.alpha(3)
+            assert images[-1] != top
+            images[-1] = top
+            with pytest.raises(ConstructionError, match="generator 3 violates"):
+                GaloisMap(tower.algebra, images)
 
     def test_maps_preserve_valuation(self, h_tower):
         rng = random.Random(12)

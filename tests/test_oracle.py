@@ -1003,6 +1003,21 @@ class TestExactness:
         assert valued and all(valued)
         assert calls == {"inverse": 0, "level_norm": 0}
 
+    @pytest.mark.parametrize("variant, p, n", [("H", 7, 1), ("M", 7, 1), ("H", 3, 2)])
+    def test_verify_takes_no_pth_power_by_squaring(self, monkeypatch, variant, p, n):
+        # every p-th power of a tower element, in the norm chain and in the
+        # relation check of each GaloisMap, is the Frobenius substitution
+        exponents = []
+        real_pow = TowerElement.__pow__
+
+        def pow_spy(self, e):
+            exponents.append(e)
+            return real_pow(self, e)
+
+        monkeypatch.setattr(TowerElement, "__pow__", pow_spy)
+        assert verify_family(variant, p, n, 1, 1).passed
+        assert p not in exponents
+
 
 def _fill(x: TowerElement, window: int, rng: random.Random) -> TowerElement:
     """x with every coefficient cut to O(pi^window) and its unknown tail

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,27 @@ class TestGmsVerdict:
                 v = order[gms_verdict(3, 1, c, u1)]
                 assert v >= prev
                 prev = v
+
+    def test_modular_order_matches_full_powers(self):
+        # the 'free' test on residues mod rho against the same test on the
+        # full p^m - 1, at every precision where it decides the verdict
+        for p in (3, 5, 7):
+            for n in (1, 2, 3):
+                pn2t = p ** (2 * n + 1)
+                for u1 in range(1, 200):
+                    if u1 % p == 0:
+                        continue
+                    rho = u1 % pn2t
+                    divides = any((p**m - 1) % rho == 0 for m in range(1, 2 * n + 2))
+                    assert gms_verdict(p, n, rho, u1) == \
+                        ("free" if divides else "no-conclusion")
+
+    def test_large_n_is_quick(self):
+        # the order of 3 mod rho = 1,000,003 is 333,334 > 2n + 1, so every m
+        # is tested; on the full powers 3^m - 1 this took about 26 s
+        start = time.perf_counter()
+        assert gms_verdict(3, 30000, 10**8, 1000003) == "no-conclusion"
+        assert time.perf_counter() - start < 5
 
 
 class TestExampleFamily:
