@@ -3,13 +3,15 @@
 Subcommands: plan, verdict, example, ram (convert | tables),
 oracle (verify).  Exit codes: 0 for certified/verified outcomes and for an
 explicit no-conclusion, 1 for malformed input, 2 for hypothesis failure,
-3 for precision failure.
+3 for precision failure.  A reader that closes standard output early ends
+the command with exit 1 and no message, as Python itself exits on EPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .localfield import ConstructionError, PlanRejection
@@ -264,9 +266,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; normalize to 1
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # the one place exceptions become exit codes; PlanRejection is a
-    # ValueError, so it is caught first
+    # ValueError, so it is caught first.  The report is flushed here, so a
+    # closed reader raises inside the handler, not at interpreter exit.
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: later flushes write to devnull, and the exit
+        # status is Python's own on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PlanRejection as exc:
         print(f"hypotheses fail: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES

@@ -55,6 +55,9 @@ class TowerAlgebra:
         self.nvars = nvars
         self.relations: list[TowerElement | None] = [None] * nvars
         self._zero_exps = (0,) * nvars
+        one = LaurentSeries.one(field)
+        self._gens = tuple(TowerElement._of(self, {tuple(int(j == i) for j in range(nvars)): one})
+                           for i in range(nvars))
         self._frobenius_map: GaloisMap | None = None
 
     def set_relation(self, i: int, rhs: "TowerElement"):
@@ -66,7 +69,7 @@ class TowerAlgebra:
         self._frobenius_map = None
 
     def zero(self) -> "TowerElement":
-        return TowerElement(self, {})
+        return TowerElement._of(self, {})
 
     def one(self) -> "TowerElement":
         return self.from_series(LaurentSeries.one(self.field))
@@ -78,24 +81,29 @@ class TowerAlgebra:
         return self.from_series(LaurentSeries.monomial(self.field, self.field(c)))
 
     def gen(self, i: int) -> "TowerElement":
-        exps = list(self._zero_exps)
-        exps[i] = 1
-        return TowerElement(self, {tuple(exps): LaurentSeries.one(self.field)})
+        """alpha_i, built once with the algebra: elements are immutable."""
+        return self._gens[i]
 
     def _collect(self, terms) -> "TowerElement":
-        """The reduced sum of (exponents, series) terms.  Equal exponents
-        merge; while an exponent of some x_i is >= p, i the highest such
-        generator, those terms are rewritten by x_i^p = x_i + rel_i and
-        merged again.  rel_i involves only generators below i, so i never
-        rises: one sweep per level."""
+        """The reduced sum of (exponents, series) terms, none of them exactly
+        zero.  Equal exponents merge, and a merged coefficient that is
+        exactly zero is dropped at once; while an exponent of some x_i is
+        >= p, i the highest such generator, those terms are rewritten by
+        x_i^p = x_i + rel_i and merged again.  rel_i involves only
+        generators below i, so i never rises: one sweep per level."""
         acc: dict[tuple[int, ...], LaurentSeries] = {}
         p, i = self.p, self.nvars - 1
         while True:
             for exps, c in terms:
                 cur = acc.get(exps)
-                acc[exps] = c if cur is None else cur + c
+                if cur is None:
+                    acc[exps] = c
+                elif (merged := cur + c).is_zero():
+                    del acc[exps]
+                else:
+                    acc[exps] = merged
             if max(map(max, acc), default=0) < p:
-                return TowerElement(self, acc)
+                return TowerElement._of(self, acc)
             while not (over := [exps for exps in acc if exps[i] >= p]):
                 i -= 1
             rel = self.relations[i]
@@ -104,8 +112,6 @@ class TowerAlgebra:
             terms = []
             for exps in over:
                 c = acc.pop(exps)
-                if c.is_zero():
-                    continue
                 # x^base * x_i^p = x^base * (x_i + rel_i)
                 base = exps[:i] + (exps[i] - p,) + exps[i + 1:]
                 terms.append((exps[:i] + (exps[i] - p + 1,) + exps[i + 1:], c))
@@ -123,6 +129,13 @@ class TowerElement:
     def __init__(self, algebra: TowerAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, algebra: TowerAlgebra, coeffs: dict) -> "TowerElement":
+        """Internal results: ``coeffs`` already holds no exactly zero coefficient."""
+        x = object.__new__(cls)
+        x.algebra, x.coeffs = algebra, coeffs
+        return x
 
     # -- queries ---------------------------------------------------------------
 
@@ -158,7 +171,7 @@ class TowerElement:
             e = stripped[i]
             stripped[i] = 0
             out.setdefault(e, {})[tuple(stripped)] = c
-        return {e: TowerElement(self.algebra, d) for e, d in out.items()}
+        return {e: TowerElement._of(self.algebra, d) for e, d in out.items()}
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -182,7 +195,7 @@ class TowerElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.algebra, {e: -c for e, c in self.coeffs.items()})
+        return TowerElement._of(self.algebra, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -429,7 +442,7 @@ def _frobenius(x: TowerElement) -> TowerElement:
             algebra, [algebra.gen(j) + rel for j, rel in enumerate(algebra.relations)],
             validate=False)
     return algebra._frobenius_map.apply(
-        TowerElement(algebra, {e: c.frobenius() for e, c in x.coeffs.items()}))
+        TowerElement._of(algebra, {e: c.frobenius() for e, c in x.coeffs.items()}))
 
 
 def _linear_norm(c: TowerElement, d: TowerElement, i: int) -> TowerElement:
@@ -508,7 +521,7 @@ def _cap(x: TowerElement, w: int) -> TowerElement:
             if max(c.coeffs) >= v + w:
                 c = c.truncate(v + w)
         out[e] = c
-    return TowerElement(x.algebra, out)
+    return TowerElement._of(x.algebra, out)
 
 
 def _norm_valuation(x: TowerElement, w: int | None) -> tuple[Fraction, FFElem]:
@@ -640,13 +653,28 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
 
 
 def _fp_shift(x: TowerElement, y: TowerElement) -> int | None:
-    """The e in F_p with x = y + e exactly, or None."""
-    d = (x - y).coeffs
-    c = d.pop(x.algebra._zero_exps, LaurentSeries.zero(x.algebra.field))
-    if d or not c.is_exact or not c.coeffs.keys() <= {0}:
+    """The e in F_p with x = y + e exactly, or None.  It compares the terms
+    of x and y and builds no x - y: every coefficient must be exact, every
+    term but the constant one equal in x and y, and the two constant series
+    equal in every exponent but 0.  A field index is base p in the
+    coordinates, so the pi^0 coefficients a, b differ by an element of F_p
+    exactly when a // p == b // p, and then by (a - b) mod p, an index
+    below p, which is the F_p element of that value."""
+    zero_exps = x.algebra._zero_exps
+    zero = LaurentSeries.zero(x.algebra.field)
+    for exps in x.coeffs.keys() | y.coeffs.keys():
+        a, b = x.coeffs.get(exps, zero), y.coeffs.get(exps, zero)
+        if not (a.is_exact and b.is_exact):
+            return None
+        if exps != zero_exps and a.coeffs != b.coeffs:
+            return None
+    a = x.coeffs.get(zero_exps, zero).coeffs
+    b = y.coeffs.get(zero_exps, zero).coeffs
+    ca, cb = a.get(0, 0), b.get(0, 0)
+    p = x.algebra.p
+    if ca // p != cb // p or {**a, 0: 0} != {**b, 0: 0}:
         return None
-    e = c.coeffs.get(0, 0)  # a field index below p is the F_p element of that value
-    return e if e < c.field.p else None
+    return (ca - cb) % p
 
 
 def _product(walks: list[list[GaloisMap]], word: tuple[int, ...]) -> GaloisMap:
@@ -764,7 +792,9 @@ def group_structure(tower: Tower, gens: list[GaloisMap],
     commutators = {}
     for i in range(k):
         for j in range(i + 1, k):
-            comm = gens[i].compose(gens[j]).compose(walks[i][-1]).compose(walks[j][-1])
+            # right to left, so each compose applies a generator or a walk
+            # entry whose image powers are already kept
+            comm = gens[i].compose(gens[j].compose(walks[i][-1].compose(walks[j][-1])))
             commutators[(i + 1, j + 1)] = word_of(walks, comm)
 
     sigma1_p_word = word_of(walks, walks[0][p % gen_orders[0]])

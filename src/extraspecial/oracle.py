@@ -172,8 +172,15 @@ class FiltrationReport(Record):
         return out
 
     def to_dict(self) -> dict:
+        # words run prefix by prefix: one key string per prefix, with each
+        # last entry appended to it
+        ends = [f",{e}" for e in range(self.p)]
+        ivals = {}
+        for prefix, words in itertools.groupby(self.ivals.items(), lambda item: item[0][:-1]):
+            head = ",".join(map(str, prefix))
+            ivals.update((head + ends[w[-1]], i) for w, i in words)
         return {
-            "ivals": {",".join(map(str, w)): v for w, v in self.ivals.items()},
+            "ivals": ivals,
             "lower_multiset": list(self.lower_multiset),
             "different_val": self.different_val,
             "hilbert_sum": self.different_val,  # the different is Hilbert's sum

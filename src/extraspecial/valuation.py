@@ -400,24 +400,18 @@ class LaurentSeries:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentSeries):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("series over different residue fields")
-            return other
-        if isinstance(other, (int, FFElem)):
-            return LaurentSeries(self.field, {0: other})
-        return NotImplemented
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        prec = min(self.prec, o.prec)
         f = self.field
+        if not isinstance(other, LaurentSeries):
+            if not isinstance(other, (int, FFElem)):
+                return NotImplemented
+            other = LaurentSeries(f, {0: other})
+        elif other.field is not f and other.field != f:
+            raise ValueError("series over different residue fields")
+        prec = min(self.prec, other.prec)
         log, exp, zech = f._log, f._exp, f._zech
         out = {e: c for e, c in self.coeffs.items() if e < prec}
-        for e, c in o.coeffs.items():
+        for e, c in other.coeffs.items():
             if e >= prec:
                 continue
             cur = out.get(e)
@@ -440,10 +434,9 @@ class LaurentSeries:
         return self._of(self.field, {e: neg(c) for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        # a - b = -(-a + b): __add__ takes the operand in and checks its field
+        d = (-self).__add__(other)
+        return d if d is NotImplemented else -d
 
     def __rsub__(self, other):
         return (-self) + other
@@ -451,27 +444,37 @@ class LaurentSeries:
     def __mul__(self, other):
         f = self.field
         log, exp = f._log, f._exp
-        if isinstance(other, (int, FFElem)):
+        if not isinstance(other, LaurentSeries):
+            if not isinstance(other, (int, FFElem)):
+                return NotImplemented
             c = f(other).idx
             if c == 0:
                 return self._of(f, {}, math.inf)
             lc = log[c]
             return self._of(f, {e: exp[log[x] + lc] for e, x in self.coeffs.items()}, self.prec)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+        if other.field is not f and other.field != f:
+            raise ValueError("series over different residue fields")
+        a, b = self.coeffs, other.coeffs
         # prec = min(val(a) + prec(b), val(b) + prec(a)), with val >= N read
         # for an imprecise zero O(pi^N); exact zero absorbs.
-        va = min(self.coeffs) if self.coeffs else self.prec
-        vb = min(o.coeffs) if o.coeffs else o.prec
-        prec = min(va + o.prec, vb + self.prec)
+        if len(a) == 1 == len(b):
+            # two monomials: one log sum, which stays inside the table's two
+            # periods, and nothing to merge; ea < prec(a) and eb < prec(b),
+            # so the product lies below its window
+            ((ea, ca),) = a.items()
+            ((eb, cb),) = b.items()
+            return self._of(f, {ea + eb: exp[log[ca] + log[cb]]},
+                            min(ea + other.prec, eb + self.prec))
+        va = min(a) if a else self.prec
+        vb = min(b) if b else other.prec
+        prec = min(va + other.prec, vb + self.prec)
         # accumulate logarithms: g^c + g^l = g^c (1 + g^(l-c)) = g^(c + zech[l-c]);
         # a pair's log sum reaches 2(q-2), so differences are reduced mod q-1
         zech, m = f._zech, f.q - 1
         out: dict[int, int] = {}
-        for ea, ca in self.coeffs.items():
+        for ea, ca in a.items():
             la = log[ca]
-            for eb, cb in o.coeffs.items():
+            for eb, cb in b.items():
                 e = ea + eb
                 if e >= prec:
                     continue
@@ -560,7 +563,7 @@ class LaurentSeries:
 
     def __eq__(self, other):
         if isinstance(other, (int, FFElem)):
-            other = self._coerce(other)
+            other = LaurentSeries(self.field, {0: other})
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (self.field.key == other.field.key and self.coeffs == other.coeffs

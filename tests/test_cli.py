@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +318,29 @@ class TestOracle:
                            "--c", "5", "--u1", "1")
         assert code == 1
         assert "n = 0" in err
+
+
+class TestClosedReader:
+    """A reader that has closed standard output ends the command with exit 1,
+    Python's own status on EPIPE, and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "verify", "--variant", "H", "--p", "3", "--n", "1", "--u", "1", "--t", "1",
+         "--output", "json"),
+        ("ram", "convert", "--p", "3", "--lower", "1,1,82"),
+    ])
+    def test_exit_1_without_traceback(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command starts: every write fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "extraspecial.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestJsonRoundtrip:

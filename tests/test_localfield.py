@@ -1072,3 +1072,191 @@ class TestCollectAgainstDeletedAccumulators:
             for x in xs:
                 assert same(sigma.apply(x), reference_apply(sigma, x))
 
+
+
+# -- the lean kernel: internal results skip the zero filter -----------------------
+
+
+def holds_no_exact_zero(x):
+    """x is a TowerElement whose public constructor would drop nothing."""
+    return type(x) is TowerElement and TowerElement(x.algebra, x.coeffs).coeffs == x.coeffs
+
+
+def imprecise_zeros(x) -> int:
+    return sum(1 for c in x.coeffs.values() if not c.coeffs and not c.is_exact)
+
+
+class TestInternalResults:
+    """_collect, apply, compose and __neg__ build their results without the
+    public constructor's filter: none may hold an exact zero, and an
+    imprecise zero stays."""
+
+    @pytest.mark.parametrize("name", TestCollectAgainstDeletedAccumulators.ALGEBRAS)
+    def test_sums_products_and_negations(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        rng = random.Random(201)
+        xs = mixed_elements(algebra, rng, 8)
+        xs += [-x for x in xs[:4]]
+        kept = 0
+        for x in xs:
+            assert holds_no_exact_zero(-x)
+            assert imprecise_zeros(-x) == imprecise_zeros(x)
+            for y in xs:
+                for z in (x + y, x * y, x - y, x + (-x)):
+                    assert holds_no_exact_zero(z)
+                    kept += imprecise_zeros(z)
+                assert same(x - y, reference_add(x, -y))
+        assert kept
+        # a sum that cancels exactly holds nothing, an inexact one an O(pi^N)
+        exact = mixed_elements(algebra, rng, 4, kinds=1)
+        assert all((x + (-x)).coeffs == {} for x in exact)
+        assert all(imprecise_zeros(x - x) == len(x.coeffs) for x in xs
+                   if all(not c.is_exact for c in x.coeffs.values()))
+
+    @pytest.mark.parametrize("name", TestCollectAgainstDeletedAccumulators.ALGEBRAS)
+    def test_collect_drops_exact_zeros_as_they_merge(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        p, k = algebra.p, algebra.nvars
+        rng = random.Random(202)
+        for _ in range(10):
+            terms = [(tuple(rng.randint(0, 2 * p) for _ in range(k)),
+                      mixed_series(algebra.field, rng)) for _ in range(rng.randint(1, 5))]
+            # each term again with its negation: the merge meets exact zeros
+            terms += [(e, -c) for e, c in terms if c.is_exact] + terms[:2]
+            got = algebra._collect(terms)
+            assert holds_no_exact_zero(got)
+            pending = {}
+            for e, c in terms:
+                pending[e] = c if e not in pending else pending[e] + c
+            assert same(got, TowerElement(algebra, reference_reduce(algebra, pending)))
+
+    def test_apply_and_compose(self, h_tower, m_tower):
+        kept = 0
+        for tower in (h_tower, m_tower):
+            algebra = tower.algebra
+            rng = random.Random(203)
+            gens = galois_generators(tower)
+            shifts = mixed_elements(algebra, rng, algebra.nvars)
+            windowed = GaloisMap(algebra, [algebra.gen(i) + x for i, x in enumerate(shifts)],
+                                 validate=False)
+            maps = gens + [windowed]
+            xs = mixed_elements(algebra, rng, 6)
+            for sigma in maps:
+                for x in xs:
+                    img = sigma.apply(x)
+                    assert holds_no_exact_zero(img)
+                    assert same(img, reference_apply(sigma, x))
+                    kept += imprecise_zeros(img)
+                for tau in maps:
+                    composed = sigma.compose(tau)
+                    assert all(holds_no_exact_zero(img) for img in composed.images)
+                    kept += sum(map(imprecise_zeros, composed.images))
+        assert kept
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_generators_survive_a_verify(self, variant, p, n, monkeypatch):
+        towers = []
+
+        def capture(params):
+            towers.append(localfield.build_tower(params))
+            return towers[-1]
+
+        monkeypatch.setattr(oracle, "build_tower", capture)
+        report = oracle.verify_tower(make_tower(variant, p, n).params)
+        assert report.passed
+        (tower,) = towers
+        algebra = tower.algebra
+        one = LaurentSeries.one(algebra.field)
+        for i in range(algebra.nvars):
+            unit = tuple(int(j == i) for j in range(algebra.nvars))
+            assert algebra.gen(i) is algebra.gen(i)
+            assert algebra.gen(i).coeffs == {unit: one}
+            assert algebra.gen(i).coeffs[unit].coeffs == {0: 1}
+
+
+def reference_fp_shift(x, y):
+    """The F_p shift by its definition: build x - y, and read its constant."""
+    d = dict((x - y).coeffs)
+    c = d.pop(x.algebra._zero_exps, LaurentSeries.zero(x.algebra.field))
+    if d or not c.is_exact or not c.coeffs.keys() <= {0}:
+        return None
+    e = c.coeffs.get(0, 0)
+    return e if e < c.field.p else None
+
+
+class TestFpShiftAgainstDefinition:
+    @pytest.mark.parametrize("name", TestCollectAgainstDeletedAccumulators.ALGEBRAS)
+    def test_random_pairs(self, accumulator_algebras, name):
+        algebra = accumulator_algebras[name]
+        f = algebra.field
+        rng = random.Random(204)
+        ys = mixed_elements(algebra, rng, 6) + mixed_elements(algebra, rng, 6, kinds=1)
+        ys += [algebra.gen(i) for i in range(algebra.nvars)] + [algebra.zero()]
+        results = []
+        for y in ys:
+            shifts = [random_elem(f, rng) for _ in range(4)] + [
+                mixed_series(f, rng), LaurentSeries(f, {0: rng.randrange(f.p), 2: 1}),
+                LaurentSeries.monomial(f, rng.randrange(1, f.p), 0, prec=rng.randint(1, 4))]
+            xs = [y + algebra.from_series(LaurentSeries.monomial(f, s)) if not
+                  isinstance(s, LaurentSeries) else y + algebra.from_series(s) for s in shifts]
+            xs += [y * y, -y, rng.choice(ys)]
+            for x in xs:
+                got = localfield._fp_shift(x, y)
+                assert got == reference_fp_shift(x, y)
+                results.append(got)
+        assert None in results
+        assert {0, 1} <= set(results) and max(r for r in results if r is not None) < algebra.p
+
+
+class TestCommutatorsAndWords:
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_right_nested_commutators_equal_left_nested(self, variant, p, n, monkeypatch):
+        tower = make_tower(variant, p, n)
+        gens = galois_generators(tower)
+        walks = enumerate_group(tower, gens)
+        report, calls = count_composes(monkeypatch,
+                                       lambda: group_structure(tower, gens, walks))
+        k = tower.nvars
+        assert calls == 3 * k * (k - 1) // 2
+        for i in range(k):
+            for j in range(i + 1, k):
+                # the reference: [s_i, s_j] = s_i s_j s_i^-1 s_j^-1, left to right
+                left = gens[i].compose(gens[j]).compose(walks[i][-1]).compose(walks[j][-1])
+                right = gens[i].compose(gens[j].compose(walks[i][-1].compose(walks[j][-1])))
+                assert all(same(r, l) for r, l in zip(right.images, left.images))
+                assert report.commutator_words[(i + 1, j + 1)] == \
+                    localfield.word_of(walks, left)
+
+    @pytest.mark.parametrize("variant, p, n", [("H", 3, 2), ("M", 3, 2), ("M", 5, 1)])
+    def test_word_of_negates_and_collects_nothing(self, variant, p, n, monkeypatch):
+        # the words of a verify are read from the terms of the images: no
+        # x - y is built, so no negation and no merge
+        calls = {"word_of": 0, "neg": 0, "collect": 0}
+        depth = 0
+        real_word_of = localfield.word_of
+        real_neg, real_collect = TowerElement.__neg__, TowerAlgebra._collect
+
+        def word_of(walks, m):
+            nonlocal depth
+            calls["word_of"] += 1
+            depth += 1
+            try:
+                return real_word_of(walks, m)
+            finally:
+                depth -= 1
+
+        def neg(self):
+            calls["neg"] += depth > 0
+            return real_neg(self)
+
+        def collect(self, terms):
+            calls["collect"] += depth > 0
+            return real_collect(self, terms)
+
+        monkeypatch.setattr(localfield, "word_of", word_of)
+        monkeypatch.setattr(TowerElement, "__neg__", neg)
+        monkeypatch.setattr(TowerAlgebra, "_collect", collect)
+        assert verify_family(variant, p, n, 1, 1).passed
+        k = 2 * n + 1
+        # each generator's unit word, each commutator and sigma_1^p
+        assert calls == {"word_of": k + k * (k - 1) // 2 + 1, "neg": 0, "collect": 0}

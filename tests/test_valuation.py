@@ -544,6 +544,68 @@ class TestSeriesAgainstReference:
         assert outcome(lambda: b.inverse(9)) == outcome(lambda: RefSeries.of(b).inverse(9))
 
 
+def sparse_operand(field, rng: random.Random, terms: int) -> LaurentSeries:
+    """A series of ``terms`` nonzero terms, exact or with a window above
+    them all, so the window cuts none of them."""
+    exps = rng.sample(range(-30, 30), terms)
+    coeffs = {e: elem_from_index(field, rng.randrange(1, field.q)) for e in exps}
+    prec = math.inf if rng.randrange(2) else max(exps, default=0) + rng.randint(1, 12)
+    return LaurentSeries(field, coeffs, prec)
+
+
+def same_series(got: LaurentSeries, want: RefSeries) -> bool:
+    """The stored indices and window of got are want's, so a zero index
+    kept in got fails."""
+    return (got.coeffs == {e: got.field(c).idx for e, c in want.coeffs.items()}
+            and got.prec == want.prec)
+
+
+def reflect(s: LaurentSeries) -> LaurentSeries:
+    """s(-pi): the terms of odd exponent negated."""
+    return LaurentSeries._of(s.field, {e: s.field._neg_idx(c) if e % 2 else c
+                                       for e, c in s.coeffs.items()}, s.prec)
+
+
+class TestSparseKernelAgainstReference:
+    """Products and sums by operand shape, monomial by monomial (one log
+    sum), monomial by m terms, and m by m, with exact zeros and imprecise
+    zeros, against RefSeries: equal coefficients and equal precision."""
+
+    SHAPES = [(1, 1), (1, 4), (4, 1), (3, 5), (0, 1), (1, 0), (0, 4)]
+
+    @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 2), (7, 1), (7, 2), (3, 4)])
+    def test_products_and_sums_by_shape(self, p, d):
+        field = residue_field(p, d)
+        rng = random.Random(3000 + 10 * p + d)
+        imprecise_zero = LaurentSeries(field, {}, prec=rng.randint(-8, 8))
+        seen = set()
+        for _ in range(40):
+            for la, lb in self.SHAPES:
+                a, b = sparse_operand(field, rng, la), sparse_operand(field, rng, lb)
+                if not la and rng.randrange(2):
+                    a = imprecise_zero
+                # a + (-a) cancels every term, and a(pi) a(-pi) every odd one
+                pairs = [(a, b), (b, a), (a, a), (b, b), (a, -a), (b, reflect(b))]
+                for x, y in pairs:
+                    rx, ry = RefSeries.of(x), RefSeries.of(y)
+                    assert same_series(x * y, rx * ry)
+                    assert same_series(x + y, rx + ry)
+                    seen.add((len(x.coeffs), x.is_exact, len(y.coeffs), y.is_exact))
+        # monomial by monomial in each pairing of exact and windowed
+        assert {(1, ex, 1, ey) for ex in (True, False) for ey in (True, False)} <= seen
+        assert {(0, True), (0, False)} <= {(n, ex) for n, ex, _, _ in seen}
+
+    def test_fields_are_checked_first(self, f9, f27):
+        a, b = LaurentSeries.monomial(f9, 1, 1), LaurentSeries.monomial(f27, 1, 1)
+        with pytest.raises(ValueError, match="different residue fields"):
+            a * b
+        with pytest.raises(ValueError, match="different residue fields"):
+            a + b
+        assert a.__mul__("x") is NotImplemented and a.__add__(1.5) is NotImplemented
+        assert 2 + a == a + 2 == LaurentSeries(f9, {0: 2, 1: 1})
+        assert a - 1 == -(1 - a) == LaurentSeries(f9, {0: 2, 1: 1})
+
+
 class TestCoefficientEdge:
     def test_int_and_element_coefficients_agree(self, f9):
         assert LaurentSeries(f9, {0: 2, 1: 4}) == LaurentSeries(f9, {0: f9(2), 1: f9(1)})
