@@ -201,7 +201,8 @@ class TowerElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return self.algebra._collect([*self.coeffs.items(),
+                                      *((e, -c) for e, c in o.coeffs.items())])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -263,14 +264,14 @@ class GaloisMap:
     p-th power taken by :func:`_frobenius`, the one the norm chain takes.
     """
 
-    __slots__ = ("algebra", "images", "_pow_cache")
+    __slots__ = ("algebra", "images", "_powers")
 
     def __init__(self, algebra: TowerAlgebra, images, validate: bool = True):
         self.algebra = algebra
         self.images = tuple(images)
         if len(self.images) != algebra.nvars:
             raise ValueError("one image per generator required")
-        self._pow_cache: dict[tuple[int, int], TowerElement] = {}
+        self._powers = [[img] for img in self.images]
         if validate:
             for i, img in enumerate(self.images):
                 lhs = _frobenius(img) - img
@@ -285,26 +286,35 @@ class GaloisMap:
 
     def _image_power(self, i: int, e: int) -> TowerElement:
         """images[i]^e for e >= 1, kept per map."""
-        if e == 1:
-            return self.images[i]
-        cached = self._pow_cache.get((i, e))
-        if cached is None:
-            cached = self._image_power(i, e - 1) * self.images[i]
-            self._pow_cache[(i, e)] = cached
-        return cached
+        powers = self._powers[i]
+        while len(powers) < e:
+            powers.append(powers[-1] * powers[0])
+        return powers[e - 1]
 
     def apply(self, x: TowerElement) -> TowerElement:
+        """c alpha^J -> c prod_j images[j]^(J_j), with no product that does
+        not change a term: K_0 is fixed, the exact one multiplies nothing, and
+        alpha_j maps to images[j] itself (images are reduced results)."""
         if x.algebra is not self.algebra:
             raise ValueError("element of a different algebra")
-        terms = []
+        if x.coeffs.keys() <= {self.algebra._zero_exps}:
+            return x
+        one, terms = {0: 1}, []
         for exps, c in x.coeffs.items():
             term = None
             for i, e in enumerate(exps):
                 if e:
                     pw = self._image_power(i, e)
                     term = pw if term is None else term * pw
-            terms += ([(exps, c)] if term is None
-                      else [(e, t * c) for e, t in term.coeffs.items()])
+            if term is None:
+                terms.append((exps, c))
+            elif c.coeffs != one or c.prec != INF:
+                terms += [(e, c if t.coeffs == one and t.prec == INF else t * c)
+                          for e, t in term.coeffs.items()]
+            elif len(x.coeffs) == 1:
+                return term
+            else:
+                terms += term.coeffs.items()
         return self.algebra._collect(terms)
 
     def compose(self, other: "GaloisMap") -> "GaloisMap":
@@ -636,7 +646,7 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
     k = tower.nvars
     one = algebra.one()
     maps = []
-    for i in range(k - 1):
+    for i in range(k):
         images = [algebra.gen(j) for j in range(k)]
         images[i] = images[i] + one
         top = algebra.gen(k - 1)
@@ -646,9 +656,6 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
         elif i == 0 and tower.params.variant == "M":
             images[k - 1] = top + witt_carry(one, algebra.gen(0), tower.p)
         maps.append(GaloisMap(algebra, images))
-    images = [algebra.gen(j) for j in range(k)]
-    images[k - 1] = images[k - 1] + one
-    maps.append(GaloisMap(algebra, images))
     return maps
 
 

@@ -14,7 +14,6 @@ and v_0(t_top), and builds no X.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .artin_schreier import fp_rank
@@ -103,19 +102,19 @@ def _uniformizer_exponents(vtop: int, pk: int) -> tuple[int, int]:
     return x, y
 
 
-def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> tuple[int, FFElem]:
-    """i(sigma) = v_top((sigma - 1) pi_L) = 1 + v_top(sigma(Y) - Y) - vtop, for
-    any uniformizer pi_L = Y^x pi^y (x vtop + y p^k = 1, p^k the degree of
-    the algebra of Y), where vtop = v_top(Y); and theta, the leading
-    coefficient of N_(L/K_0)(sigma(Y) - Y).
+def _shift_valuation(delta: TowerElement, vtop: int) -> tuple[int, FFElem]:
+    """i(sigma) = v_top((sigma - 1) pi_L) = 1 + v_top(delta) - vtop, for
+    delta = sigma(Y) - Y and any uniformizer pi_L = Y^x pi^y (x vtop + y p^k
+    = 1, p^k the degree of the algebra of Y), where vtop = v_top(Y); and
+    theta, the leading coefficient of N_(L/K_0)(delta).
 
-    With delta = sigma(Y) - Y, (sigma - 1) pi_L = pi_L ((1 + delta/Y)^x - 1).
-    When v(delta) > v(Y), the binomial term x delta/Y dominates strictly (p
-    never divides x, which is invertible mod p^k), for either sign of x; so
-    the valuation is v(pi_L) + v(delta) - v(Y) = 1 + v(delta) - vtop >= 2.
-    The dominance always holds in a totally ramified p-extension: every
-    sigma != 1 lies in G_1, so sigma(Y)/Y is a principal unit.  A
-    measurement without it is an OracleMismatch, not a fallback.
+    (sigma - 1) pi_L = pi_L ((1 + delta/Y)^x - 1).  When v(delta) > v(Y),
+    the binomial term x delta/Y dominates strictly (p never divides x, which
+    is invertible mod p^k), for either sign of x; so the valuation is
+    v(pi_L) + v(delta) - v(Y) = 1 + v(delta) - vtop >= 2.  The dominance
+    always holds in a totally ramified p-extension: every sigma != 1 lies
+    in G_1, so sigma(Y)/Y is a principal unit.  A measurement without it is
+    an OracleMismatch, not a fallback.
 
     So sigma(pi_L)/pi_L - 1 and x delta/Y share their leading coefficient,
     which is Serre's theta(sigma) in U^m/U^(m+1) = F_q, m = i(sigma) - 1
@@ -124,7 +123,6 @@ def _shift_valuation(sigma: GaloisMap, y_elem: TowerElement, vtop: int) -> tuple
     value i(sigma) the returned theta is s(theta(sigma)) for one F_p-linear
     bijection s of F_q.
     """
-    delta = sigma.apply(y_elem) - y_elem
     if delta.is_zero():
         raise OracleMismatch("a nontrivial automorphism fixes the generator")
     v0, theta = elt_leading_term(delta)
@@ -145,7 +143,7 @@ class FiltrationReport(Record):
     @classmethod
     def from_generators(cls, p: int, gen_ivals: tuple[int, ...],
                         uniformizer: tuple[int, int]) -> "FiltrationReport":
-        """The filtration :attr:`ivals` fills from the generator values:
+        """The filtration that :meth:`to_dict` fills from the generator values:
         |G_b| = p^(1 + #{j : i(sigma_j) - 1 >= b}) for b < i(sigma_top), so
         the lower breaks are the i(sigma_j) - 1; a noncentral value above
         i(sigma_top) is an OracleMismatch.  The different, the sum of i(w)
@@ -158,27 +156,20 @@ class FiltrationReport(Record):
         lower = tuple(sorted(i - 1 for i in gen_ivals))
         return cls(p, gen_ivals, lower, _hilbert_sum(p, lower), uniformizer)
 
-    @property
-    def ivals(self) -> dict:
-        """i(w) for every word w != 1, in itertools.product order, filled
-        from the generator values: a word of prefix 0 takes i(sigma_top),
-        any other the least i(sigma_j) over the j with e_j != 0."""
-        p, top = self.p, self.gen_ivals[-1]
-        out = {}
-        for prefix in itertools.product(range(p), repeat=len(self.gen_ivals) - 1):
-            i = min((v for v, e in zip(self.gen_ivals, prefix) if e), default=top)
-            out.update((prefix + (e,), i) for e in range(p))
-        del out[(0,) * len(self.gen_ivals)]
-        return out
-
     def to_dict(self) -> dict:
-        # words run prefix by prefix: one key string per prefix, with each
-        # last entry appended to it
-        ends = [f",{e}" for e in range(self.p)]
-        ivals = {}
-        for prefix, words in itertools.groupby(self.ivals.items(), lambda item: item[0][:-1]):
-            head = ",".join(map(str, prefix))
-            ivals.update((head + ends[w[-1]], i) for w, i in words)
+        """``ivals`` is i(w), w != 1, keyed "e_1,...,e_k" in itertools.product
+        order: the fill.  Prefix 0 takes i(sigma_top), any other the least
+        i(sigma_j) over its e_j != 0; so each prefix is built one generator
+        at a time, with its key head and value, and gives p words."""
+        p, top = self.p, self.gen_ivals[-1]
+        digits = [f"{e}," for e in range(p)]
+        prefixes = [("", top)]
+        for v in self.gen_ivals[:-1]:
+            prefixes = [(head + d, i if d == "0," else min(i, v))
+                        for head, i in prefixes for d in digits]
+        ends = [str(e) for e in range(p)]
+        ivals = {head + end: i for head, i in prefixes for end in ends}
+        del ivals[prefixes[0][0] + "0"]  # the identity
         return {
             "ivals": ivals,
             "lower_multiset": list(self.lower_multiset),
@@ -190,19 +181,20 @@ class FiltrationReport(Record):
 
 
 def ramification_filtration(tower: Tower, gen_data: GeneratorData,
-                            gens: list[GaloisMap]) -> FiltrationReport:
-    """Find i(sigma) = v_L(sigma(pi_L) - pi_L) on the 2n + 1 generators and
-    read the filtration from them (:meth:`FiltrationReport.from_generators`).
+                            deltas: list[TowerElement]) -> FiltrationReport:
+    """Find i(sigma) = v_L(sigma(pi_L) - pi_L) on the 2n + 1 generators from
+    ``deltas``, their sigma(Y) - Y, and read the filtration from them
+    (:meth:`FiltrationReport.from_generators`).
 
     The reported uniformizer is pi_L = Y^x pi^y with x vtop(Y) + y p^(2n+1)
     = 1 and |x| minimal; the filtration does not depend on this choice.
 
-    ``gens`` must generate a group whose presentation :func:`group_structure`
-    confirmed as H(n) or M(n).  Only these 2n + 1 generators are measured,
-    each with its theta (:func:`_shift_valuation`); every word is filled
-    from them (:attr:`FiltrationReport.ivals`).  This is exact when, in each
-    run of equal noncentral values below i(sigma_top), the thetas are
-    F_p-independent; a dependent run is an OracleMismatch.
+    The generators must generate a group whose presentation
+    :func:`group_structure` confirmed as H(n) or M(n).  Only they are
+    measured, each with its theta (:func:`_shift_valuation`); every word is
+    filled from them (:meth:`FiltrationReport.to_dict`).  This is exact
+    when, in each run of equal noncentral values below i(sigma_top), the
+    thetas are F_p-independent; a dependent run is an OracleMismatch.
     - i(sigma) >= m + 1 exactly when sigma is in G_m, a normal subgroup.
       Every nontrivial normal subgroup of a p-group meets the center, and
       Z = <sigma_top> has order p, so every nontrivial G_m contains Z.  So
@@ -223,7 +215,7 @@ def ramification_filtration(tower: Tower, gen_data: GeneratorData,
     """
     p = tower.p
     k = tower.nvars
-    measured = [_shift_valuation(sigma, gen_data.element, gen_data.vtop) for sigma in gens]
+    measured = [_shift_valuation(delta, gen_data.vtop) for delta in deltas]
     gen_ivals = tuple(i for i, _ in measured)
     top = gen_ivals[-1]
     for m in sorted({i for i in gen_ivals[:-1] if i < top}):
@@ -300,8 +292,9 @@ def default_window(params: TowerParams) -> int:
 
 
 def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
-                       gens: list[GaloisMap]) -> ScaffoldReport:
-    """Check the top-row scaffold bounds on X = t_top^(-1) Y.
+                       deltas: list[TowerElement]) -> ScaffoldReport:
+    """Check the top-row scaffold bounds on X = t_top^(-1) Y, from the
+    differences ``deltas``, sigma_i(Y) - Y for each generator.
 
     X is not built: the valuation is multiplicative and t_top lies in K_0,
     so v_top(X) = v_top(Y) - p^k v_0(t_top), both terms certified by
@@ -331,12 +324,11 @@ def scaffold_row_check(tower: Tower, gen_data: GeneratorData,
     rows = []
     contributions = []
     for i in range(1, k + 1):
-        sigma = gens[i - 1]
         mu_vtop = p**k * (v0[i - 1] - v0[-1])
         if mu_vtop != b[i - 1] - btop:
             raise OracleMismatch(
                 f"v_top(mu_{i}) = {mu_vtop} != b_{i} - b_top = {b[i - 1] - btop}")
-        w = sigma.apply(gen_data.element) - gen_data.element - t[i - 1]
+        w = deltas[i - 1] - t[i - 1]
         if w.is_zero():
             gap = INF
         else:
@@ -404,7 +396,7 @@ def _cp_break(tower: Tower, i: int) -> int:
     mini.set_relation(0, mini.from_series(tower.a[i - 1]))
     alpha = mini.gen(0)
     sigma = GaloisMap(mini, [alpha + mini.one()])
-    return _shift_valuation(sigma, alpha, elt_valuation_top(alpha))[0] - 1
+    return _shift_valuation(sigma.apply(alpha) - alpha, elt_valuation_top(alpha))[0] - 1
 
 
 def verify_elementary_layers(tower: Tower, filtration: FiltrationReport) -> LayersReport:
@@ -424,7 +416,7 @@ def verify_elementary_layers(tower: Tower, filtration: FiltrationReport) -> Laye
     prefix of w is 0.  sigma_top adds 1 to alpha_top, so in characteristic
     p its order is p.
 
-    G^v = G_b, b = psi(v), and by the fill (:attr:`FiltrationReport.ivals`)
+    G^v = G_b, b = psi(v), and by the fill (:meth:`FiltrationReport.to_dict`)
     G_b Z/Z is spanned by the sigma_j, j <= 2n, with i(sigma_j) - 1 >= b.
     So the floor's upper jumps are the phi(i(sigma_j) - 1), j <= 2n: the
     upper numbers of the lower multiset but the last, phi(i(sigma_top) - 1),
@@ -493,8 +485,9 @@ def verify_tower(params: TowerParams, prec: int | None = None) -> OracleReport:
     walks = enumerate_group(tower, gens)
     group = group_structure(tower, gens, walks)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, gens)
-    scaffold = scaffold_row_check(tower, gen_data, gens)
+    deltas = [sigma.apply(gen_data.element) - gen_data.element for sigma in gens]
+    filtration = ramification_filtration(tower, gen_data, deltas)
+    scaffold = scaffold_row_check(tower, gen_data, deltas)
     layers = verify_elementary_layers(tower, filtration)
     b_match = tuple(filtration.lower_multiset) == tuple(tower.plan_report.b)
     passed = b_match and scaffold.ok and layers.ok

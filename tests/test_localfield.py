@@ -980,6 +980,24 @@ def one_generator_algebra():
     return algebra
 
 
+def substitution_cases(algebra, rng):
+    """The elements GaloisMap.apply takes without a product: each generator,
+    exact and windowed scalars, zero, monomials with the exact coefficient
+    one, and sums that mix such monomials with other terms; and monomials
+    whose coefficient is one only up to a window, 1 + O(pi^N), which must
+    take their products."""
+    f, p, k = algebra.field, algebra.p, algebra.nvars
+    one = LaurentSeries.one(f)
+    cases = [algebra.gen(i) for i in range(k)] + [algebra.zero(), algebra.one()]
+    cases += [algebra.from_series(mixed_series(f, rng)) for _ in range(3)]
+    units = [TowerElement(algebra, {tuple(rng.randrange(p) for _ in range(k)): one})
+             for _ in range(4)]
+    cases += [TowerElement(algebra, {tuple(rng.randrange(p) for _ in range(k)):
+                                     LaurentSeries(f, {0: 1}, prec=rng.randint(1, 3))})
+              for _ in range(2)]
+    return cases + units + [u + x for u, x in zip(units, mixed_elements(algebra, rng, 4))]
+
+
 @pytest.fixture(scope="module")
 def accumulator_algebras(h_tower, m_tower):
     return {"H-3": h_tower.algebra, "M-3": m_tower.algebra,
@@ -1066,7 +1084,9 @@ class TestCollectAgainstDeletedAccumulators:
     def test_apply_over_the_group(self, h_tower):
         products = eager_products(enumerate_group(h_tower, galois_generators(h_tower)))
         y = construct_generator(h_tower).element
-        xs = [y] + mixed_elements(h_tower.algebra, random.Random(105), 6)
+        rng = random.Random(105)
+        xs = [y] + mixed_elements(h_tower.algebra, rng, 6)
+        xs += substitution_cases(h_tower.algebra, rng)
         assert len(products) == 27
         for sigma in products.values():
             for x in xs:
@@ -1139,19 +1159,72 @@ class TestInternalResults:
             shifts = mixed_elements(algebra, rng, algebra.nvars)
             windowed = GaloisMap(algebra, [algebra.gen(i) + x for i, x in enumerate(shifts)],
                                  validate=False)
-            maps = gens + [windowed]
-            xs = mixed_elements(algebra, rng, 6)
+            # images whose coefficients are one only up to a window
+            near_one = LaurentSeries(algebra.field, {0: 1}, prec=2)
+            ones = GaloisMap(algebra, [algebra.gen(i) * near_one + 1
+                                       for i in range(algebra.nvars)], validate=False)
+            maps = gens + [windowed, ones]
+            xs = mixed_elements(algebra, rng, 6) + substitution_cases(algebra, rng)
             for sigma in maps:
                 for x in xs:
                     img = sigma.apply(x)
                     assert holds_no_exact_zero(img)
                     assert same(img, reference_apply(sigma, x))
                     kept += imprecise_zeros(img)
+                for j in range(algebra.nvars):
+                    assert sigma.apply(algebra.gen(j)) is sigma.images[j]
+                for x in xs:
+                    if x.support_level() == 0:
+                        assert sigma.apply(x) is x
                 for tau in maps:
                     composed = sigma.compose(tau)
                     assert all(holds_no_exact_zero(img) for img in composed.images)
                     kept += sum(map(imprecise_zeros, composed.images))
         assert kept
+
+    @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
+    def test_apply_multiplies_nothing_by_one(self, variant, p, n, monkeypatch):
+        # the series products apply makes itself, and those of its _collect:
+        # a tower product it takes (an image power, the image of a monomial)
+        # is TowerElement.__mul__'s and is not counted
+        counts = {"apply": 0, "products": 0, "by_one": 0}
+        depth = 0
+        real_apply, real_tower_mul = GaloisMap.apply, TowerElement.__mul__
+        real_series_mul = LaurentSeries.__mul__
+
+        def is_one(s):
+            return isinstance(s, LaurentSeries) and s.is_exact and s.coeffs == {0: 1}
+
+        def apply(self, x):
+            nonlocal depth
+            counts["apply"] += 1
+            depth += 1
+            try:
+                return real_apply(self, x)
+            finally:
+                depth -= 1
+
+        def tower_mul(self, other):
+            nonlocal depth
+            outer, depth = depth, 0
+            try:
+                return real_tower_mul(self, other)
+            finally:
+                depth = outer
+
+        def series_mul(self, other):
+            if depth:
+                counts["products"] += 1
+                counts["by_one"] += is_one(self) or is_one(other)
+            return real_series_mul(self, other)
+
+        monkeypatch.setattr(GaloisMap, "apply", apply)
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(TowerElement, name, tower_mul)
+            monkeypatch.setattr(LaurentSeries, name, series_mul)
+        assert verify_family(variant, p, n, 1, 1).passed
+        assert counts["apply"] and counts["products"]
+        assert counts["by_one"] == 0
 
     @pytest.mark.parametrize("variant, p, n", TIER1_TOWERS)
     def test_generators_survive_a_verify(self, variant, p, n, monkeypatch):

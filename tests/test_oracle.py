@@ -35,6 +35,32 @@ from test_localfield import (TIER1_TOWERS, as_other_variant, count_composes, eag
                              walk_composes)
 
 
+def differences(gens, gen_data) -> list:
+    """sigma(Y) - Y for each map, Y the generator element: what verify_tower
+    hands the filtration and the scaffold stages."""
+    y = gen_data.element
+    return [sigma.apply(y) - y for sigma in gens]
+
+
+def shift_valuation(sigma, y, vtop):
+    """_shift_valuation of sigma(y) - y."""
+    return _shift_valuation(sigma.apply(y) - y, vtop)
+
+
+def reference_ivals(report: FiltrationReport) -> dict:
+    """Reference: i(w) for every word w != 1, keyed by the word tuple, in
+    itertools.product order, filled from the generator values as
+    FiltrationReport.to_dict writes it: a word of prefix 0 takes
+    i(sigma_top), any other the least i(sigma_j) over the j with e_j != 0."""
+    p, top = report.p, report.gen_ivals[-1]
+    out = {}
+    for prefix in itertools.product(range(p), repeat=len(report.gen_ivals) - 1):
+        i = min((v for v, e in zip(report.gen_ivals, prefix) if e), default=top)
+        out.update((prefix + (e,), i) for e in range(p))
+    del out[(0,) * len(report.gen_ivals)]
+    return out
+
+
 @pytest.fixture(scope="module")
 def h_setup():
     tower = make_tower("H")
@@ -42,7 +68,7 @@ def h_setup():
     walks = enumerate_group(tower, gens)
     group_structure(tower, gens, walks)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, gens)
+    filtration = ramification_filtration(tower, gen_data, differences(gens, gen_data))
     return tower, gens, walks, gen_data, filtration
 
 
@@ -53,7 +79,7 @@ def m_setup():
     walks = enumerate_group(tower, gens)
     group_structure(tower, gens, walks)
     gen_data = construct_generator(tower)
-    filtration = ramification_filtration(tower, gen_data, gens)
+    filtration = ramification_filtration(tower, gen_data, differences(gens, gen_data))
     return tower, gens, walks, gen_data, filtration
 
 
@@ -113,33 +139,33 @@ class TestFiltration:
     def test_shift_value_distribution(self, h_setup):
         _, _, _, _, filtration = h_setup
         counts = {}
-        for v in filtration.ivals.values():
+        for v in reference_ivals(filtration).values():
             counts[v] = counts.get(v, 0) + 1
         assert counts == {2: 24, 83: 2}
 
     def test_central_elements_have_big_shift(self, h_setup):
-        _, _, _, _, filtration = h_setup
-        assert filtration.ivals[(0, 0, 1)] == 83
-        assert filtration.ivals[(0, 0, 2)] == 83
+        ivals = reference_ivals(h_setup[-1])
+        assert ivals[(0, 0, 1)] == 83
+        assert ivals[(0, 0, 2)] == 83
 
     def test_identity_excluded_and_wild(self, h_setup):
-        _, _, _, _, filtration = h_setup
-        assert (0, 0, 0) not in filtration.ivals
-        assert len(filtration.ivals) == 26
-        assert all(v > 1 for v in filtration.ivals.values())
+        ivals = reference_ivals(h_setup[-1])
+        assert (0, 0, 0) not in ivals
+        assert len(ivals) == 26
+        assert all(v > 1 for v in ivals.values())
 
     def test_different_cross_check(self, h_setup):
         # Hilbert's sum over the breaks against the sum of i(w) over the
         # filled map; the report writes the one value under both keys
         _, _, _, _, filtration = h_setup
-        assert filtration.different_val == sum(filtration.ivals.values()) == 214
+        assert filtration.different_val == sum(reference_ivals(filtration).values()) == 214
         d = filtration.to_dict()
         assert (d["different_val"], d["hilbert_sum"], d["consistent"]) == (214, 214, True)
 
     def test_breaks_reconstruct_shift_values(self, h_setup):
         _, _, _, _, filtration = h_setup
         multiset = set(filtration.lower_multiset)
-        for word, v in filtration.ivals.items():
+        for word, v in reference_ivals(filtration).items():
             assert v - 1 in multiset
 
     def test_m_variant_multiset(self, m_setup):
@@ -153,11 +179,26 @@ class TestFiltration:
         pk = 27
         x, y = _uniformizer_exponents(gen_data.vtop, pk)
         assert x == -1
+        ivals = reference_ivals(filtration)
         for word, m in list(eager_products(walks).items())[1:]:
             sy = m.apply(gen_data.element)
             direct = y * pk + elt_valuation_top(gen_data.element - sy) \
                 - 2 * gen_data.vtop
-            assert filtration.ivals[word] == direct
+            assert ivals[word] == direct
+
+
+def keyed(ivals: dict) -> list:
+    """The (key, i) pairs of a reference fill, in its order, with each word
+    keyed as the JSON report keys it."""
+    return [(",".join(map(str, word)), i) for word, i in ivals.items()]
+
+
+@pytest.mark.parametrize("variant, p, n", TIER1_TOWERS + [("H", 5, 3)])
+def test_report_writes_the_reference_fill(variant, p, n):
+    report = verify_family(variant, p, n, 1, 1)
+    ivals = report.to_dict()["filtration"]["ivals"]
+    assert list(ivals.items()) == keyed(reference_ivals(report.filtration))
+    assert len(ivals) == p ** (2 * n + 1) - 1
 
 
 def _jump_multiset(jumps: list, sizes: list[int], p: int) -> list:
@@ -193,7 +234,7 @@ def floor_upper_by_cosets(p: int, filtration: FiltrationReport) -> list:
     the numbers of prefixes, the cosets m Z of the floor-fixing Z, that G_b
     meets at consecutive distinct lower breaks b."""
     k = len(filtration.gen_ivals)
-    ivals = filtration.ivals
+    ivals = reference_ivals(filtration)
     sizes = [len({w[:-1] for w, v in ivals.items() if v - 1 >= b} | {(0,) * (k - 1)})
              for b in sorted(set(filtration.lower_multiset))]
     return _jump_multiset(sorted(set(lower_to_upper(p, filtration.lower_multiset))), sizes, p)
@@ -207,7 +248,7 @@ def full_filtration(tower, gen_data, walks) -> tuple[FiltrationReport, dict]:
     p = tower.p
     ivals = {}
     for word, m in list(eager_products(walks).items())[1:]:
-        ivals[word] = _shift_valuation(m, gen_data.element, gen_data.vtop)[0]
+        ivals[word] = shift_valuation(m, gen_data.element, gen_data.vtop)[0]
         assert ivals[word] >= 2
     report = per_word_report(p, ivals, _uniformizer_exponents(gen_data.vtop, p**tower.nvars))
     assert report.different_val == loop_hilbert_sum(p, report.lower_multiset)
@@ -239,7 +280,7 @@ def class_filtration(tower, gen_data, walks) -> tuple[FiltrationReport, dict]:
         rep = _cyclic_class(word, p)
         if rep not in measured:
             sigma = localfield._product(walks, rep)
-            measured[rep] = _shift_valuation(sigma, gen_data.element, gen_data.vtop)[0]
+            measured[rep] = shift_valuation(sigma, gen_data.element, gen_data.vtop)[0]
         ivals[word] = measured[rep]
     uniformizer = _uniformizer_exponents(gen_data.vtop, p**tower.nvars)
     return per_word_report(p, ivals, uniformizer), ivals
@@ -293,7 +334,8 @@ class TestClosedForms:
         p, gen_ivals = drawn
         n = (len(gen_ivals) - 1) // 2
         report = FiltrationReport.from_generators(p, gen_ivals, (1, 0))
-        assert report == per_word_report(p, report.ivals, (1, 0))
+        assert report == per_word_report(p, reference_ivals(report), (1, 0))
+        assert list(report.to_dict()["ivals"].items()) == keyed(reference_ivals(report))
         floor = floor_upper_by_cosets(p, report)
         # the layer stage reads only p, n and u of the tower besides _cp_break
         tower = SimpleNamespace(p=p, n=n, plan_report=SimpleNamespace(u=(1,) * (2 * n)))
@@ -328,7 +370,7 @@ class TestClosedForms:
             FiltrationReport.from_generators(p, deeper, (1, 0))
         filled = FiltrationReport.from_generators(p, gen_ivals, (1, 0)).replace(gen_ivals=deeper)
         with pytest.raises(AssertionError, match="not p-power nested"):
-            per_word_report(p, filled.ivals, (1, 0))
+            per_word_report(p, reference_ivals(filled), (1, 0))
 
 
 def _staged(params):
@@ -376,15 +418,17 @@ class TestCyclicClasses:
 
     def test_matches_full_filtration(self, staged, monkeypatch):
         tower, gens, walks, gen_data = staged
+        deltas = differences(gens, gen_data)
         (filled, calls), composed = count_composes(monkeypatch, lambda: _count_measurements(
-            monkeypatch, lambda: ramification_filtration(tower, gen_data, gens)))
+            monkeypatch, lambda: ramification_filtration(tower, gen_data, deltas)))
         assert (calls, composed) == (tower.nvars, 0)
-        assert (filled, filled.ivals) == full_filtration(tower, gen_data, walks)
-        # the report writes the fill in its own order, which is the sorted one
-        assert list(filled.ivals) == sorted(filled.ivals)
+        ivals = reference_ivals(filled)
+        assert (filled, ivals) == full_filtration(tower, gen_data, walks)
+        # the fill runs in itertools.product order, which is the sorted one
+        assert list(ivals) == sorted(ivals)
         # on m = (0, 1, 2) the noncentral words take two values, so a fill
         # that ignored the generators' values would show there
-        noncentral = {v for w, v in filled.ivals.items() if any(w[:-1])}
+        noncentral = {v for w, v in ivals.items() if any(w[:-1])}
         assert len(noncentral) == (2 if tower.params.m == (0, 1, 2) else 1)
 
     @pytest.mark.parametrize("params", [CLASS_TOWERS[i] for i in (0, 1, 2, 3, 7, 9)],
@@ -396,9 +440,9 @@ class TestCyclicClasses:
         # thetas of elements of different support levels on one scale
         tower, gens, walks, gen_data = _staged(params)
         y, vtop, f = gen_data.element, gen_data.vtop, tower.field
-        measured = [_shift_valuation(sigma, y, vtop) for sigma in gens]
+        measured = [shift_valuation(sigma, y, vtop) for sigma in gens]
         for word, m in list(eager_products(walks).items())[1:]:
-            i, theta = _shift_valuation(m, y, vtop)
+            i, theta = shift_valuation(m, y, vtop)
             total = sum((LaurentSeries.monomial(f, t) * e
                          for e, (i_j, t) in zip(word, measured) if e and i_j == i),
                         LaurentSeries.zero(f))
@@ -410,16 +454,17 @@ class TestCyclicClasses:
             if not plan(params).certified:
                 continue
             tower, gens, walks, gen_data = _staged(params)
-            filled = ramification_filtration(tower, gen_data, gens)
-            assert (filled, filled.ivals) == class_filtration(tower, gen_data, walks), params
+            filled = ramification_filtration(tower, gen_data, differences(gens, gen_data))
+            assert (filled, reference_ivals(filled)) == \
+                class_filtration(tower, gen_data, walks), params
             draws += 1
         assert draws > 20
 
     @pytest.mark.parametrize("variant", ["H", "M"])
     def test_matches_the_class_loop_at_7_2(self, variant):
         tower, gens, walks, gen_data = _staged(family_params(variant, 7, 2, 1, 1, INF, None))
-        filled = ramification_filtration(tower, gen_data, gens)
-        assert (filled, filled.ivals) == class_filtration(tower, gen_data, walks)
+        filled = ramification_filtration(tower, gen_data, differences(gens, gen_data))
+        assert (filled, reference_ivals(filled)) == class_filtration(tower, gen_data, walks)
 
     @staticmethod
     def _walks(monkeypatch) -> list:
@@ -486,7 +531,7 @@ class TestCyclicClasses:
 class TestScaffold:
     def test_h_rows(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
-        rep = scaffold_row_check(tower, gen_data, gens)
+        rep = scaffold_row_check(tower, gen_data, differences(gens, gen_data))
         assert rep.x_vtop == -82
         assert rep.ok
         by_index = {r.index: r for r in rep.rows}
@@ -501,7 +546,7 @@ class TestScaffold:
 
     def test_m_rows(self, m_setup):
         tower, gens, _, gen_data, _ = m_setup
-        rep = scaffold_row_check(tower, gen_data, gens)
+        rep = scaffold_row_check(tower, gen_data, differences(gens, gen_data))
         assert rep.ok
         by_index = {r.index: r for r in rep.rows}
         # sigma_1 row: gap = b3 - b1 - (p-1) p^2 u_1 = 82 - 1 - 18 = 63
@@ -512,7 +557,7 @@ class TestScaffold:
 
     def test_mu_valuations_are_break_differences(self, h_setup):
         tower, gens, _, gen_data, _ = h_setup
-        rep = scaffold_row_check(tower, gen_data, gens)
+        rep = scaffold_row_check(tower, gen_data, differences(gens, gen_data))
         b = tower.plan_report.b
         for row in rep.rows:
             assert row.mu_vtop == b[row.index - 1] - b[-1]
@@ -544,13 +589,15 @@ class TestElementaryLayers:
             gens = galois_generators(tower)
             walks = enumerate_group(tower, gens)
             group_structure(tower, gens, walks)
-            filtration = ramification_filtration(tower, construct_generator(tower), gens)
+            gen_data = construct_generator(tower)
+            filtration = ramification_filtration(tower, gen_data, differences(gens, gen_data))
             products = eager_products(walks)
             fixing = [g for g in products.values()
                       if all(g.images[j] == g.algebra.gen(j) for j in range(2))]
+            ivals = reference_ivals(filtration)
             sizes = []
             for b in sorted(set(filtration.lower_multiset)):
-                group = [products[w] for w, v in filtration.ivals.items() if v - 1 >= b]
+                group = [products[w] for w, v in ivals.items() if v - 1 >= b]
                 group.append(GaloisMap.identity(tower.algebra))
                 sizes.append(len({frozenset(map_key(g.compose(h)) for h in fixing)
                                   for g in group}))
@@ -622,7 +669,7 @@ class TestElementaryLayers:
         sigma, alpha = unramified_layer()
         assert elt_valuation_top(alpha) == 0
         with pytest.raises(OracleMismatch, match="not in G_1"):
-            _shift_valuation(sigma, alpha, 0)
+            shift_valuation(sigma, alpha, 0)
 
 
 def every_power_break(tower, i) -> int:
@@ -634,7 +681,7 @@ def every_power_break(tower, i) -> int:
     alpha = mini.gen(0)
     vtop = elt_valuation_top(alpha)
     sigma = GaloisMap(mini, [alpha + mini.one()])
-    breaks = {_shift_valuation(s, alpha, vtop)[0] - 1 for s in sigma.powers()[1:]}
+    breaks = {shift_valuation(s, alpha, vtop)[0] - 1 for s in sigma.powers()[1:]}
     assert len(breaks) == 1, breaks
     return breaks.pop()
 
@@ -678,7 +725,7 @@ def _trip_cofactor():
 
 def _trip_fixed_generator():
     tower, _, gen_data = _h31()
-    _shift_valuation(GaloisMap.identity(tower.algebra), gen_data.element, gen_data.vtop)
+    shift_valuation(GaloisMap.identity(tower.algebra), gen_data.element, gen_data.vtop)
 
 
 def _trip_dependent_run():
@@ -689,25 +736,26 @@ def _trip_dependent_run():
     one = tower.field.one()
     with mock.patch.object(oracle_mod, "_shift_valuation",
                            lambda *args: (real(*args)[0], one)):
-        ramification_filtration(tower, gen_data, gens)
+        ramification_filtration(tower, gen_data, differences(gens, gen_data))
 
 
 def _trip_deeper_than_center():
     # sigma_1 reads one above i(sigma_top) = 83
     tower, gens, gen_data = _h31()
     real = oracle_mod._shift_valuation
+    deltas = differences(gens, gen_data)
 
-    def deeper(sigma, *args):
-        i, theta = real(sigma, *args)
-        return (84 if sigma is gens[0] else i), theta
+    def deeper(delta, vtop):
+        i, theta = real(delta, vtop)
+        return (84 if delta is deltas[0] else i), theta
 
     with mock.patch.object(oracle_mod, "_shift_valuation", deeper):
-        ramification_filtration(tower, gen_data, gens)
+        ramification_filtration(tower, gen_data, deltas)
 
 
 def _trip_scaffold(first, last):
     tower, gens, gen_data = _h31()
-    scaffold_row_check(_moved_b(tower, first, last), gen_data, gens)
+    scaffold_row_check(_moved_b(tower, first, last), gen_data, differences(gens, gen_data))
 
 
 # name -> (a call that trips one check, the message it must raise); on
@@ -717,7 +765,7 @@ MISMATCH_TRIPS = {
     "generator": (lambda: construct_generator(_moved_b(_h31()[0], first=1)),
                   "generator valuation -82 != predicted -83"),
     "fixed_generator": (_trip_fixed_generator, "a nontrivial automorphism fixes the generator"),
-    "outside_g1": (lambda: _shift_valuation(*unramified_layer(), 0),
+    "outside_g1": (lambda: shift_valuation(*unramified_layer(), 0),
                    "v_top(sigma(Y) - Y) = 0 <= v_top(Y) = 0: sigma is not in G_1"),
     "dependent_run": (_trip_dependent_run, "the thetas of sigma_1, sigma_2 at i = 2 have "
                       "F_p-rank 1: a combination lies deeper"),
