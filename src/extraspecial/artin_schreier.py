@@ -31,7 +31,7 @@ def witt_carry(x, y, p: int):
     return total
 
 
-class ASConstantSpec(Record, frozen=True):
+class ASConstantSpec(Record):
     """Constants a_1..a_k described by valuation and leading residue
     coefficient relative to a fixed uniformizer.
 
@@ -95,7 +95,7 @@ def first_dependent_run(field: ResidueField, vals: Sequence,
     return None
 
 
-class ASReport(Record, frozen=True):
+class ASReport(Record):
     """Outcome of the four named conditions on reduced constants.
 
     ``range_ok`` also covers the ordering of the valuations; its lower bound

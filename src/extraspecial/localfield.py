@@ -34,7 +34,7 @@ from .artin_schreier import witt_carry
 from .detval import ring_det
 from .planner import PlanReport, TowerParams, plan
 from .record import Record
-from .valuation import INF, FFElem, LaurentSeries, PrecisionError, ResidueField
+from .valuation import INF, FFElem, LaurentSeries, PrecisionError, ResidueField, binary_power
 
 
 class PlanRejection(ValueError):
@@ -76,9 +76,6 @@ class TowerAlgebra:
 
     def from_series(self, s: LaurentSeries) -> "TowerElement":
         return TowerElement(self, {self._zero_exps: s})
-
-    def from_scalar(self, c) -> "TowerElement":
-        return self.from_series(LaurentSeries.monomial(self.field, self.field(c)))
 
     def gen(self, i: int) -> "TowerElement":
         """alpha_i, built once with the algebra: elements are immutable."""
@@ -182,8 +179,6 @@ class TowerElement:
             return other
         if isinstance(other, LaurentSeries):
             return self.algebra.from_series(other)
-        if isinstance(other, (int, FFElem)):
-            return self.algebra.from_scalar(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -204,9 +199,6 @@ class TowerElement:
         return self.algebra._collect([*self.coeffs.items(),
                                       *((e, -c) for e, c in o.coeffs.items())])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, FFElem, LaurentSeries)):
             return TowerElement(self.algebra, {e: x * other for e, x in self.coeffs.items()})
@@ -222,15 +214,7 @@ class TowerElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers of tower elements are not supported")
-        out = self.algebra.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return binary_power(self, e) if e else self.algebra.one()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -661,27 +645,16 @@ def galois_generators(tower: Tower) -> list[GaloisMap]:
 
 def _fp_shift(x: TowerElement, y: TowerElement) -> int | None:
     """The e in F_p with x = y + e exactly, or None.  It compares the terms
-    of x and y and builds no x - y: every coefficient must be exact, every
-    term but the constant one equal in x and y, and the two constant series
-    equal in every exponent but 0.  A field index is base p in the
-    coordinates, so the pi^0 coefficients a, b differ by an element of F_p
-    exactly when a // p == b // p, and then by (a - b) mod p, an index
-    below p, which is the F_p element of that value."""
+    of x and y and builds no x - y: every term but the constant one must be
+    exact and equal in x and y, and the constant series give e by
+    LaurentSeries.fp_offset."""
     zero_exps = x.algebra._zero_exps
     zero = LaurentSeries.zero(x.algebra.field)
     for exps in x.coeffs.keys() | y.coeffs.keys():
         a, b = x.coeffs.get(exps, zero), y.coeffs.get(exps, zero)
-        if not (a.is_exact and b.is_exact):
+        if exps != zero_exps and not (a.is_exact and b.is_exact and a.coeffs == b.coeffs):
             return None
-        if exps != zero_exps and a.coeffs != b.coeffs:
-            return None
-    a = x.coeffs.get(zero_exps, zero).coeffs
-    b = y.coeffs.get(zero_exps, zero).coeffs
-    ca, cb = a.get(0, 0), b.get(0, 0)
-    p = x.algebra.p
-    if ca // p != cb // p or {**a, 0: 0} != {**b, 0: 0}:
-        return None
-    return (ca - cb) % p
+    return x.coeffs.get(zero_exps, zero).fp_offset(y.coeffs.get(zero_exps, zero))
 
 
 def _product(walks: list[list[GaloisMap]], word: tuple[int, ...]) -> GaloisMap:

@@ -27,7 +27,7 @@ def _is_odd_prime(p: int) -> bool:
     return all(p % f for f in range(3, int(p**0.5) + 1, 2))
 
 
-class TowerParams(Record, frozen=True):
+class TowerParams(Record):
     """Input data for one tower: a_i = c * omega_i^(p^(2n)) with
     r = -v_0(c), m_i = -v_0(omega_i), and the residue leading coefficients
     of the omega_i.  Then u_i = -v_0(a_i) = r + p^(2n) m_i."""
@@ -97,7 +97,7 @@ class TowerParams(Record, frozen=True):
         }
 
 
-class Check(Record, frozen=True):
+class Check(Record):
     """One hypothesis inequality with its slack (rhs - lhs)."""
 
     id: str
@@ -116,7 +116,7 @@ class Check(Record, frozen=True):
         }
 
 
-class PlanReport(Record, frozen=True):
+class PlanReport(Record):
     params: TowerParams
     mode: str
     u: tuple[int, ...]

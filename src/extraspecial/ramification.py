@@ -55,7 +55,7 @@ def upper_to_lower(p: int, upper: Sequence) -> tuple[Fraction, ...]:
     return tuple(b)
 
 
-class RamSequence(Record, frozen=True):
+class RamSequence(Record):
     """The ramification numbers of one extension, kept as the lower ones;
     the upper ones are read from them by :func:`lower_to_upper`, so the two
     always match."""
@@ -88,7 +88,7 @@ class RamSequence(Record, frozen=True):
         }
 
 
-class ShiftTables(Record, frozen=True):
+class ShiftTables(Record):
     """Digit-weighted shift function and its inverse on S = {0..p^n - 1}.
 
     ``shift_values[s]`` is the sum over base-p digits of s (most significant
@@ -149,7 +149,7 @@ def build_shift_tables(p: int, n: int, b: Sequence[int]) -> ShiftTables:
     return ShiftTables(p, n, b, tuple(shift), tuple(backward))
 
 
-class RamCheck(Record, frozen=True):
+class RamCheck(Record):
     name: str
     holds: bool
     slack: Fraction
@@ -164,7 +164,7 @@ class RamCheck(Record, frozen=True):
         }
 
 
-class RamCheckReport(Record, frozen=True):
+class RamCheckReport(Record):
     p: int
     checks: tuple[RamCheck, ...]
 

@@ -5,24 +5,19 @@ optional class-level defaults, and gets what a dataclass would give it:
 ``__init__`` by position or keyword followed by ``__post_init__``, equality
 on the field tuple within one class, a ``Name(field=value, ...)`` repr and
 ``replace(**changes)``, which builds a new record through ``__init__`` and so
-runs the validation again.  ``class R(Record, frozen=True)`` also refuses
-assignment and deletion and hashes by the fields; other records are
-unhashable.  No code is generated or compiled, so defining a record costs
-about as much as defining a plain class.
+runs the validation again.  Every record is a frozen value: it refuses
+assignment and deletion and hashes by its fields.  No code is generated or
+compiled, so defining a record costs about as much as defining a plain class.
 """
 
 from __future__ import annotations
 
 
 class Record:
-    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)  # its own only, on Python >= 3.10
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        if frozen:
-            cls.__setattr__ = _refuse_assignment
-            cls.__delattr__ = _refuse_deletion
-            cls.__hash__ = _field_hash
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -50,10 +45,19 @@ class Record:
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a record")
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
@@ -61,15 +65,3 @@ class Record:
 
     def replace(self, **changes):
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
-
-def _refuse_assignment(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
-
-
-def _refuse_deletion(self, name):
-    raise AttributeError(f"cannot delete field {name!r} of a frozen record")
-
-
-def _field_hash(self) -> int:
-    return hash(self._values())

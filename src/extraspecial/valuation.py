@@ -152,8 +152,6 @@ class FFElem:
         return self.idx != 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field(other)
         if not isinstance(other, FFElem):
             return NotImplemented
         return self.field.key == other.field.key and self.idx == other.idx
@@ -324,6 +322,20 @@ def field_degree(p: int, q: int) -> int:
     return d
 
 
+def binary_power(x, e: int):
+    """x^e for e >= 1 by square-and-multiply from x itself, so no product
+    has a factor one: bit_length(e) - 1 squarings and popcount(e) - 1
+    products.  The series' and the tower elements' one power."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
+
+
 # ---------------------------------------------------------------------------
 # Truncated Laurent series over F_q
 # ---------------------------------------------------------------------------
@@ -341,8 +353,8 @@ class LaurentSeries:
     in a product it counts as valuation >= N.  No operation picks a window:
     :meth:`inverse` of an exact series takes the caller's.
     :class:`FFElem` appears only at the edge: the constructor (FFElem or
-    int mod p), ``monomial`` and scalar operands take elements in; ``str``
-    hands them out.
+    int mod p), ``monomial`` and a scalar factor of ``*`` take elements in;
+    ``str`` hands them out.  Sums, differences and equality take series.
     """
 
     __slots__ = ("field", "coeffs", "prec")
@@ -403,10 +415,8 @@ class LaurentSeries:
     def __add__(self, other):
         f = self.field
         if not isinstance(other, LaurentSeries):
-            if not isinstance(other, (int, FFElem)):
-                return NotImplemented
-            other = LaurentSeries(f, {0: other})
-        elif other.field is not f and other.field != f:
+            return NotImplemented
+        if other.field is not f and other.field != f:
             raise ValueError("series over different residue fields")
         prec = min(self.prec, other.prec)
         log, exp, zech = f._log, f._exp, f._zech
@@ -434,12 +444,9 @@ class LaurentSeries:
         return self._of(self.field, {e: neg(c) for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
-        # a - b = -(-a + b): __add__ takes the operand in and checks its field
+        # a - b = -(-a + b): __add__ refuses a non-series and checks the field
         d = (-self).__add__(other)
         return d if d is NotImplemented else -d
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         f = self.field
@@ -493,14 +500,7 @@ class LaurentSeries:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers need a window: use inverse(window)")
-        out = LaurentSeries.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return binary_power(self, e) if e else LaurentSeries.one(self.field)
 
     def inverse(self, window: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse on a window of ``window`` coefficients
@@ -555,6 +555,20 @@ class LaurentSeries:
         return self._of(f, {p * e: f._pow_idx(c, p) for e, c in self.coeffs.items()},
                         p * self.prec)
 
+    def fp_offset(self, other: "LaurentSeries") -> int | None:
+        """The e in F_p with self = other + e exactly, or None; a series with
+        a window gives None.  A field index is base p in the coordinates, so
+        the pi^0 coefficients a, b differ by an element of F_p exactly when
+        a // p == b // p, and then by (a - b) mod p, an index below p, which
+        is the F_p element of that value."""
+        a, b = self.coeffs, other.coeffs
+        ca, cb = a.get(0, 0), b.get(0, 0)
+        p = self.field.p
+        if (not (self.is_exact and other.is_exact) or ca // p != cb // p
+                or {**a, 0: 0} != {**b, 0: 0}):
+            return None
+        return (ca - cb) % p
+
     def truncate(self, prec: float) -> "LaurentSeries":
         prec = min(self.prec, prec)
         return self._of(self.field, {e: c for e, c in self.coeffs.items() if e < prec}, prec)
@@ -562,8 +576,6 @@ class LaurentSeries:
     # -- comparisons and formatting -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, FFElem)):
-            other = LaurentSeries(self.field, {0: other})
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (self.field.key == other.field.key and self.coeffs == other.coeffs

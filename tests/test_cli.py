@@ -274,12 +274,14 @@ class TestOracle:
         # a generator that shifts alpha_top by g, outside F_3, reads as no
         # word of the group: a ConstructionError, never a KeyError
         import extraspecial.oracle as oracle
+        from conftest import const
         from test_localfield import outside_fp
         galois_generators = oracle.galois_generators
 
         def bent_top(tower):
             gens = galois_generators(tower)
-            return gens[:-1] + [outside_fp(gens[-1], tower.nvars - 1, tower.field.gen())]
+            shift = const(tower.field, tower.field.gen())
+            return gens[:-1] + [outside_fp(gens[-1], tower.nvars - 1, shift)]
 
         monkeypatch.setattr(oracle, "galois_generators", bent_top)
         code, out, err = run(capsys, "oracle", "verify", "--variant", "H", "--p", "3",

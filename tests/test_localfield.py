@@ -116,6 +116,46 @@ class TestBuildTower:
         assert all(all(e < 3 for e in exps) for exps in prod.coeffs)
 
 
+class TestScalarsAndPowers:
+    def test_a_scalar_is_only_a_factor(self, h_tower):
+        # sums, differences and comparisons take series and tower elements;
+        # an int or FFElem enters through a constructor
+        field = h_tower.field
+        s, x, g = LaurentSeries.monomial(field, 1, -1), h_tower.alpha(1), field.gen()
+        for operation in (lambda: s + 1, lambda: 1 + s, lambda: 1 - s, lambda: x + 1,
+                          lambda: 1 - x, lambda: x - g):
+            with pytest.raises(TypeError):
+                operation()
+        assert 2 * x == x * 2 == x * const(field, 2) == x + x
+        assert s * g == s * const(field, g) == LaurentSeries.monomial(field, g, -1)
+
+    @pytest.mark.parametrize("kind", ["tower", "series"])
+    def test_a_power_multiplies_by_no_one(self, h_tower, monkeypatch, kind):
+        # x^e takes bit_length(e) - 1 squarings and popcount(e) - 1 products
+        rng = random.Random(7)
+        if kind == "tower":
+            x, cls = random_element(h_tower, rng) + h_tower.alpha(1), TowerElement
+        else:
+            x, cls = random_series(h_tower.field, rng, nonzero=True), LaurentSeries
+        assert x ** 0 * x == x
+        wants = [x]
+        while len(wants) < 2 * h_tower.p:
+            wants.append(wants[-1] * x)
+        calls = 0
+        real = cls.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return real(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        for e, want in enumerate(wants, 1):
+            calls = 0
+            assert x ** e == want
+            assert calls == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+
 class TestValuation:
     def test_uniformizer(self, h_tower):
         pi = h_tower.algebra.from_series(LaurentSeries.monomial(h_tower.field, 1, 1))
@@ -154,7 +194,7 @@ class TestValuation:
         # valuation refuses to guess
         f9 = residue_field(3, 2)
         algebra = TowerAlgebra(f9, 1)
-        x = algebra.from_series(LaurentSeries(f9, {0: 1}, prec=5)) - 1
+        x = algebra.from_series(LaurentSeries(f9, {0: 1}, prec=5)) - algebra.one()
         assert not x.is_zero()
         assert x.coeffs == {(0,): LaurentSeries(f9, {}, prec=5)}
         with pytest.raises(PrecisionError):
@@ -398,7 +438,8 @@ class TestClosedFormNorms:
                                                                   max_terms=1, nonzero=True)
                       + linear_element(algebra, rng, level - 1)]
         exact.append(algebra.gen(k - 1) ** 2 * random_series(algebra.field, rng, -3, 3,
-                                                             max_terms=1, nonzero=True) + 1)
+                                                             max_terms=1, nonzero=True)
+                     + algebra.one())
         windowed = [w for x in exact[-2 * k + 1:] for w in windowed_variants(x, rng)]
         elements = exact + windowed
         want = [valuation_outcome(ring_det_chain, x) for x in elements]
@@ -456,7 +497,8 @@ class TestClosedFormNorms:
         # alpha_0^3 - alpha_0 = 0 splits, so the algebra is not a field
         algebra = TowerAlgebra(f9, 2)
         algebra.set_relation(0, algebra.zero())
-        algebra.set_relation(1, algebra.gen(0) * LaurentSeries.monomial(f9, 1, -2) + 1)
+        algebra.set_relation(1, algebra.gen(0) * LaurentSeries.monomial(f9, 1, -2)
+                             + algebra.one())
         rng = random.Random(4210)
         for i in (0, 1):
             for degree in (0, 1, 2):
@@ -493,7 +535,7 @@ class TestClosedFormNorms:
         rng = random.Random(4230)
         # at a_1 = pi, N(1 + alpha / pi) has valuation 0 and the minimum over
         # monomials reads -2
-        elements = [algebra.gen(0) - pole, pole * algebra.gen(0) + 1]
+        elements = [algebra.gen(0) - pole, pole * algebra.gen(0) + algebra.one()]
         elements += [element_below(algebra, rng, 1, rng.randint(1, 2), terms=3) for _ in range(6)]
         for x in elements:
             assert localfield.elt_leading_term(x) == ring_det_leading(x)
@@ -545,7 +587,7 @@ class TestClosedFormNorms:
             assert localfield._bottom_leading_term(x, u1) == \
                 LaurentSeries.monomial(f9, FFElem(f9, norm.coeffs[v]), v)
         # c_2 = g takes the minimum -2: g^3 g^2
-        x = algebra.gen(0) ** 2 * LaurentSeries.monomial(f9, g, 0) + 1
+        x = algebra.gen(0) ** 2 * LaurentSeries.monomial(f9, g, 0) + algebra.one()
         assert localfield._bottom_leading_term(x, u1) == LaurentSeries.monomial(f9, g**5, -2)
 
 
@@ -681,7 +723,7 @@ def walk_composes(walks) -> int:
 
 
 def outside_fp(m, j, c):
-    """m with its image of alpha_(j+1) shifted by the constant c."""
+    """m with its image of alpha_(j+1) shifted by the constant series c."""
     images = list(m.images)
     images[j] = images[j] + c
     return GaloisMap(m.algebra, images, validate=False)
@@ -777,7 +819,8 @@ class TestGroupClosure:
         walks = enumerate_group(h_tower, gens)
         g = h_tower.field.gen()
         assert not g.in_prime_field
-        bent = gens[:-1] + [outside_fp(gens[-1], 2, const(h_tower.field, g) - 1)]
+        field = h_tower.field
+        bent = gens[:-1] + [outside_fp(gens[-1], 2, const(field, g) - const(field, 1))]
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             group_structure(h_tower, bent, walks)
 
@@ -814,7 +857,7 @@ class TestGroupClosure:
         gens = galois_generators(h_tower)
         walks = enumerate_group(h_tower, gens)
         walk = list(walks[0])
-        walk[1] = outside_fp(walk[1], 2, h_tower.field.gen())
+        walk[1] = outside_fp(walk[1], 2, const(h_tower.field, h_tower.field.gen()))
         open_walks = [walk] + walks[1:]
         with pytest.raises(ConstructionError, match="^the order of sigma_1 is 3, "):
             group_structure(as_other_variant(h_tower), gens, open_walks)
@@ -851,7 +894,7 @@ class TestWordReading:
         g = tower.field.gen()
         assert not g.in_prime_field
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
-            localfield.word_of(walks, outside_fp(last, tower.nvars - 1, g))
+            localfield.word_of(walks, outside_fp(last, tower.nvars - 1, const(tower.field, g)))
 
     @pytest.mark.parametrize("variant", ["H", "M"])
     @pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0), (0, 2, 1)])
@@ -866,12 +909,14 @@ class TestWordReading:
         algebra, g = h_tower.algebra, h_tower.field.gen()
         assert not g.in_prime_field
         images = [algebra.gen(j) for j in range(algebra.nvars)]
-        images[0] = images[0] + g
+        shift = const(algebra.field, g)
+        images[0] = images[0] + shift
         with pytest.raises(ConstructionError, match="^group is not closed under composition$"):
             localfield.word_of(walks, GaloisMap(algebra, images, validate=False))
         alpha = algebra.gen(0)
-        assert localfield._fp_shift(alpha + g, alpha) is None
-        assert localfield._fp_shift(alpha + g + (2 - const(algebra.field, g)), alpha) == 2
+        assert localfield._fp_shift(alpha + shift, alpha) is None
+        two = const(algebra.field, 2)
+        assert localfield._fp_shift(alpha + shift + (two - shift), alpha) == 2
         # only exact constants are read: O(pi^5) + 1 is not
         inexact = LaurentSeries.monomial(h_tower.field, 1, 0, prec=5)
         assert localfield._fp_shift(alpha + inexact, alpha) is None
@@ -1060,8 +1105,9 @@ class TestCollectAgainstDeletedAccumulators:
             assert same(comm, reference_add(reference_mul(x, y), -reference_mul(y, x)))
         # (g + 1)(g - 1) = g^2 - 1: the g terms cancel to an exact zero
         g = algebra.gen(algebra.nvars - 1)
-        prod = (g + 1) * (g - 1)
-        assert same(prod, reference_mul(g + 1, g - 1))
+        one = algebra.one()
+        prod = (g + one) * (g - one)
+        assert same(prod, reference_mul(g + one, g - one))
         assert len(prod.coeffs) == 2
 
     @pytest.mark.parametrize("name", ALGEBRAS)
@@ -1161,7 +1207,7 @@ class TestInternalResults:
                                  validate=False)
             # images whose coefficients are one only up to a window
             near_one = LaurentSeries(algebra.field, {0: 1}, prec=2)
-            ones = GaloisMap(algebra, [algebra.gen(i) * near_one + 1
+            ones = GaloisMap(algebra, [algebra.gen(i) * near_one + algebra.one()
                                        for i in range(algebra.nvars)], validate=False)
             maps = gens + [windowed, ones]
             xs = mixed_elements(algebra, rng, 6) + substitution_cases(algebra, rng)

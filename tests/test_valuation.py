@@ -602,8 +602,34 @@ class TestSparseKernelAgainstReference:
         with pytest.raises(ValueError, match="different residue fields"):
             a + b
         assert a.__mul__("x") is NotImplemented and a.__add__(1.5) is NotImplemented
-        assert 2 + a == a + 2 == LaurentSeries(f9, {0: 2, 1: 1})
-        assert a - 1 == -(1 - a) == LaurentSeries(f9, {0: 2, 1: 1})
+        one, two = LaurentSeries.one(f9), LaurentSeries.monomial(f9, 2)
+        assert two + a == a + two == LaurentSeries(f9, {0: 2, 1: 1})
+        assert a - one == -(one - a) == LaurentSeries(f9, {0: 2, 1: 1})
+
+
+class TestFpOffset:
+    @pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (5, 2), (7, 1)])
+    def test_against_the_difference(self, p, d):
+        # the e in F_p with a = b + e, read from a - b: an exact constant
+        # whose index is below p, the F_p element of that value
+        field = residue_field(p, d)
+        tails = [{}, {2: 1}, {-1: field.gen()}]
+        found = set()
+        for ia in range(field.q):
+            for ib in range(field.q):
+                for ta, tb in [(tails[0], tails[0]), (tails[1], tails[1]), (tails[1], tails[2])]:
+                    a = LaurentSeries(field, {**ta, 0: elem_from_index(field, ia)})
+                    b = LaurentSeries(field, {**tb, 0: elem_from_index(field, ib)})
+                    diff = a - b
+                    want = diff.coeffs.get(0, 0)
+                    if diff.coeffs.keys() - {0} or want >= p:
+                        want = None
+                    assert a.fp_offset(b) == want
+                    found.add(want)
+        assert found == {None, *range(p)}
+        windowed = LaurentSeries.monomial(field, 1, 0, prec=3)
+        assert windowed.fp_offset(LaurentSeries.zero(field)) is None
+        assert LaurentSeries.one(field).fp_offset(windowed.truncate(0)) is None
 
 
 class TestCoefficientEdge:
